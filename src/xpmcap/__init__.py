@@ -9,19 +9,18 @@ from .bounds import (BoundSet, EffectiveCoefficient, awgn_capacity,
                      fit_effective_coefficient, ian_rate,
                      interference_variance, interference_variance_mc,
                      outer_bound_sum, outer_bound_u1, outer_bound_u2, sweep)
-from .channel import (RealImagView, SampleBatch, full_channel,
-                      memoryless_channel, quadrature_view,
+from .channel import (SampleBatch, full_channel, memoryless_channel,
                       real_imag_decompose, sample_cscg, simulate_batch,
                       spawn_seeds)
 from .coefficients import (CoeffTensor, coefficient_tensor,
-                           coefficient_tensors, xpm_coefficient)
+                           receiver_w_tensor, xpm_coefficient)
 from .config import (LinkParams, NoiseParams, PowerPair, ase_noise_variance,
                      dbm_to_watts, effective_length, load_config,
                      watts_to_dbm)
 from .errors import (BoundDomainError, ConfigError, GridError,
                      NoDominantFaceError, NumericalError, QuadratureError,
                      SampleBudgetError, ToolkitError)
-from .pulses import PulseShape, TimeFreqGrid, dispersed_pulse
+from .pulses import PulseShape, TimeFreqGrid
 from .regions import (HalfPlane, Region2D, build_region,
                       dominant_face_midpoint, excess_area, intersect)
 from .verify import (CheckReport, det_trace_check, joint_covariance_check,
@@ -34,16 +33,15 @@ __all__ = [
     "fit_cubic_interference", "fit_effective_coefficient", "ian_rate",
     "interference_variance", "interference_variance_mc", "outer_bound_sum",
     "outer_bound_u1", "outer_bound_u2", "sweep",
-    "RealImagView", "SampleBatch", "full_channel", "memoryless_channel",
-    "quadrature_view", "real_imag_decompose", "sample_cscg",
-    "simulate_batch", "spawn_seeds",
-    "CoeffTensor", "coefficient_tensor", "coefficient_tensors",
+    "SampleBatch", "full_channel", "memoryless_channel",
+    "real_imag_decompose", "sample_cscg", "simulate_batch", "spawn_seeds",
+    "CoeffTensor", "coefficient_tensor", "receiver_w_tensor",
     "xpm_coefficient",
     "LinkParams", "NoiseParams", "PowerPair", "ase_noise_variance",
     "dbm_to_watts", "effective_length", "load_config", "watts_to_dbm",
     "BoundDomainError", "ConfigError", "GridError", "NoDominantFaceError",
     "NumericalError", "QuadratureError", "SampleBudgetError", "ToolkitError",
-    "PulseShape", "TimeFreqGrid", "dispersed_pulse",
+    "PulseShape", "TimeFreqGrid",
     "HalfPlane", "Region2D", "build_region", "dominant_face_midpoint",
     "excess_area", "intersect",
     "CheckReport", "det_trace_check", "joint_covariance_check",

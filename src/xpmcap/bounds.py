@@ -59,9 +59,6 @@ class EffectiveCoefficient:
                    enforce_modulus=enforce_modulus)
 
 
-ZERO_COEFFICIENT = EffectiveCoefficient(0.0, 0.0)
-
-
 def awgn_capacity(p: float, sigma_sq: float) -> float:
     """Linear-channel capacity log2(1 + P / (2 sigma^2))."""
     if p < 0:

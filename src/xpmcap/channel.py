@@ -125,56 +125,15 @@ def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex):
     return y_r, y_i
 
 
-@dataclass(frozen=True)
-class RealImagView:
-    """Per-quadrature view of one receiver's pre-noise output, together
-    with the per-dimension input powers that produced it.
-
-    The power split of each user must respect its total budget,
-    p_r + p_i <= total; the covariance checks sweep this split.
-    """
-
-    y_r: np.ndarray
-    y_i: np.ndarray
-    p1_r: float
-    p1_i: float
-    p2_r: float
-    p2_i: float
-
-    def __post_init__(self):
-        for name in ("p1_r", "p1_i", "p2_r", "p2_i"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if np.asarray(self.y_r).shape != np.asarray(self.y_i).shape:
-            raise ConfigError("quadrature sequences must have equal shape")
-
-    def validate_power_budget(self, p1_total: float, p2_total: float,
-                              tol: float = 1e-12) -> None:
-        if self.p1_r + self.p1_i > p1_total * (1 + tol) + tol:
-            raise ConfigError("user-1 per-dimension powers exceed the budget")
-        if self.p2_r + self.p2_i > p2_total * (1 + tol) + tol:
-            raise ConfigError("user-2 per-dimension powers exceed the budget")
-
-
-def quadrature_view(x: np.ndarray, w: np.ndarray, g: complex,
-                    p1_split: tuple[float, float],
-                    p2_split: tuple[float, float]) -> RealImagView:
-    """Bundle the decomposed output with its per-dimension input powers."""
-    y_r, y_i = real_imag_decompose(x, w, g)
-    return RealImagView(y_r=y_r, y_i=y_i, p1_r=p1_split[0], p1_i=p1_split[1],
-                        p2_r=p2_split[0], p2_i=p2_split[1])
-
-
 @dataclass
 class SampleBatch:
-    """One simulated block: inputs, outputs and the seed that made them."""
+    """One simulated block: inputs and outputs."""
 
     n: int
     x: np.ndarray
     w: np.ndarray
     y: np.ndarray
     z: np.ndarray | None = None
-    noise_seed: int | None = None
     model_tag: str = "memoryless"
 
     def __post_init__(self):
@@ -216,8 +175,7 @@ def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
             z = full_channel(w, x, coeffs_w, sigma_sq, seeds[3])
     else:
         raise ConfigError("model must be 'memoryless' or 'full'")
-    return SampleBatch(n=n, x=x, w=w, y=y, z=z, noise_seed=master_seed,
-                       model_tag=model)
+    return SampleBatch(n=n, x=x, w=w, y=y, z=z, model_tag=model)
 
 
 def write_batch_csv(batch: SampleBatch, path: str) -> None:
@@ -248,5 +206,4 @@ def read_batch_csv(path: str) -> SampleBatch:
             ws.append(complex(float(wr), float(wi)))
             ys.append(complex(float(yr), float(yi)))
     return SampleBatch(n=len(xs), x=np.array(xs), w=np.array(ws),
-                       y=np.array(ys), z=None, noise_seed=None,
-                       model_tag="imported")
+                       y=np.array(ys), z=None, model_tag="imported")

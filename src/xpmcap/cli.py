@@ -24,7 +24,7 @@ from . import __version__
 from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
                      sweep_rows)
 from .channel import simulate_batch, write_batch_csv
-from .coefficients import CoeffTensor, coefficient_tensor
+from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      SampleBudgetError, ToolkitError)
@@ -45,18 +45,25 @@ _PER_MW = 1e3  # 1/mW -> 1/W
 _PER_MW2 = 1e6  # 1/mW^2 -> 1/W^2
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, fill) -> None:
+    """Write-then-rename: fill(tmp) streams the output into a temporary
+    file beside path, which replaces path once fill returns."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fill(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _sha256_file(path: str) -> str:
@@ -96,8 +103,12 @@ class RunContext:
         return os.path.join(self.out_dir, name)
 
     def write(self, name: str, text: str) -> str:
+        return self.write_with(name, lambda tmp: _write_text(tmp, text))
+
+    def write_with(self, name: str, fill) -> str:
+        """Atomically write output `name`; fill(tmp) writes its contents."""
         path = self.out_path(name)
-        _atomic_write(path, text)
+        _atomic_write(path, fill)
         self.outputs.append(path)
         self.say(f"wrote {path}")
         return path
@@ -118,8 +129,9 @@ class RunContext:
             "outputs": {p: _sha256_file(p) for p in self.outputs},
             "wall_time_s": time.monotonic() - self.t0,
         }
+        text = _json_text(manifest)
         _atomic_write(self.out_path(f"{self.command}-manifest.json"),
-                      _json_text(manifest))
+                      lambda tmp: _write_text(tmp, text))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +204,13 @@ def cmd_coeffs(args) -> int:
     ctx = RunContext("coeffs", args, cfg, _master_seed(args, cfg))
     pulse = _pulse_from_config(cfg)
     grid = _grid_from_config(cfg, link)
-    reports = {}
-    for user in ("x", "w"):
-        tensor, report = coefficient_tensor(
-            link, pulse, grid, user=user, z_nodes=args.z_nodes,
-            with_report=True)
-        ctx.write(f"{args.out_base}_{user}.json",
+    tx, report = coefficient_tensor(link, pulse, grid, with_report=True)
+    for tensor in (tx, receiver_w_tensor(tx)):
+        ctx.write(f"{args.out_base}_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
-        reports[user] = report
-    ctx.write(f"{args.out_base}_convergence.json", _json_text(reports))
+    # One quadrature serves both receivers, so both share its report.
+    ctx.write(f"{args.out_base}_convergence.json",
+              _json_text({"x": report, "w": report}))
     ctx.finish()
     return EXIT_OK
 
@@ -348,11 +358,7 @@ def cmd_simulate(args) -> int:
         n=n, p1=dbm_to_watts(float(p1_dbm)), p2=dbm_to_watts(float(p2_dbm)),
         sigma_sq=cfg.noise.sigma_sq, master_seed=ctx.master_seed,
         model=model, g_x=g_x, g_w=g_w, coeffs_x=coeffs_x, coeffs_w=coeffs_w)
-    path = ctx.out_path(args.out)
-    write_batch_csv(batch, path + ".tmp")
-    os.replace(path + ".tmp", path)
-    ctx.outputs.append(path)
-    ctx.say(f"wrote {path}")
+    ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
     ctx.finish()
     return EXIT_OK
 
@@ -364,8 +370,10 @@ def cmd_verify(args) -> int:
     ctx.write(args.out, _json_text([r.to_dict() for r in reports]))
     failed = [r for r in reports if r.verdict == "fail"]
     for r in reports:
+        margin = (f" margin_se={(r.bound - r.estimate) / r.stderr:+.2f}"
+                  if r.stderr > 0 else "")
         ctx.say(f"{r.verdict.upper():4s} {r.name}: estimate={r.estimate:.6g} "
-                f"bound={r.bound:.6g} stderr={r.stderr:.3g}")
+                f"bound={r.bound:.6g} stderr={r.stderr:.3g}{margin}")
     ctx.finish()
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)
@@ -407,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory", type=int, help="override link memory window")
     p.add_argument("--length-km", type=float, dest="length_km",
                    help="override span length")
-    p.add_argument("--z-nodes", type=int, default=64, dest="z_nodes",
-                   help="Gauss-Legendre nodes per distance panel")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("sweep", help="evaluate bounds along a power sweep")

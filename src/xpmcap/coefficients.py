@@ -9,8 +9,10 @@ profile e^(-alpha z) and integrated along the span,
 
 where g is the channel-of-interest pulse and gw the interfering-channel
 pulse, additionally delayed by the accumulated walk-off between the two
-carriers. The distance integral uses composite Gauss-Legendre panels with
-refinement; the time integral is a trapezoid sum on the sampling grid.
+carriers as seen by receiver x; receiver w's window is the lag reversal
+of receiver x's (receiver_w_tensor). The distance integral uses composite
+Gauss-Legendre panels with refinement; the time integral is a trapezoid
+sum on the sampling grid.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
 all delays are applied on an internally zero-padded copy of the grid wide
@@ -58,13 +60,17 @@ class CoeffTensor:
         if self.memory < 0:
             raise ConfigError("memory must be >= 0")
         side = 2 * self.memory + 1
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (side, side, side):
+        # An owned, contiguous, read-only copy: the caller's array may be
+        # any view (e.g. lag-reversed) and cannot change it afterwards.
+        values = np.array(self.values, dtype=np.complex128, order="C")
+        if values.shape != (side, side, side):
             raise ConfigError(
                 f"values must have shape {(side, side, side)}, "
-                f"got {self.values.shape}")
-        if not np.all(np.isfinite(self.values.view(np.float64))):
+                f"got {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ConfigError("coefficient entries must be finite")
+        values.flags.writeable = False
+        self.values = values
 
     def get(self, l: int, m: int, p: int) -> complex:
         M = self.memory
@@ -182,12 +188,12 @@ def _initial_panels(link: LinkParams) -> int:
 
 
 def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                ls, ms, ps, walkoff_sign: float,
-                panels: int, z_nodes: int) -> np.ndarray:
+                ls, ms, ps, panels: int, z_nodes: int) -> np.ndarray:
     """Raw quadrature of the overlap kernel for all requested lag triples.
 
     Returns an array of shape (len(ls), len(ms), len(ps)) holding
-    2j gamma * sum_k w_k e^(-alpha z_k) * dt * sum_t (overlap at z_k).
+    2j gamma * sum_k w_k e^(-alpha z_k) * dt * sum_t (overlap at z_k)
+    for receiver x.
     """
     T = link.symbol_period
     pgrid = grid.scaled(_pad_factor(link, grid))
@@ -211,7 +217,7 @@ def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
     b = np.empty((len(ms) * len(ps), n), dtype=np.complex128)
     for z, wz in zip(zs, weights):
         disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * w_sq)
-        tau = walkoff_sign * link.walkoff_delay_s(z)
+        tau = link.walkoff_delay_s(z)
 
         gl = np.fft.ifft(disp[None, :] * ramp_l, axis=1)
         g0 = gl[ls.index(0)] if 0 in ls else np.fft.ifft(disp)
@@ -227,8 +233,8 @@ def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
 
 
 def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                      ls, ms, ps, walkoff_sign: float,
-                      z_nodes: int, max_refinements: int, rtol: float):
+                      ls, ms, ps, z_nodes: int, max_refinements: int,
+                      rtol: float):
     """Refine the distance quadrature until the window is Cauchy-stable.
 
     Returns (values, report). Raises QuadratureError when the relative
@@ -239,16 +245,14 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
         return zeros, {"z_nodes": z_nodes, "panels": 1, "refinements": 0,
                        "residual": 0.0, "rtol": rtol}
     base_panels = _initial_panels(link)
-    prev = _window_sum(link, pulse, grid, ls, ms, ps, walkoff_sign,
-                       base_panels, z_nodes)
+    prev = _window_sum(link, pulse, grid, ls, ms, ps, base_panels, z_nodes)
     if max_refinements == 0:
         return prev, {"z_nodes": z_nodes, "panels": base_panels,
                       "refinements": 0, "residual": math.nan, "rtol": rtol}
     residual = math.inf
     for level in range(1, max_refinements + 1):
         panels = base_panels * 2 ** level
-        cur = _window_sum(link, pulse, grid, ls, ms, ps, walkoff_sign,
-                          panels, z_nodes)
+        cur = _window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes)
         scale = float(np.max(np.abs(cur)))
         residual = 0.0 if scale == 0.0 else float(np.max(np.abs(cur - prev))) / scale
         if residual <= rtol:
@@ -261,12 +265,24 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
         f"{rtol:.1e} after {max_refinements} refinement(s)", residual)
 
 
-def _walkoff_sign(user: str) -> float:
+def _check_user(user: str) -> None:
     if user not in USERS:
         raise ConfigError(f"user must be one of {USERS}")
-    # Receiver 'x' sees the interferer shifted one way, receiver 'w' the
-    # other; the overall sign convention is arbitrary but fixed.
-    return 1.0 if user == "x" else -1.0
+
+
+def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
+    """Receiver w's window from receiver x's: c_w[l,m,p] = c_x[-l,-m,-p].
+
+    Receiver w sees the interferer walk off the other way. For a real,
+    even pulse (every kind in PULSE_KINDS samples to one) the substitution
+    t -> -t maps the overlap kernel with walk-off tau onto the one with
+    walk-off -tau and every lag negated, so the two windows are exact lag
+    reversals of each other and one quadrature serves both receivers.
+    """
+    if tx.user != "x":
+        raise ConfigError("lag reversal maps a receiver-x tensor")
+    return CoeffTensor(user="w", memory=tx.memory,
+                       values=tx.values[::-1, ::-1, ::-1], link=dict(tx.link))
 
 
 def xpm_coefficient(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
@@ -274,13 +290,16 @@ def xpm_coefficient(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
                     z_nodes: int = DEFAULT_Z_NODES,
                     max_refinements: int = DEFAULT_MAX_REFINEMENTS,
                     rtol: float = DEFAULT_QUAD_RTOL) -> complex:
-    """Single coefficient c[l,m,p] for the given receiver."""
+    """Single coefficient c[l,m,p] for the given receiver; receiver w's
+    is receiver x's at the negated lags (see receiver_w_tensor)."""
+    _check_user(user)
     if max(abs(l), abs(m), abs(p)) > link.memory:
         raise ConfigError(f"lags ({l},{m},{p}) exceed the memory window "
                           f"+-{link.memory}")
     grid.check_covers(link)
-    values, _ = _integrate_window(link, pulse, grid, [l], [m], [p],
-                                  _walkoff_sign(user), z_nodes,
+    if user == "w":
+        l, m, p = -l, -m, -p
+    values, _ = _integrate_window(link, pulse, grid, [l], [m], [p], z_nodes,
                                   max_refinements, rtol)
     return complex(values[0, 0, 0])
 
@@ -291,34 +310,20 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape,
                        max_refinements: int = DEFAULT_MAX_REFINEMENTS,
                        rtol: float = DEFAULT_QUAD_RTOL,
                        with_report: bool = False):
-    """Full (2M+1)^3 coefficient window for one receiver."""
+    """Full (2M+1)^3 coefficient window for one receiver.
+
+    Both receivers take the same quadrature; receiver w's window is
+    receiver x's with every lag reversed (receiver_w_tensor).
+    """
+    _check_user(user)
     grid.check_covers(link)
     lags = list(range(-link.memory, link.memory + 1))
     values, report = _integrate_window(link, pulse, grid, lags, lags, lags,
-                                       _walkoff_sign(user), z_nodes,
-                                       max_refinements, rtol)
-    tensor = CoeffTensor(user=user, memory=link.memory, values=values,
+                                       z_nodes, max_refinements, rtol)
+    tensor = CoeffTensor(user="x", memory=link.memory, values=values,
                          link=link.to_dict())
+    if user == "w":
+        tensor = receiver_w_tensor(tensor)
     if with_report:
         return tensor, report
     return tensor
-
-
-def coefficient_tensors(link: LinkParams, pulse: PulseShape,
-                        grid: TimeFreqGrid,
-                        z_nodes: int = DEFAULT_Z_NODES,
-                        max_refinements: int = DEFAULT_MAX_REFINEMENTS,
-                        rtol: float = DEFAULT_QUAD_RTOL,
-                        with_reports: bool = False):
-    """Coefficient windows for both receivers.
-
-    In the symmetric two-user setup the second receiver's window follows
-    from the same kernel with the walk-off sign flipped.
-    """
-    tx, rx = coefficient_tensor(link, pulse, grid, "x", z_nodes,
-                                max_refinements, rtol, with_report=True)
-    tw, rw = coefficient_tensor(link, pulse, grid, "w", z_nodes,
-                                max_refinements, rtol, with_report=True)
-    if with_reports:
-        return (tx, tw), {"x": rx, "w": rw}
-    return tx, tw

@@ -1,6 +1,6 @@
-"""Sampled transmit pulses and their linear propagation.
+"""Sampled transmit pulses and the uniform time grid they live on.
 
-Pulses live on a uniform time grid; chromatic dispersion and walk-off
+The coefficient engine propagates them: chromatic dispersion and walk-off
 delays are applied as all-pass filters in the frequency domain, so pulse
 energy is conserved exactly up to FFT rounding.
 """
@@ -16,16 +16,16 @@ import numpy as np
 from .config import LinkParams
 from .errors import ConfigError, GridError
 
-#: Energy fraction within two samples of the window edge above which a
-#: dispersed pulse is considered to have outgrown its grid.
-EDGE_ENERGY_TOL = 1e-6
-
 PULSE_KINDS = ("nyquist-sinc", "root-raised-cosine", "gaussian")
 
 
 @dataclass(frozen=True)
 class PulseShape:
     """Transmit pulse family; sampled pulses are normalized to unit energy.
+
+    Every kind is real and even in t, and samples to a real array with
+    g[k] == g[-k mod n] exactly; the coefficient engine derives receiver
+    w's window from receiver x's by lag reversal on that basis.
 
     kind     one of ``nyquist-sinc``, ``root-raised-cosine``, ``gaussian``
     rolloff  excess-bandwidth factor for root-raised-cosine (0..1)
@@ -147,28 +147,3 @@ class TimeFreqGrid:
         """Same window, twice the sample count."""
         return TimeFreqGrid(self.n_samples * 2, self.t_span)
 
-
-def dispersed_pulse(pulse: PulseShape, link: LinkParams, z_km: float,
-                    grid: TimeFreqGrid, walkoff_delay_s: float = 0.0,
-                    check_edges: bool = True) -> np.ndarray:
-    """Pulse after z_km of dispersive propagation plus a group delay.
-
-    The all-pass response exp(j beta2 w^2 z / 2) and the delay phase are
-    applied in the frequency domain. Raises GridError when more than
-    EDGE_ENERGY_TOL of the energy sits within two samples of the window
-    edge, which signals wrap-around of the periodic transform.
-    """
-    if not 0.0 <= z_km <= link.length_km:
-        raise ConfigError("z must lie within [0, span length]")
-    base = pulse.samples(grid, link.symbol_period)
-    w = grid.omega
-    phase = 0.5 * link.beta2_s2_per_km * z_km * w * w - w * walkoff_delay_s
-    out = np.fft.ifft(np.fft.fft(base) * np.exp(1j * phase))
-    if check_edges:
-        total = float(np.sum(np.abs(out) ** 2))
-        edge = float(np.sum(np.abs(out[:2]) ** 2) + np.sum(np.abs(out[-2:]) ** 2))
-        if edge > EDGE_ENERGY_TOL * total:
-            raise GridError(
-                f"pulse energy at window edge ({edge / total:.2e} of total) "
-                f"exceeds {EDGE_ENERGY_TOL:.0e}; enlarge the time window")
-    return out

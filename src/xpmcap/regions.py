@@ -36,7 +36,11 @@ class HalfPlane:
         return self.a1 * pt[0] + self.a2 * pt[1]
 
     def contains(self, pt, tol: float = _DEDUP_TOL) -> bool:
-        return self.value(pt) <= self.b + tol
+        """pt lies inside or within distance tol of the boundary line.
+
+        The slack is a distance, so it does not scale with the normal
+        (edge planes carry normals as long as their edge)."""
+        return (self.value(pt) - self.b) / math.hypot(self.a1, self.a2) <= tol
 
 
 def _shoelace(vertices) -> float:
@@ -146,7 +150,9 @@ def _clip_halfplane(pts, hp: HalfPlane):
 
 def _intersection(s, e, hp: HalfPlane):
     fs, fe = hp.value(s), hp.value(e)
-    t = (hp.b - fs) / (fe - fs)
+    # Clamped: a vertex admitted only by the tolerance must not push the
+    # crossing outside the edge, which would extrapolate a new vertex.
+    t = min(1.0, max(0.0, (hp.b - fs) / (fe - fs)))
     return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpmcap.bounds import (BoundSet, EffectiveCoefficient, ZERO_COEFFICIENT,
-                           awgn_capacity, evaluate_bounds,
+from xpmcap.bounds import (BoundSet, EffectiveCoefficient, awgn_capacity,
+                           evaluate_bounds,
                            fit_cubic_interference, fit_effective_coefficient,
                            ian_rate, interference_variance,
                            interference_variance_mc, outer_bound_sum,
@@ -16,6 +16,7 @@ from xpmcap.config import PowerPair, dbm_to_watts
 from xpmcap.errors import BoundDomainError, ConfigError
 
 SIGMA_SQ = 1.0e-3  # 2 sigma^2 = 2.0 mW, the calibrated default
+ZERO = EffectiveCoefficient()
 
 
 def coeff(g_real_per_mw, g_abs_sq_per_mw2):
@@ -46,7 +47,7 @@ class TestAwgnCapacity:
 class TestSingleUserBounds:
     def test_reduces_to_awgn_at_zero_coefficient(self):
         pp = PowerPair(2e-3, 3e-3)
-        assert outer_bound_u1(pp, ZERO_COEFFICIENT, SIGMA_SQ) == \
+        assert outer_bound_u1(pp, ZERO, SIGMA_SQ) == \
             awgn_capacity(pp.p1, SIGMA_SQ)
 
     def test_reduces_to_awgn_at_zero_interferer_power(self):
@@ -88,8 +89,8 @@ class TestSingleUserBounds:
 class TestSumBound:
     def test_collapses_to_double_rate_without_coefficients(self):
         pp = PowerPair(2e-3, 2e-3)
-        u1 = outer_bound_u1(pp, ZERO_COEFFICIENT, SIGMA_SQ)
-        s = outer_bound_sum(pp, ZERO_COEFFICIENT, ZERO_COEFFICIENT, SIGMA_SQ)
+        u1 = outer_bound_u1(pp, ZERO, SIGMA_SQ)
+        s = outer_bound_sum(pp, ZERO, ZERO, SIGMA_SQ)
         assert s == pytest.approx(2 * u1, rel=1e-12)
 
     def test_forced_unit_rates_give_two_log2_three(self):
@@ -239,7 +240,7 @@ class TestBoundSetAndSweep:
 
     def test_sweep_awgn_column_anchors(self):
         powers = [-20.0, -5.0, 10.3]
-        rows = sweep(powers, ZERO_COEFFICIENT, ZERO_COEFFICIENT, SIGMA_SQ)
+        rows = sweep(powers, ZERO, ZERO, SIGMA_SQ)
         got = [b.awgn1 for b in rows]
         assert got == pytest.approx([0.00720, 0.21178, 2.66848], abs=5e-5)
         # with zero coefficients every column collapses to the linear bound
@@ -256,17 +257,17 @@ class TestBoundSetAndSweep:
 
     def test_sweep_with_cubic_interference(self):
         kappa = fit_cubic_interference(-3.8, SIGMA_SQ)
-        rows = sweep([-3.8], ZERO_COEFFICIENT, ZERO_COEFFICIENT, SIGMA_SQ,
+        rows = sweep([-3.8], ZERO, ZERO, SIGMA_SQ,
                      kappa_x=kappa, kappa_w=kappa)
         assert rows[0].ian1 == pytest.approx(0.1877, abs=1e-3)
 
     def test_empty_power_list_rejected(self):
         with pytest.raises(ConfigError):
-            sweep([], ZERO_COEFFICIENT, ZERO_COEFFICIENT, SIGMA_SQ)
+            sweep([], ZERO, ZERO, SIGMA_SQ)
 
     def test_asymmetric_needs_p2(self):
         with pytest.raises(ConfigError):
-            sweep([0.0], ZERO_COEFFICIENT, ZERO_COEFFICIENT, SIGMA_SQ,
+            sweep([0.0], ZERO, ZERO, SIGMA_SQ,
                   symmetric=False)
 
     def test_csv_round_trip(self, tmp_path):

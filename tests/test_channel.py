@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpmcap.channel import (RealImagView, SampleBatch, full_channel,
-                            interference_terms, memoryless_channel,
-                            quadrature_view, read_batch_csv,
+from xpmcap.channel import (SampleBatch, full_channel, interference_terms,
+                            memoryless_channel, read_batch_csv,
                             real_imag_decompose, sample_cscg, simulate_batch,
                             spawn_seeds, write_batch_csv)
 from xpmcap.coefficients import CoeffTensor
@@ -175,17 +174,6 @@ class TestRealImagDecompose:
         y_r, y_i = real_imag_decompose(x, w, g)
         direct = (1.0 + g * (w * np.conj(w))) * x
         assert np.allclose(y_r + 1j * y_i, direct, rtol=1e-12, atol=1e-15)
-
-    def test_quadrature_view_power_budget(self):
-        x = sample_cscg(16, 1e-3, 1)
-        w = sample_cscg(16, 1e-3, 2)
-        view = quadrature_view(x, w, 0.1j, (4e-4, 6e-4), (5e-4, 5e-4))
-        view.validate_power_budget(1e-3, 1e-3)
-        with pytest.raises(ConfigError):
-            view.validate_power_budget(9e-4, 1e-3)
-        with pytest.raises(ConfigError):
-            RealImagView(y_r=np.zeros(3), y_i=np.zeros(3), p1_r=-1.0,
-                         p1_i=0.0, p2_r=0.0, p2_i=0.0)
 
 
 class TestBatchIO:

@@ -51,6 +51,22 @@ class TestCoeffsCommand:
         assert config_path in manifest["inputs"]
         assert len(manifest["outputs"]) == 3
 
+    def test_receiver_w_is_bitwise_lag_reversal(self, tmp_path, config_path):
+        out = tmp_path / "rev"
+        assert run(["--config", config_path, "--out-dir", str(out), "--quiet",
+                    "coeffs"]) == 0
+        docs = {u: json.loads((out / f"tensor_{u}.json").read_text())
+                for u in ("x", "w")}
+        entries = {u: {(e["l"], e["m"], e["p"]): (repr(e["re"]), repr(e["im"]))
+                       for e in doc["entries"]} for u, doc in docs.items()}
+        assert len(entries["w"]) == 27
+        for (l, m, p), value in entries["w"].items():
+            assert value == entries["x"][(-l, -m, -p)]
+        assert docs["w"]["link"] == docs["x"]["link"]
+        conv = json.loads((out / "tensor_convergence.json").read_text())
+        assert set(conv) == {"x", "w"}
+        assert conv["w"].keys() == conv["x"].keys()
+
     def test_default_setup_writes_full_windows(self, tmp_path):
         # no config: reference defaults (memory 5 -> 11^3 entries per user)
         out = tmp_path / "full"
@@ -254,6 +270,24 @@ class TestSimulateCommand:
         assert code == 0
 
 
+    def test_failed_batch_write_leaves_no_temp_file(self, tmp_path,
+                                                    config_path, monkeypatch):
+        import xpmcap.cli as climod
+
+        def failing_writer(batch, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("k,x_re,x_im,w_re,w_im,y_re,y_im\r\n0,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(climod, "write_batch_csv", failing_writer)
+        out = tmp_path / "fail"
+        code = run(["--config", config_path, "--out-dir", str(out), "--quiet",
+                    "simulate", "--n", "16", "--model", "memoryless",
+                    "--g-real", "0", "--g-imag", "0.05", "--out", "b.csv"])
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == []
+
+
 class TestVerifyCommand:
     def test_dettrace_suite(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--quiet", "verify",
@@ -269,6 +303,23 @@ class TestVerifyCommand:
         assert code == 0
         reports = json.loads((tmp_path / "m.json").read_text())
         assert reports[0]["estimate"] == pytest.approx(1.0, abs=0.01)
+
+    def test_check_lines_report_margin(self, tmp_path, capsys):
+        code = run(["--out-dir", str(tmp_path), "--seed", "5", "verify",
+                    "--suite", "all", "--samples", "200000",
+                    "--out", "all.json"])
+        assert code == 0
+        reports = json.loads((tmp_path / "all.json").read_text())
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("PASS", "FAIL"))]
+        assert len(lines) == len(reports)
+        for line, r in zip(lines, reports):
+            assert r["name"] in line
+            if r["stderr"] > 0:
+                margin = (r["bound"] - r["estimate"]) / r["stderr"]
+                assert f"margin_se={margin:+.2f}" in line
+            else:
+                assert "margin_se" not in line
 
     def test_conv4_suite_small(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--seed", "5", "--quiet",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
-                                 coefficient_tensors, xpm_coefficient,
+                                 receiver_w_tensor, xpm_coefficient,
                                  _initial_panels, _pad_factor, _window_sum)
 from xpmcap.config import LinkParams, effective_length
 from xpmcap.errors import ConfigError, QuadratureError
@@ -23,7 +23,8 @@ GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
 
 @pytest.fixture(scope="module")
 def short_pair():
-    return coefficient_tensors(SHORT, SINC, GRID)
+    tx = coefficient_tensor(SHORT, SINC, GRID)
+    return tx, receiver_w_tensor(tx)
 
 
 class TestKernelLimits:
@@ -100,6 +101,19 @@ class TestTensor:
             single = xpm_coefficient(SHORT, SINC, GRID, *lag)
             assert tensor.get(*lag) == pytest.approx(single, rel=1e-12)
 
+    def test_second_receiver_is_lag_reversal(self, short_pair):
+        tx, tw = short_pair
+        assert tw.user == "w"
+        assert tw.link == tx.link
+        assert np.array_equal(tw.values, tx.values[::-1, ::-1, ::-1])
+        direct = coefficient_tensor(SHORT, SINC, GRID, user="w")
+        assert np.array_equal(direct.values, tw.values)
+        for lag in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
+            single = xpm_coefficient(SHORT, SINC, GRID, *lag, user="w")
+            assert tw.get(*lag) == pytest.approx(single, rel=1e-12)
+        with pytest.raises(ConfigError):
+            receiver_w_tensor(tw)
+
     def test_lag_outside_window_rejected(self):
         with pytest.raises(ConfigError):
             xpm_coefficient(SHORT, SINC, GRID, 2, 0, 0)
@@ -110,8 +124,8 @@ class TestTensor:
 class TestQuadrature:
     def test_z_node_doubling_converged(self):
         panels = _initial_panels(SHORT)
-        a = _window_sum(SHORT, SINC, GRID, [0], [0], [0], 1.0, panels, 64)
-        b = _window_sum(SHORT, SINC, GRID, [0], [0], [0], 1.0, panels, 128)
+        a = _window_sum(SHORT, SINC, GRID, [0], [0], [0], panels, 64)
+        b = _window_sum(SHORT, SINC, GRID, [0], [0], [0], panels, 128)
         assert abs(b - a).max() / abs(b).max() < 1e-6
 
     def test_non_convergent_quadrature_reports_residual(self):
@@ -165,8 +179,9 @@ class TestGaussianDispersionOracle:
                       + np.sum(integrand[1:-1]))
         return 2j * link.gamma * total
 
-    @pytest.mark.parametrize("lag", [(0, 0, 0), (1, 0, 0), (0, 2, -1),
-                                     (2, -2, 1)])
+    LAGS = [(0, 0, 0), (1, 0, 0), (0, 2, -1), (2, -2, 1)]
+
+    @pytest.mark.parametrize("lag", LAGS)
     def test_engine_matches_closed_form(self, lag):
         link = self.LINK
         pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
@@ -176,13 +191,16 @@ class TestGaussianDispersionOracle:
         assert abs(engine - oracle) / abs(oracle) < 1e-5
 
     def test_second_receiver_flips_walkoff(self):
+        # The oracle flips the walk-off sign directly, so it checks the
+        # engine's lag reversal without relying on it.
         link = self.LINK
         pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
         grid = TimeFreqGrid.for_link(link)
-        engine = xpm_coefficient(link, pulse, grid, 1, 2, 0, user="w",
-                                 max_refinements=3)
-        oracle = self.analytic(1, 2, 0, walkoff_sign=-1.0)
-        assert abs(engine - oracle) / abs(oracle) < 1e-5
+        for lag in self.LAGS + [(1, 2, 0)]:
+            engine = xpm_coefficient(link, pulse, grid, *lag, user="w",
+                                     max_refinements=3)
+            oracle = self.analytic(*lag, walkoff_sign=-1.0)
+            assert abs(engine - oracle) / abs(oracle) < 1e-5, lag
 
 
 class TestJsonRoundTrip:
@@ -210,6 +228,27 @@ class TestJsonRoundTrip:
                "entries": [{"l": 1, "m": 0, "p": 0, "re": 1.0, "im": 0.0}]}
         with pytest.raises(ConfigError, match="window"):
             CoeffTensor.from_json_dict(doc)
+
+    def test_values_are_an_owned_read_only_copy(self):
+        raw = np.ones((3, 3, 3), dtype=complex)
+        tensor = CoeffTensor(user="x", memory=1, values=raw)
+        raw[1, 1, 1] = complex(float("nan"), 0.0)
+        assert tensor.get(0, 0, 0) == 1.0
+        assert tensor.values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            tensor.values[1, 1, 1] = 2.0
+
+    def test_strided_views_accepted(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        for view in (v[::-1, ::-1, ::-1], v.transpose()):
+            tensor = CoeffTensor(user="x", memory=1, values=view)
+            assert np.array_equal(tensor.values, view)
+            assert tensor.values.flags.c_contiguous
+        bad = v.transpose().copy()
+        bad[0, 1, 2] = complex(0.0, float("inf"))
+        with pytest.raises(ConfigError):
+            CoeffTensor(user="x", memory=1, values=bad.transpose())
 
     def test_constructor_validates_shape_and_finiteness(self):
         with pytest.raises(ConfigError):

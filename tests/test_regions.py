@@ -115,6 +115,25 @@ class TestIntersect:
         got = intersect(a, b)
         assert got.area() == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("ta,tb", [
+        ((1.0, 1.0, 1e-3), (1.0, 1.0, 1e-9)),
+        ((1.0, 1.55e-6, 1.0), (1.0, 1.0, 1.192092896e-7)),
+        ((5.0, 0.001, 5.0), (2.5, 5.0, 5.0)),
+        ((1.0, 1.19e-12, 0.0), (1.0, 1.0, 1.0)),
+    ])
+    def test_tiny_edges_clip_without_slack_blowup(self, ta, tb):
+        # Edge-plane normals scale with edge length, so the containment
+        # slack must be a distance, and a vertex admitted by the slack
+        # alone must not push a crossing past its edge (a negative vertex).
+        a, b = build_region(*ta), build_region(*tb)
+        ab, ba = intersect(a, b), intersect(b, a)
+        scale = max(a.area(), b.area())
+        bound = min(a.area(), b.area())
+        assert ab.area() <= bound + 1e-9 * scale
+        assert ba.area() == pytest.approx(ab.area(), rel=1e-9, abs=1e-30)
+        assert intersect(a, a).vertices == a.vertices
+        assert intersect(b, b).vertices == b.vertices
+
     @settings(max_examples=200)
     @given(st.tuples(bounds_strategy, bounds_strategy, bounds_strategy),
            st.tuples(bounds_strategy, bounds_strategy, bounds_strategy))

@@ -24,10 +24,14 @@ class TestDetSmall:
 
 class TestDetTrace:
     def test_identity_passes_with_equality(self):
-        report = det_trace_check(np.eye(2))
-        assert report.estimate == 1.0
-        assert report.bound == 1.0
-        assert report.verdict == "pass"
+        # AM-GM equality cases: the cofactor expansion gets these exactly,
+        # where np.linalg.det returns 9.000000000000002 for 3 * I_2.
+        for a, det in ((np.eye(2), 1.0), (3 * np.eye(2), 9.0),
+                       (10 * np.eye(3), 1000.0)):
+            report = det_trace_check(a)
+            assert report.estimate == det
+            assert report.bound == det
+            assert report.verdict == "pass"
 
     def test_diagonal_example(self):
         report = det_trace_check(np.diag([1.0, 3.0]))
