@@ -9,7 +9,6 @@ reproducible and safely parallelizable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,10 @@ from .coefficients import CoeffTensor
 from .errors import ConfigError
 
 BATCH_CSV_HEADER = ("k", "x_re", "x_im", "w_re", "w_im", "y_re", "y_im")
+
+#: Rows formatted at a time by write_batch_csv; bounds the Python floats
+#: held at once (six per row) for long batches.
+_CSV_BLOCK_ROWS = 65536
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -127,19 +130,17 @@ def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex):
 
 @dataclass
 class SampleBatch:
-    """One simulated block: inputs and outputs."""
+    """One simulated block as receiver x sees it: inputs and its output."""
 
     n: int
     x: np.ndarray
     w: np.ndarray
     y: np.ndarray
-    z: np.ndarray | None = None
     model_tag: str = "memoryless"
 
     def __post_init__(self):
-        if self.model_tag not in ("full", "memoryless", "imported"):
-            raise ConfigError("model_tag must be 'full', 'memoryless' or "
-                              "'imported'")
+        if self.model_tag not in ("full", "memoryless"):
+            raise ConfigError("model_tag must be 'full' or 'memoryless'")
         for name in ("x", "w", "y"):
             if np.asarray(getattr(self, name)).size != self.n:
                 raise ConfigError(f"sequence '{name}' length differs from n")
@@ -147,63 +148,43 @@ class SampleBatch:
 
 def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
                    master_seed: int, model: str = "memoryless",
-                   g_x: complex | None = None, g_w: complex | None = None,
-                   coeffs_x: CoeffTensor | None = None,
-                   coeffs_w: CoeffTensor | None = None) -> SampleBatch:
-    """Draw CSCG inputs and push them through the selected model.
+                   g_x: complex | None = None,
+                   coeffs_x: CoeffTensor | None = None) -> SampleBatch:
+    """Draw CSCG inputs and push them through receiver x's channel.
 
-    Child streams for (x, w, noise_y, noise_z) are spawned from the master
-    seed, in that order. The second receiver output z is produced only
-    when the corresponding coefficient input is given.
+    Child streams (x, w, noise_y) are spawned from the master seed, in
+    that order.
     """
-    seeds = spawn_seeds(master_seed, 4)
+    seeds = spawn_seeds(master_seed, 3)
     x = _cscg(_rng(seeds[0]), n, p1 / 2.0)
     w = _cscg(_rng(seeds[1]), n, p2 / 2.0)
     if model == "memoryless":
         if g_x is None:
             raise ConfigError("memoryless model requires g_x")
         y = memoryless_channel(x, w, g_x, sigma_sq, seeds[2])
-        z = None
-        if g_w is not None:
-            z = memoryless_channel(w, x, g_w, sigma_sq, seeds[3])
     elif model == "full":
         if coeffs_x is None:
             raise ConfigError("full model requires coeffs_x")
         y = full_channel(x, w, coeffs_x, sigma_sq, seeds[2])
-        z = None
-        if coeffs_w is not None:
-            z = full_channel(w, x, coeffs_w, sigma_sq, seeds[3])
     else:
         raise ConfigError("model must be 'memoryless' or 'full'")
-    return SampleBatch(n=n, x=x, w=w, y=y, z=z, model_tag=model)
+    return SampleBatch(n=n, x=x, w=w, y=y, model_tag=model)
 
 
 def write_batch_csv(batch: SampleBatch, path: str) -> None:
-    """Export one receiver's view with full round-trip precision."""
+    """Export receiver x's view with full round-trip precision.
+
+    CRLF-terminated rows with each float written as its repr, so parsing
+    a field with float() gives back the exact value.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BATCH_CSV_HEADER)
-        for k in range(batch.n):
-            writer.writerow([
-                k,
-                repr(float(batch.x[k].real)), repr(float(batch.x[k].imag)),
-                repr(float(batch.w[k].real)), repr(float(batch.w[k].imag)),
-                repr(float(batch.y[k].real)), repr(float(batch.y[k].imag)),
-            ])
-
-
-def read_batch_csv(path: str) -> SampleBatch:
-    """Re-import a batch written by write_batch_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != BATCH_CSV_HEADER:
-            raise ConfigError(f"unexpected batch CSV header: {header}")
-        xs, ws, ys = [], [], []
-        for row in reader:
-            _, xr, xi, wr, wi, yr, yi = row
-            xs.append(complex(float(xr), float(xi)))
-            ws.append(complex(float(wr), float(wi)))
-            ys.append(complex(float(yr), float(yi)))
-    return SampleBatch(n=len(xs), x=np.array(xs), w=np.array(ws),
-                       y=np.array(ys), z=None, model_tag="imported")
+        fh.write(",".join(BATCH_CSV_HEADER) + "\r\n")
+        for start in range(0, batch.n, _CSV_BLOCK_ROWS):
+            block = slice(start, min(start + _CSV_BLOCK_ROWS, batch.n))
+            cols = [part[block].tolist()
+                    for v in (batch.x, batch.w, batch.y)
+                    for part in (v.real, v.imag)]
+            fh.write("".join(
+                f"{k},{xr!r},{xi!r},{wr!r},{wi!r},{yr!r},{yi!r}\r\n"
+                for k, xr, xi, wr, wi, yr, yi
+                in zip(range(block.start, block.stop), *cols)))

@@ -335,8 +335,10 @@ def cmd_simulate(args) -> int:
     model = args.model or sim.get("model", "memoryless")
 
     coeffs_x = _load_tensor(ctx, args.coeffs_x) if args.coeffs_x else None
-    coeffs_w = _load_tensor(ctx, args.coeffs_w) if args.coeffs_w else None
-    g_x = g_w = None
+    if args.coeffs_w:
+        # Validated and recorded as an input; the batch is receiver x's.
+        _load_tensor(ctx, args.coeffs_w)
+    g_x = None
     if model == "memoryless":
         if args.g_real is not None or args.g_imag is not None:
             g_x = complex((args.g_real or 0.0) * _PER_MW,
@@ -349,15 +351,13 @@ def cmd_simulate(args) -> int:
         else:
             raise ConfigError("memoryless simulation needs --g-real/--g-imag, "
                               "simulation.g_*_per_mw, or --coeffs-x")
-        if coeffs_w is not None:
-            g_w = coeffs_w.get(0, 0, 0)
     elif model == "full" and coeffs_x is None:
         raise ConfigError("full-model simulation requires --coeffs-x")
 
     batch = simulate_batch(
         n=n, p1=dbm_to_watts(float(p1_dbm)), p2=dbm_to_watts(float(p2_dbm)),
         sigma_sq=cfg.noise.sigma_sq, master_seed=ctx.master_seed,
-        model=model, g_x=g_x, g_w=g_w, coeffs_x=coeffs_x, coeffs_w=coeffs_w)
+        model=model, g_x=g_x, coeffs_x=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
     ctx.finish()
     return EXIT_OK
@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="also write an overlay figure")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("simulate", help="simulate a block and export CSV")
+    p = sub.add_parser("simulate", help="simulate receiver x's view of a "
+                                        "block and export CSV")
     p.add_argument("--n", type=int, help="block length")
     p.add_argument("--p1-dbm", type=float, dest="p1_dbm")
     p.add_argument("--p2-dbm", type=float, dest="p2_dbm")
@@ -464,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-imag", type=float, dest="g_imag",
                    help="Im of the center tap, 1/mW (memoryless)")
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
-    p.add_argument("--coeffs-w", dest="coeffs_w", help="tensor JSON, user w")
+    p.add_argument("--coeffs-w", dest="coeffs_w",
+                   help="tensor JSON, user w; checked and recorded in the "
+                        "manifest, but does not affect the batch (receiver "
+                        "x's view)")
     p.add_argument("--out", default="batch.csv")
     p.set_defaults(func=cmd_simulate)
 

@@ -42,11 +42,12 @@ DEFAULT_QUAD_RTOL = 1e-6
 _MAX_PAD_FACTOR = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoeffTensor:
     """Dense window of complex coefficients for one receiver.
 
     values[l+M, m+M, p+M] holds c[l,m,p] in 1/W for lags in -M..M.
+    Immutable: fields cannot be rebound and values is read-only.
     """
 
     user: str
@@ -70,7 +71,8 @@ class CoeffTensor:
         if not np.all(np.isfinite(values)):
             raise ConfigError("coefficient entries must be finite")
         values.flags.writeable = False
-        self.values = values
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "link", dict(self.link))
 
     def get(self, l: int, m: int, p: int) -> complex:
         M = self.memory
@@ -125,7 +127,7 @@ class CoeffTensor:
         if np.any(np.isnan(values.view(np.float64))):
             raise ConfigError("tensor document does not fill the full window")
         return cls(user=user, memory=memory, values=values,
-                   link=dict(doc.get("link") or {}))
+                   link=doc.get("link") or {})
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -240,15 +242,15 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
     Returns (values, report). Raises QuadratureError when the relative
     change between the two finest levels still exceeds rtol.
     """
+    if max_refinements < 1:
+        raise ConfigError("max_refinements must be >= 1: the convergence "
+                          "check compares two quadrature levels")
     if link.length_km == 0.0 or link.gamma == 0.0:
         zeros = np.zeros((len(ls), len(ms), len(ps)), dtype=np.complex128)
         return zeros, {"z_nodes": z_nodes, "panels": 1, "refinements": 0,
                        "residual": 0.0, "rtol": rtol}
     base_panels = _initial_panels(link)
     prev = _window_sum(link, pulse, grid, ls, ms, ps, base_panels, z_nodes)
-    if max_refinements == 0:
-        return prev, {"z_nodes": z_nodes, "panels": base_panels,
-                      "refinements": 0, "residual": math.nan, "rtol": rtol}
     residual = math.inf
     for level in range(1, max_refinements + 1):
         panels = base_panels * 2 ** level
@@ -265,11 +267,6 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
         f"{rtol:.1e} after {max_refinements} refinement(s)", residual)
 
 
-def _check_user(user: str) -> None:
-    if user not in USERS:
-        raise ConfigError(f"user must be one of {USERS}")
-
-
 def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
     """Receiver w's window from receiver x's: c_w[l,m,p] = c_x[-l,-m,-p].
 
@@ -278,52 +275,48 @@ def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
     t -> -t maps the overlap kernel with walk-off tau onto the one with
     walk-off -tau and every lag negated, so the two windows are exact lag
     reversals of each other and one quadrature serves both receivers.
+    A single receiver-w coefficient c_w[l,m,p] is therefore
+    xpm_coefficient at the negated lags (-l, -m, -p).
     """
     if tx.user != "x":
         raise ConfigError("lag reversal maps a receiver-x tensor")
     return CoeffTensor(user="w", memory=tx.memory,
-                       values=tx.values[::-1, ::-1, ::-1], link=dict(tx.link))
+                       values=tx.values[::-1, ::-1, ::-1], link=tx.link)
 
 
 def xpm_coefficient(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                    l: int, m: int, p: int, user: str = "x",
+                    l: int, m: int, p: int,
                     z_nodes: int = DEFAULT_Z_NODES,
                     max_refinements: int = DEFAULT_MAX_REFINEMENTS,
                     rtol: float = DEFAULT_QUAD_RTOL) -> complex:
-    """Single coefficient c[l,m,p] for the given receiver; receiver w's
-    is receiver x's at the negated lags (see receiver_w_tensor)."""
-    _check_user(user)
+    """Single receiver-x coefficient c[l,m,p] (receiver w's: see
+    receiver_w_tensor)."""
     if max(abs(l), abs(m), abs(p)) > link.memory:
         raise ConfigError(f"lags ({l},{m},{p}) exceed the memory window "
                           f"+-{link.memory}")
     grid.check_covers(link)
-    if user == "w":
-        l, m, p = -l, -m, -p
     values, _ = _integrate_window(link, pulse, grid, [l], [m], [p], z_nodes,
                                   max_refinements, rtol)
     return complex(values[0, 0, 0])
 
 
 def coefficient_tensor(link: LinkParams, pulse: PulseShape,
-                       grid: TimeFreqGrid, user: str = "x",
+                       grid: TimeFreqGrid,
                        z_nodes: int = DEFAULT_Z_NODES,
                        max_refinements: int = DEFAULT_MAX_REFINEMENTS,
                        rtol: float = DEFAULT_QUAD_RTOL,
                        with_report: bool = False):
-    """Full (2M+1)^3 coefficient window for one receiver.
+    """Receiver x's full (2M+1)^3 coefficient window.
 
-    Both receivers take the same quadrature; receiver w's window is
-    receiver x's with every lag reversed (receiver_w_tensor).
+    Receiver w's window is this one with every lag reversed; get it with
+    receiver_w_tensor.
     """
-    _check_user(user)
     grid.check_covers(link)
     lags = list(range(-link.memory, link.memory + 1))
     values, report = _integrate_window(link, pulse, grid, lags, lags, lags,
                                        z_nodes, max_refinements, rtol)
     tensor = CoeffTensor(user="x", memory=link.memory, values=values,
                          link=link.to_dict())
-    if user == "w":
-        tensor = receiver_w_tensor(tensor)
     if with_report:
         return tensor, report
     return tensor

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpmcap.channel import (SampleBatch, full_channel, interference_terms,
-                            memoryless_channel, read_batch_csv,
+from xpmcap.channel import (BATCH_CSV_HEADER, SampleBatch, full_channel,
+                            interference_terms, memoryless_channel,
                             real_imag_decompose, sample_cscg, simulate_batch,
                             spawn_seeds, write_batch_csv)
 from xpmcap.coefficients import CoeffTensor
@@ -180,22 +182,57 @@ class TestBatchIO:
     def test_simulate_and_round_trip(self, tmp_path):
         batch = simulate_batch(n=128, p1=1e-3, p2=2e-3, sigma_sq=1e-3,
                                master_seed=2024, model="memoryless",
-                               g_x=0.05j, g_w=0.05j)
-        assert batch.z is not None
+                               g_x=0.05j)
         path = tmp_path / "batch.csv"
         write_batch_csv(batch, str(path))
-        back = read_batch_csv(str(path))
-        assert back.n == 128
-        assert np.array_equal(back.x, batch.x)
-        assert np.array_equal(back.w, batch.w)
-        assert np.array_equal(back.y, batch.y)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == BATCH_CSV_HEADER
+        cols = np.array([[float(v) for v in row] for row in rows[1:]]).T
+        assert np.array_equal(cols[0], np.arange(128))
+        for i, v in enumerate((batch.x, batch.w, batch.y)):
+            assert np.array_equal(cols[1 + 2 * i], v.real)
+            assert np.array_equal(cols[2 + 2 * i], v.imag)
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # CRLF rows, repr floats: signed zeros, subnormals and huge values
+        # are written exactly as repr gives them.
+        x = np.array([complex(-0.0, 1e-310), complex(5e-324, 1e300),
+                      complex(0.1, -0.0)])
+        w = np.array([complex(1e300, -5e-324), complex(-0.0, -0.0),
+                      complex(1 / 3, 2.0)])
+        y = np.array([complex(-1e-310, 0.0), complex(-1e300, 1.0),
+                      complex(-5e-324, -0.1)])
+        path = tmp_path / "batch.csv"
+        write_batch_csv(SampleBatch(n=3, x=x, w=w, y=y), str(path))
+        assert path.read_bytes() == (
+            b"k,x_re,x_im,w_re,w_im,y_re,y_im\r\n"
+            b"0,-0.0,1e-310,1e+300,-5e-324,-1e-310,0.0\r\n"
+            b"1,5e-324,1e+300,-0.0,-0.0,-1e+300,1.0\r\n"
+            b"2,0.1,-0.0,0.3333333333333333,2.0,-5e-324,-0.1\r\n")
 
     def test_simulate_full_model(self):
         coeffs = random_tensor(1, np.random.default_rng(8), scale=0.1)
         batch = simulate_batch(n=64, p1=1e-3, p2=1e-3, sigma_sq=0.0,
                                master_seed=7, model="full", coeffs_x=coeffs)
         assert batch.model_tag == "full"
-        assert batch.z is None
+
+    def test_output_is_receiver_x_channel_on_spawned_streams(self):
+        # x, w and the noise of y come from the first three children of
+        # the master seed, whatever else the batch could have drawn.
+        seed, n, p1, p2, sigma_sq = 31, 64, 1e-3, 2e-3, 1e-3
+        coeffs = random_tensor(1, np.random.default_rng(8), scale=0.1)
+        for model, channel, tap in (("full", full_channel, coeffs),
+                                    ("memoryless", memoryless_channel, 0.05j)):
+            sx, sw, sy = np.random.SeedSequence(seed).spawn(3)
+            x = sample_cscg(n, p1, sx)
+            w = sample_cscg(n, p2, sw)
+            batch = simulate_batch(n=n, p1=p1, p2=p2, sigma_sq=sigma_sq,
+                                   master_seed=seed, model=model, g_x=0.05j,
+                                   coeffs_x=coeffs)
+            assert np.array_equal(batch.x, x)
+            assert np.array_equal(batch.w, w)
+            assert np.array_equal(batch.y, channel(x, w, tap, sigma_sq, sy))
 
     def test_same_master_seed_is_reproducible(self):
         kw = dict(n=64, p1=1e-3, p2=1e-3, sigma_sq=1e-3, master_seed=5,

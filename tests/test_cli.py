@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from xpmcap.cli import main
+from xpmcap.coefficients import CoeffTensor
 
 CONFIG = """\
 link:
@@ -269,6 +271,31 @@ class TestSimulateCommand:
                     "--out", "full.csv"])
         assert code == 0
 
+    def test_coeffs_w_is_recorded_but_leaves_batch_unchanged(self, tmp_path,
+                                                             config_path):
+        rng = np.random.default_rng(4)
+        paths = {}
+        for user in ("x", "w"):
+            values = 0.1 * (rng.standard_normal((3, 3, 3))
+                            + 1j * rng.standard_normal((3, 3, 3)))
+            paths[user] = str(tmp_path / f"tensor_{user}.json")
+            CoeffTensor(user=user, memory=1, values=values).save(paths[user])
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}", encoding="utf-8")
+
+        def simulate(out, *extra):
+            return run(["--config", config_path, "--out-dir", str(out),
+                        "--seed", "3", "--quiet", "simulate", "--n", "32",
+                        "--model", "full", "--coeffs-x", paths["x"], *extra])
+
+        assert simulate(tmp_path / "x") == 0
+        assert simulate(tmp_path / "xw", "--coeffs-w", paths["w"]) == 0
+        assert ((tmp_path / "x" / "batch.csv").read_bytes()
+                == (tmp_path / "xw" / "batch.csv").read_bytes())
+        manifest = json.loads(
+            (tmp_path / "xw" / "simulate-manifest.json").read_text())
+        assert {paths["x"], paths["w"]} <= set(manifest["inputs"])
+        assert simulate(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
     def test_failed_batch_write_leaves_no_temp_file(self, tmp_path,
                                                     config_path, monkeypatch):

@@ -106,19 +106,15 @@ class TestTensor:
         assert tw.user == "w"
         assert tw.link == tx.link
         assert np.array_equal(tw.values, tx.values[::-1, ::-1, ::-1])
-        direct = coefficient_tensor(SHORT, SINC, GRID, user="w")
-        assert np.array_equal(direct.values, tw.values)
-        for lag in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
-            single = xpm_coefficient(SHORT, SINC, GRID, *lag, user="w")
-            assert tw.get(*lag) == pytest.approx(single, rel=1e-12)
+        for l, m, p in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
+            single = xpm_coefficient(SHORT, SINC, GRID, -l, -m, -p)
+            assert tw.get(l, m, p) == pytest.approx(single, rel=1e-12)
         with pytest.raises(ConfigError):
             receiver_w_tensor(tw)
 
     def test_lag_outside_window_rejected(self):
         with pytest.raises(ConfigError):
             xpm_coefficient(SHORT, SINC, GRID, 2, 0, 0)
-        with pytest.raises(ConfigError):
-            coefficient_tensor(SHORT, SINC, GRID, user="y")
 
 
 class TestQuadrature:
@@ -133,6 +129,16 @@ class TestQuadrature:
             xpm_coefficient(SHORT, SINC, GRID, 0, 0, 0, z_nodes=2,
                             max_refinements=1)
         assert err.value.residual > 1e-6
+
+    def test_max_refinements_below_one_rejected(self):
+        # One level alone has no convergence check, so it is not offered.
+        flat = dataclasses.replace(SHORT, length_km=0.0)
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match="max_refinements"):
+                xpm_coefficient(SHORT, SINC, GRID, 0, 0, 0,
+                                max_refinements=bad)
+            with pytest.raises(ConfigError, match="max_refinements"):
+                coefficient_tensor(flat, SINC, GRID, max_refinements=bad)
 
     def test_initial_panels_track_walkoff(self):
         assert _initial_panels(SHORT) == 1
@@ -196,11 +202,11 @@ class TestGaussianDispersionOracle:
         link = self.LINK
         pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
         grid = TimeFreqGrid.for_link(link)
+        tw = receiver_w_tensor(coefficient_tensor(link, pulse, grid,
+                                                  max_refinements=3))
         for lag in self.LAGS + [(1, 2, 0)]:
-            engine = xpm_coefficient(link, pulse, grid, *lag, user="w",
-                                     max_refinements=3)
             oracle = self.analytic(*lag, walkoff_sign=-1.0)
-            assert abs(engine - oracle) / abs(oracle) < 1e-5, lag
+            assert abs(tw.get(*lag) - oracle) / abs(oracle) < 1e-5, lag
 
 
 class TestJsonRoundTrip:
@@ -238,6 +244,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             tensor.values[1, 1, 1] = 2.0
 
+    def test_fields_cannot_be_rebound(self):
+        link = {"length_km": 50.0}
+        tensor = CoeffTensor(user="x", memory=0, values=np.ones((1, 1, 1)),
+                             link=link)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tensor.values = np.zeros((1, 1, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tensor.link = {}
+        link["length_km"] = 0.0
+        assert tensor.link == {"length_km": 50.0}
+
     def test_strided_views_accepted(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
@@ -251,6 +268,8 @@ class TestJsonRoundTrip:
             CoeffTensor(user="x", memory=1, values=bad.transpose())
 
     def test_constructor_validates_shape_and_finiteness(self):
+        with pytest.raises(ConfigError):
+            CoeffTensor(user="y", memory=0, values=np.zeros((1, 1, 1)))
         with pytest.raises(ConfigError):
             CoeffTensor(user="x", memory=1, values=np.zeros((2, 2, 2)))
         bad = np.zeros((1, 1, 1), dtype=complex)
