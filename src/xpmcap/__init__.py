@@ -15,8 +15,7 @@ from .channel import (SampleBatch, full_channel, memoryless_channel,
 from .coefficients import (CoeffTensor, coefficient_tensor,
                            receiver_w_tensor, xpm_coefficient)
 from .config import (LinkParams, NoiseParams, PowerPair, ase_noise_variance,
-                     dbm_to_watts, effective_length, load_config,
-                     watts_to_dbm)
+                     dbm_to_watts, effective_length, load_config)
 from .errors import (BoundDomainError, ConfigError, GridError,
                      NoDominantFaceError, NumericalError, QuadratureError,
                      SampleBudgetError, ToolkitError)
@@ -38,7 +37,7 @@ __all__ = [
     "CoeffTensor", "coefficient_tensor", "receiver_w_tensor",
     "xpm_coefficient",
     "LinkParams", "NoiseParams", "PowerPair", "ase_noise_variance",
-    "dbm_to_watts", "effective_length", "load_config", "watts_to_dbm",
+    "dbm_to_watts", "effective_length", "load_config",
     "BoundDomainError", "ConfigError", "GridError", "NoDominantFaceError",
     "NumericalError", "QuadratureError", "SampleBudgetError", "ToolkitError",
     "PulseShape", "TimeFreqGrid",

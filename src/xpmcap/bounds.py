@@ -28,35 +28,27 @@ SWEEP_CSV_HEADER = ("p_dbm", "u1", "u2", "u_sum", "awgn", "ian1", "ian2")
 class EffectiveCoefficient:
     """Real part and squared modulus of a single-tap coefficient.
 
-    g_real is in 1/W and g_abs_sq in 1/W^2. Any physical complex
-    coefficient satisfies g_abs_sq >= g_real^2; fitting published curves
-    can produce pairs violating that, so the constraint is only enforced
-    when enforce_modulus is set.
+    g_real is in 1/W and g_abs_sq in 1/W^2. Any complex coefficient
+    satisfies g_abs_sq >= g_real^2 (is_physical); pairs fitted from
+    published curves can violate that, so it is reported, not enforced.
     """
 
     g_real: float = 0.0
     g_abs_sq: float = 0.0
-    enforce_modulus: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.g_real) and math.isfinite(self.g_abs_sq)):
             raise ConfigError("coefficient parameters must be finite")
         if self.g_abs_sq < 0:
             raise ConfigError("g_abs_sq must be >= 0")
-        if self.enforce_modulus and self.g_abs_sq < self.g_real ** 2:
-            raise ConfigError(
-                f"g_abs_sq {self.g_abs_sq:.6g} < g_real^2 "
-                f"{self.g_real ** 2:.6g}: no complex number has this pair")
 
     @property
     def is_physical(self) -> bool:
         return self.g_abs_sq >= self.g_real ** 2
 
     @classmethod
-    def from_complex(cls, g: complex,
-                     enforce_modulus: bool = True) -> "EffectiveCoefficient":
-        return cls(g_real=g.real, g_abs_sq=abs(g) ** 2,
-                   enforce_modulus=enforce_modulus)
+    def from_complex(cls, g: complex) -> "EffectiveCoefficient":
+        return cls(g_real=g.real, g_abs_sq=abs(g) ** 2)
 
 
 def awgn_capacity(p: float, sigma_sq: float) -> float:
@@ -169,8 +161,8 @@ def fit_effective_coefficient(points, sigma_sq: float) -> EffectiveCoefficient:
 
     points is a pair of (p_dbm, rate_bits); the bound is inverted to the
     linear system P a + P^2 b = (2^U - 1) 2 sigma^2 / P - 1, a = 2 g_real,
-    b = 2 |g|^2. The fitted pair is returned without the modulus
-    constraint, since published curves may not admit a physical solution.
+    b = 2 |g|^2. Published curves may not admit a physical pair; see
+    EffectiveCoefficient.is_physical.
     """
     if len(points) != 2:
         raise ConfigError("exactly two curve samples are required")
@@ -183,8 +175,7 @@ def fit_effective_coefficient(points, sigma_sq: float) -> EffectiveCoefficient:
     if b < 0:
         raise ConfigError("curve samples imply a negative squared modulus")
     return EffectiveCoefficient(g_real=float(a) / 2.0,
-                                g_abs_sq=float(b) / 2.0,
-                                enforce_modulus=False)
+                                g_abs_sq=float(b) / 2.0)
 
 
 def fit_cubic_interference(peak_p_dbm: float, sigma_sq: float) -> float:
@@ -248,14 +239,14 @@ def sweep(powers_dbm, g_x: EffectiveCoefficient, g_w: EffectiveCoefficient,
           p2_dbm: float | None = None,
           coeffs_x: CoeffTensor | None = None,
           coeffs_w: CoeffTensor | None = None,
-          kappa_x: float | None = None,
-          kappa_w: float | None = None) -> list[BoundSet]:
+          kappa: float | None = None) -> list[BoundSet]:
     """Evaluate the bound set along a list of user-1 powers in dBm.
 
     With symmetric=True the second user tracks the first; otherwise its
     power is fixed at p2_dbm. The interference-as-noise terms use, in
     order of preference, the coefficient tensors (analytic variance), the
-    cubic kappa coefficients (sum |c|^2, 1/W^2), or zero interference.
+    cubic coefficient kappa (sum |c|^2, 1/W^2, shared by both users), or
+    zero interference.
     """
     powers_dbm = list(powers_dbm)
     if not powers_dbm:
@@ -269,14 +260,14 @@ def sweep(powers_dbm, g_x: EffectiveCoefficient, g_w: EffectiveCoefficient,
         pp = PowerPair(p1, p2)
         if coeffs_x is not None:
             p_int1 = interference_variance(coeffs_x, pp)
-        elif kappa_x is not None:
-            p_int1 = kappa_x * p1 * p2 ** 2
+        elif kappa is not None:
+            p_int1 = kappa * p1 * p2 ** 2
         else:
             p_int1 = 0.0
         if coeffs_w is not None:
             p_int2 = interference_variance(coeffs_w, pp.swapped())
-        elif kappa_w is not None:
-            p_int2 = kappa_w * p2 * p1 ** 2
+        elif kappa is not None:
+            p_int2 = kappa * p2 * p1 ** 2
         else:
             p_int2 = 0.0
         out.append(evaluate_bounds(pp, g_x, g_w, sigma_sq, p_int1, p_int2))
@@ -313,7 +304,17 @@ def read_sweep_csv(path: str) -> list[dict]:
     """Parse a sweep CSV back into row dicts of floats."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != SWEEP_CSV_HEADER:
             raise ConfigError(f"unexpected sweep CSV header: {header}")
-        return [dict(zip(header, map(float, row))) for row in reader]
+        rows = []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: {len(row)} fields, expected "
+                                  f"{len(header)}")
+            try:
+                rows.append(dict(zip(header, map(float, row))))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+        return rows

@@ -156,8 +156,8 @@ def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
     that order.
     """
     seeds = spawn_seeds(master_seed, 3)
-    x = _cscg(_rng(seeds[0]), n, p1 / 2.0)
-    w = _cscg(_rng(seeds[1]), n, p2 / 2.0)
+    x = sample_cscg(n, p1, seeds[0])
+    w = sample_cscg(n, p2, seeds[1])
     if model == "memoryless":
         if g_x is None:
             raise ConfigError("memoryless model requires g_x")

@@ -120,7 +120,7 @@ class RunContext:
     def finish(self) -> None:
         manifest = {
             "command": self.command,
-            "argv": sys.argv[1:],
+            "argv": self.args.argv,
             "version": __version__,
             "master_seed": self.master_seed,
             "config_path": self.config.source_path,
@@ -149,15 +149,15 @@ def _load_effective_config(args) -> ToolkitConfig:
 def _pulse_from_config(cfg: ToolkitConfig) -> PulseShape:
     p = cfg.pulse
     return PulseShape(kind=p.get("kind", "nyquist-sinc"),
-                      rolloff=float(p.get("rolloff", 0.1)),
+                      rolloff=p.get("rolloff", 0.1),
                       width_s=p.get("width_s"))
 
 
 def _grid_from_config(cfg: ToolkitConfig, link) -> TimeFreqGrid:
     g = cfg.grid
     return TimeFreqGrid.for_link(link,
-                                 n_samples=int(g.get("n_samples", 4096)),
-                                 n_symbols=int(g.get("n_symbols", 64)))
+                                 n_samples=g.get("n_samples", 4096),
+                                 n_symbols=g.get("n_symbols", 64))
 
 
 def _load_tensor(ctx: RunContext, path: str) -> CoeffTensor:
@@ -179,8 +179,8 @@ def _resolve_g(args, sweep_cfg: dict, tensor: CoeffTensor | None,
     key_abs = "g_abs_sq_per_mw2" if prefix == "g" else "g_w_abs_sq_per_mw2"
     if key_real in sweep_cfg or key_abs in sweep_cfg:
         return EffectiveCoefficient(
-            g_real=float(sweep_cfg.get(key_real, 0.0)) * _PER_MW,
-            g_abs_sq=float(sweep_cfg.get(key_abs, 0.0)) * _PER_MW2)
+            g_real=sweep_cfg.get(key_real, 0.0) * _PER_MW,
+            g_abs_sq=sweep_cfg.get(key_abs, 0.0) * _PER_MW2)
     if tensor is not None:
         return EffectiveCoefficient.from_complex(tensor.get(0, 0, 0))
     return None
@@ -224,7 +224,6 @@ def cmd_sweep(args) -> int:
     if not powers:
         raise ConfigError("no powers given: pass --powers-dbm or set "
                           "sweep.powers_dbm in the config")
-    powers = [float(p) for p in powers]
 
     coeffs_x = _load_tensor(ctx, args.coeffs_x) if args.coeffs_x else None
     coeffs_w = _load_tensor(ctx, args.coeffs_w) if args.coeffs_w else None
@@ -244,8 +243,7 @@ def cmd_sweep(args) -> int:
                        symmetric=symmetric,
                        p2_dbm=args.p2_dbm if args.p2_dbm is not None
                        else sweep_cfg.get("p2_dbm"),
-                       coeffs_x=coeffs_x, coeffs_w=coeffs_w,
-                       kappa_x=kappa_si, kappa_w=kappa_si)
+                       coeffs_x=coeffs_x, coeffs_w=coeffs_w, kappa=kappa_si)
 
     ctx.write(args.out, sweep_csv(powers, bound_sets))
     if args.json:
@@ -329,7 +327,7 @@ def cmd_simulate(args) -> int:
     ctx = RunContext("simulate", args, cfg, _master_seed(args, cfg))
     sim = cfg.simulation
 
-    n = args.n if args.n is not None else int(sim.get("n", 4096))
+    n = args.n if args.n is not None else sim.get("n", 4096)
     p1_dbm = args.p1_dbm if args.p1_dbm is not None else sim.get("p1_dbm", 0.0)
     p2_dbm = args.p2_dbm if args.p2_dbm is not None else sim.get("p2_dbm", 0.0)
     model = args.model or sim.get("model", "memoryless")
@@ -344,8 +342,8 @@ def cmd_simulate(args) -> int:
             g_x = complex((args.g_real or 0.0) * _PER_MW,
                           (args.g_imag or 0.0) * _PER_MW)
         elif "g_real_per_mw" in sim or "g_imag_per_mw" in sim:
-            g_x = complex(float(sim.get("g_real_per_mw", 0.0)) * _PER_MW,
-                          float(sim.get("g_imag_per_mw", 0.0)) * _PER_MW)
+            g_x = complex(sim.get("g_real_per_mw", 0.0) * _PER_MW,
+                          sim.get("g_imag_per_mw", 0.0) * _PER_MW)
         elif coeffs_x is not None:
             g_x = coeffs_x.get(0, 0, 0)
         else:
@@ -355,7 +353,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("full-model simulation requires --coeffs-x")
 
     batch = simulate_batch(
-        n=n, p1=dbm_to_watts(float(p1_dbm)), p2=dbm_to_watts(float(p2_dbm)),
+        n=n, p1=dbm_to_watts(p1_dbm), p2=dbm_to_watts(p2_dbm),
         sigma_sq=cfg.noise.sigma_sq, master_seed=ctx.master_seed,
         model=model, g_x=g_x, coeffs_x=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
@@ -382,11 +380,11 @@ def cmd_verify(args) -> int:
 
 
 def _master_seed(args, cfg: ToolkitConfig) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg.simulation:
-        return int(cfg.simulation["seed"])
-    return DEFAULT_MASTER_SEED
+    seed = args.seed if args.seed is not None else \
+        cfg.simulation.get("seed", DEFAULT_MASTER_SEED)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records what was parsed
     try:
         return args.func(args)
     except (ConfigError, SampleBudgetError) as exc:

@@ -11,8 +11,8 @@ where g is the channel-of-interest pulse and gw the interfering-channel
 pulse, additionally delayed by the accumulated walk-off between the two
 carriers as seen by receiver x; receiver w's window is the lag reversal
 of receiver x's (receiver_w_tensor). The distance integral uses composite
-Gauss-Legendre panels with refinement; the time integral is a trapezoid
-sum on the sampling grid.
+Gauss-Legendre panels, checked against twice as many; the time integral
+is a trapezoid sum on the sampling grid.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
 all delays are applied on an internally zero-padded copy of the grid wide
@@ -23,7 +23,6 @@ the channel of interest.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ from .pulses import PulseShape, TimeFreqGrid
 USERS = ("x", "w")
 
 DEFAULT_Z_NODES = 64
-DEFAULT_MAX_REFINEMENTS = 1
 DEFAULT_QUAD_RTOL = 1e-6
 
 #: Hard cap on the internal zero-padding factor (memory guard).
@@ -113,26 +111,22 @@ class CoeffTensor:
         try:
             user = doc["user"]
             memory = int(doc["memory"])
-            entries = doc["entries"]
-        except (KeyError, TypeError) as exc:
+            side = 2 * memory + 1
+            values = np.full((side, side, side), np.nan + 0j,
+                             dtype=np.complex128)
+            for e in doc["entries"]:
+                l, m, p = int(e["l"]), int(e["m"]), int(e["p"])
+                if max(abs(l), abs(m), abs(p)) > memory:
+                    raise ConfigError(
+                        f"entry lag ({l},{m},{p}) outside window")
+                values[l + memory, m + memory, p + memory] = complex(
+                    float(e["re"]), float(e["im"]))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed tensor document: {exc}") from exc
-        side = 2 * memory + 1
-        values = np.full((side, side, side), np.nan + 0j, dtype=np.complex128)
-        for e in entries:
-            l, m, p = int(e["l"]), int(e["m"]), int(e["p"])
-            if max(abs(l), abs(m), abs(p)) > memory:
-                raise ConfigError(f"entry lag ({l},{m},{p}) outside window")
-            values[l + memory, m + memory, p + memory] = complex(
-                float(e["re"]), float(e["im"]))
         if np.any(np.isnan(values.view(np.float64))):
             raise ConfigError("tensor document does not fill the full window")
         return cls(user=user, memory=memory, values=values,
                    link=doc.get("link") or {})
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "CoeffTensor":
@@ -235,36 +229,30 @@ def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
 
 
 def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                      ls, ms, ps, z_nodes: int, max_refinements: int,
-                      rtol: float):
-    """Refine the distance quadrature until the window is Cauchy-stable.
+                      ls, ms, ps, z_nodes: int):
+    """Distance quadrature of the window, checked against twice the panels.
 
-    Returns (values, report). Raises QuadratureError when the relative
-    change between the two finest levels still exceeds rtol.
+    The walk-off-sized panel count is compared once with twice as many
+    panels; returns (values at the finer level, report). Raises
+    QuadratureError when their relative change exceeds DEFAULT_QUAD_RTOL.
     """
-    if max_refinements < 1:
-        raise ConfigError("max_refinements must be >= 1: the convergence "
-                          "check compares two quadrature levels")
     if link.length_km == 0.0 or link.gamma == 0.0:
         zeros = np.zeros((len(ls), len(ms), len(ps)), dtype=np.complex128)
         return zeros, {"z_nodes": z_nodes, "panels": 1, "refinements": 0,
-                       "residual": 0.0, "rtol": rtol}
+                       "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL}
     base_panels = _initial_panels(link)
-    prev = _window_sum(link, pulse, grid, ls, ms, ps, base_panels, z_nodes)
-    residual = math.inf
-    for level in range(1, max_refinements + 1):
-        panels = base_panels * 2 ** level
-        cur = _window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes)
-        scale = float(np.max(np.abs(cur)))
-        residual = 0.0 if scale == 0.0 else float(np.max(np.abs(cur - prev))) / scale
-        if residual <= rtol:
-            return cur, {"z_nodes": z_nodes, "panels": panels,
-                         "refinements": level, "residual": residual,
-                         "rtol": rtol}
-        prev = cur
-    raise QuadratureError(
-        f"distance quadrature residual {residual:.3e} above tolerance "
-        f"{rtol:.1e} after {max_refinements} refinement(s)", residual)
+    coarse = _window_sum(link, pulse, grid, ls, ms, ps, base_panels, z_nodes)
+    panels = 2 * base_panels
+    fine = _window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes)
+    scale = float(np.max(np.abs(fine)))
+    change = float(np.max(np.abs(fine - coarse)))
+    residual = 0.0 if scale == 0.0 else change / scale
+    if not residual <= DEFAULT_QUAD_RTOL:  # a NaN residual fails too
+        raise QuadratureError(
+            f"distance quadrature residual {residual:.3e} above tolerance "
+            f"{DEFAULT_QUAD_RTOL:.1e} at {panels} panels", residual)
+    return fine, {"z_nodes": z_nodes, "panels": panels, "refinements": 1,
+                  "residual": residual, "rtol": DEFAULT_QUAD_RTOL}
 
 
 def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
@@ -286,25 +274,20 @@ def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
 
 def xpm_coefficient(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
                     l: int, m: int, p: int,
-                    z_nodes: int = DEFAULT_Z_NODES,
-                    max_refinements: int = DEFAULT_MAX_REFINEMENTS,
-                    rtol: float = DEFAULT_QUAD_RTOL) -> complex:
+                    z_nodes: int = DEFAULT_Z_NODES) -> complex:
     """Single receiver-x coefficient c[l,m,p] (receiver w's: see
     receiver_w_tensor)."""
     if max(abs(l), abs(m), abs(p)) > link.memory:
         raise ConfigError(f"lags ({l},{m},{p}) exceed the memory window "
                           f"+-{link.memory}")
     grid.check_covers(link)
-    values, _ = _integrate_window(link, pulse, grid, [l], [m], [p], z_nodes,
-                                  max_refinements, rtol)
+    values, _ = _integrate_window(link, pulse, grid, [l], [m], [p], z_nodes)
     return complex(values[0, 0, 0])
 
 
 def coefficient_tensor(link: LinkParams, pulse: PulseShape,
                        grid: TimeFreqGrid,
                        z_nodes: int = DEFAULT_Z_NODES,
-                       max_refinements: int = DEFAULT_MAX_REFINEMENTS,
-                       rtol: float = DEFAULT_QUAD_RTOL,
                        with_report: bool = False):
     """Receiver x's full (2M+1)^3 coefficient window.
 
@@ -314,7 +297,7 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape,
     grid.check_covers(link)
     lags = list(range(-link.memory, link.memory + 1))
     values, report = _integrate_window(link, pulse, grid, lags, lags, lags,
-                                       z_nodes, max_refinements, rtol)
+                                       z_nodes)
     tensor = CoeffTensor(user="x", memory=link.memory, values=values,
                          link=link.to_dict())
     if with_report:

@@ -139,13 +139,6 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    """Convert W to dBm; requires a strictly positive power."""
-    if not _finite(p_watts) or p_watts <= 0:
-        raise ConfigError("power in W must be finite and > 0")
-    return 10.0 * math.log10(p_watts / 1e-3)
-
-
 def effective_length(alpha_db_per_km: float, length_km: float) -> float:
     """Nonlinearity-weighted span length (1 - e^(-alpha L)) / alpha, km.
 
@@ -161,21 +154,16 @@ def effective_length(alpha_db_per_km: float, length_km: float) -> float:
     return -math.expm1(-alpha_np * length_km) / alpha_np
 
 
-def ase_noise_variance(link: LinkParams,
-                       nsp: float = 1.0,
-                       center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ,
-                       sigma_sq_override: float | None = None) -> NoiseParams:
+def ase_noise_variance(link: LinkParams, nsp: float = 1.0,
+                       center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ
+                       ) -> NoiseParams:
     """Amplified-spontaneous-emission noise of a single lumped amplifier.
 
     The amplifier exactly compensates the span loss G = e^(alpha L), so the
     total noise power over the symbol-rate bandwidth B is
     2*sigma^2 = 2 nsp h f (G - 1) B, and sigma^2 is the per-quadrature half.
-    An explicit ``sigma_sq_override`` (W) bypasses the formula entirely.
+    A measured variance needs no formula: use NoiseParams(sigma_sq=...).
     """
-    if sigma_sq_override is not None:
-        _require(_finite(sigma_sq_override) and sigma_sq_override >= 0,
-                 "sigma_sq override must be finite and >= 0")
-        return NoiseParams(sigma_sq=sigma_sq_override, nsp=None)
     _require(_finite(nsp) and nsp >= 1, "nsp must be >= 1")
     _require(_finite(center_freq_hz) and center_freq_hz > 0,
              "center frequency must be > 0")
@@ -237,19 +225,60 @@ class ToolkitConfig:
         }
 
 
-def _check_keys(section: str, mapping: dict) -> None:
+#: Keys whose values are not plain numbers; every other key is parsed
+#: with float(), which also reads YAML 1.1's 32.0e9 (a string to PyYAML).
+_INT_KEYS = {"memory", "n", "seed", "n_samples", "n_symbols"}
+_BOOL_KEYS = {"symmetric"}
+_STR_KEYS = {"model", "kind"}
+_LIST_KEYS = {"powers_dbm"}
+
+
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
+
+
+def _typed(section: str, mapping: dict) -> dict:
+    """The section's values, each checked (and parsed) by its key's type."""
+    out = {}
+    for key, value in mapping.items():
+        name = f"{section}.{key}"
+        if key in _INT_KEYS:
+            _require(isinstance(value, int) and not isinstance(value, bool),
+                     f"{name} must be an integer")
+        elif key in _BOOL_KEYS:
+            _require(isinstance(value, bool), f"{name} must be true or false")
+        elif key in _STR_KEYS:
+            _require(isinstance(value, str), f"{name} must be a string")
+        elif key in _LIST_KEYS:
+            _require(isinstance(value, list), f"{name} must be a list")
+            value = [_number(name, v) for v in value]
+        else:
+            value = _number(name, value)
+        out[key] = value
+    return out
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The mapping of one section; only a missing or null section is empty."""
+    mapping = raw.get(name)
+    if mapping is None:
+        return {}
     if not isinstance(mapping, dict):
-        raise ConfigError(f"section '{section}' must be a mapping")
-    unknown = set(mapping) - _SECTIONS[section]
+        raise ConfigError(f"section '{name}' must be a mapping")
+    unknown = set(mapping) - _SECTIONS[name]
     if unknown:
         raise ConfigError(
-            f"unknown key(s) in section '{section}': {', '.join(sorted(unknown))}")
+            f"unknown key(s) in section '{name}': {', '.join(sorted(unknown))}")
+    return _typed(name, mapping)
 
 
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
     """Build a validated ToolkitConfig from a parsed mapping.
 
-    Unknown sections or keys are hard errors.
+    Unknown sections or keys and values of the wrong type are hard errors.
     """
     if raw is None:
         raw = {}
@@ -258,44 +287,29 @@ def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
-    for name in raw:
-        _check_keys(name, raw[name] or {})
+    sections = {name: _section(raw, name) for name in _SECTIONS}
 
-    link_raw = dict(raw.get("link") or {})
-    if "memory" in link_raw:
-        mem = link_raw["memory"]
-        if not isinstance(mem, int) or isinstance(mem, bool):
-            raise ConfigError("link.memory must be an integer")
-    for key, value in link_raw.items():
-        if key != "memory":
-            try:
-                link_raw[key] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"link.{key} must be a number: {exc}") from exc
-    try:
-        link = LinkParams(**link_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad link section: {exc}") from exc
+    link = LinkParams(**sections["link"])
 
-    noise_raw = dict(raw.get("noise") or {})
+    noise_raw = sections["noise"]
     if "sigma_sq_w" in noise_raw:
-        noise = NoiseParams(sigma_sq=float(noise_raw["sigma_sq_w"]),
+        noise = NoiseParams(sigma_sq=noise_raw["sigma_sq_w"],
                             nsp=noise_raw.get("nsp"))
     elif "nsp" in noise_raw:
         noise = ase_noise_variance(
-            link, nsp=float(noise_raw["nsp"]),
-            center_freq_hz=float(noise_raw.get("center_freq_hz",
-                                               DEFAULT_CENTER_FREQ_HZ)))
+            link, nsp=noise_raw["nsp"],
+            center_freq_hz=noise_raw.get("center_freq_hz",
+                                         DEFAULT_CENTER_FREQ_HZ))
     else:
         noise = NoiseParams()
 
     return ToolkitConfig(
         link=link,
         noise=noise,
-        sweep=dict(raw.get("sweep") or {}),
-        simulation=dict(raw.get("simulation") or {}),
-        pulse=dict(raw.get("pulse") or {}),
-        grid=dict(raw.get("grid") or {}),
+        sweep=sections["sweep"],
+        simulation=sections["simulation"],
+        pulse=sections["pulse"],
+        grid=sections["grid"],
         source_path=source_path,
     )
 

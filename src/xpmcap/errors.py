@@ -22,7 +22,7 @@ class GridError(NumericalError):
 
 
 class QuadratureError(NumericalError):
-    """Distance quadrature did not converge within the refinement budget."""
+    """Distance quadrature failed its convergence check."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -108,15 +108,6 @@ class Region2D:
         return {"tag": self.tag,
                 "vertices": [[x, y] for x, y in self.vertices]}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Region2D":
-        try:
-            return cls(vertices=tuple((float(v[0]), float(v[1]))
-                                      for v in doc["vertices"]),
-                       tag=doc.get("tag", "custom"))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"malformed region document: {exc}") from exc
-
 
 def _is_convex(pts) -> bool:
     n = len(pts)

@@ -41,10 +41,6 @@ class CheckReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 def _verdict(estimate: float, bound: float, stderr: float, kind: str) -> str:
     if not (math.isfinite(estimate) and math.isfinite(bound)

@@ -220,9 +220,11 @@ class TestEffectiveCoefficientFit:
         assert not g.is_physical
 
     def test_modulus_enforcement(self):
+        # |g|^2 >= g_real^2 is reported by is_physical, not enforced:
+        # fitted pairs may break it, and from_complex cannot.
+        assert not EffectiveCoefficient(g_real=1.0, g_abs_sq=0.5).is_physical
         with pytest.raises(ConfigError):
-            EffectiveCoefficient(g_real=1.0, g_abs_sq=0.5,
-                                 enforce_modulus=True)
+            EffectiveCoefficient(g_real=1.0, g_abs_sq=-0.5)
         g = EffectiveCoefficient.from_complex(3 + 4j)
         assert g.g_real == 3.0
         assert g.g_abs_sq == pytest.approx(25.0)
@@ -257,9 +259,9 @@ class TestBoundSetAndSweep:
 
     def test_sweep_with_cubic_interference(self):
         kappa = fit_cubic_interference(-3.8, SIGMA_SQ)
-        rows = sweep([-3.8], ZERO, ZERO, SIGMA_SQ,
-                     kappa_x=kappa, kappa_w=kappa)
+        rows = sweep([-3.8], ZERO, ZERO, SIGMA_SQ, kappa=kappa)
         assert rows[0].ian1 == pytest.approx(0.1877, abs=1e-3)
+        assert rows[0].ian2 == rows[0].ian1
 
     def test_empty_power_list_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,12 +1,19 @@
 import json
+import os
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xpmcap.bounds import SWEEP_CSV_HEADER, read_sweep_csv
 from xpmcap.cli import main
 from xpmcap.coefficients import CoeffTensor
+
+REPO = Path(__file__).resolve().parents[1]
 
 CONFIG = """\
 link:
@@ -279,7 +286,9 @@ class TestSimulateCommand:
             values = 0.1 * (rng.standard_normal((3, 3, 3))
                             + 1j * rng.standard_normal((3, 3, 3)))
             paths[user] = str(tmp_path / f"tensor_{user}.json")
-            CoeffTensor(user=user, memory=1, values=values).save(paths[user])
+            tensor = CoeffTensor(user=user, memory=1, values=values)
+            with open(paths[user], "w", encoding="utf-8") as fh:
+                json.dump(tensor.to_json_dict(), fh)
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
 
@@ -373,6 +382,150 @@ class TestVerifyCommand:
                     "--suite", "moments", "--samples", "10",
                     "--out", "v.json"])
         assert code == 2
+
+
+SWEEP_HEADER = ",".join(SWEEP_CSV_HEADER) + "\n"
+
+
+def _tensor_text(**entry):
+    doc = {"user": "x", "memory": 0,
+           "entries": [{"l": 0, "m": 0, "p": 0, "im": 0.0, **entry}]}
+    return json.dumps(doc)
+
+
+ZERO_G = ["--g-real", "0", "--g-abs-sq", "0"]
+
+# name: (input files, arguments; "@f" names input file f)
+MALFORMED = {
+    "negative-seed": (
+        {}, ["--seed", "-1", "simulate", "--g-imag", "0.05"]),
+    "simulate-negative-n": (
+        {}, ["simulate", "--n", "-5", "--model", "memoryless",
+             "--g-imag", "0.05"]),
+    "sweep-csv-non-numeric-field": (
+        {"s.csv": SWEEP_HEADER + "0,abc,0.1,0.2,0.1,0.1,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    "sweep-csv-short-row": (
+        {"s.csv": SWEEP_HEADER + "0,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    "tensor-entry-without-re": (
+        {"t.json": _tensor_text()},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-entry-re-not-a-number": (
+        {"t.json": _tensor_text(re="abc")},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "config-n-not-an-integer": (
+        {"c.yaml": "simulation: {n: abc}\n"},
+        ["--config", "@c.yaml", "simulate", "--g-imag", "0.05"]),
+    "config-power-not-a-number": (
+        {"c.yaml": "sweep: {powers_dbm: [abc]}\n"},
+        ["--config", "@c.yaml", "sweep", *ZERO_G]),
+    "config-powers-not-a-list": (
+        {"c.yaml": "sweep: {powers_dbm: 5}\n"},
+        ["--config", "@c.yaml", "sweep", *ZERO_G]),
+    "config-grid-size-not-an-integer": (
+        {"c.yaml": "grid: {n_samples: abc}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-rolloff-not-a-number": (
+        {"c.yaml": "pulse: {rolloff: abc}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-section-not-a-mapping": (
+        {"c.yaml": "link: 0\n"},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_usage_error_with_one_line(self, case, tmp_path, capsys):
+        files, args = MALFORMED[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        args = [str(tmp_path / a[1:]) if a.startswith("@") else a
+                for a in args]
+        code = run(["--out-dir", str(tmp_path / "out"), "--quiet", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestManifest:
+    def test_argv_is_the_parsed_list(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["xpmcap", "--unrelated"])
+        args = ["--out-dir", str(tmp_path), "--quiet", "region",
+                "--u1", "1", "--u2", "1", "--usum", "1.5"]
+        assert run(args) == 0
+        manifest = json.loads((tmp_path / "region-manifest.json").read_text())
+        assert manifest["argv"] == args
+
+
+def _readme_recipe() -> list[list[str]]:
+    """The commands of the README's "Reference figures" code block."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Reference figures", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+class TestReferenceFigures:
+    def test_readme_recipe(self, tmp_path, monkeypatch):
+        shutil.copytree(REPO / "configs", tmp_path / "configs")
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_recipe()
+        assert len(commands) == 4
+        for argv in commands:
+            assert argv[0] == "xpmcap"
+            assert run(["--quiet", *argv[1:]]) == 0, argv
+        out = tmp_path / "out"
+        assert (out / "sweep.svg").read_text().startswith("<svg")
+        row = next(r for r in read_sweep_csv(str(out / "sweep.csv"))
+                   if r["p_dbm"] == 0.0)
+        doc = json.loads((out / "region_0.json").read_text())
+        assert max(x for x, _ in doc["vertices"]) == row["u1"]
+        assert max(y for _, y in doc["vertices"]) == row["u2"]
+        for p in ("-2.9", "0", "2"):
+            assert "excess area" in (out / f"region_{p}.svg").read_text()
+
+
+class TestBenchmarkSteps:
+    """perfbench/steps.py replays the CLI with the names it imported
+    wrapped in spans; deleting or renaming one of those names fails here."""
+
+    def _step(self, tmp_path, *argv):
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH"))
+            if p)
+        return subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "steps.py"),
+             "--spans", str(tmp_path / "spans.json"), *argv],
+            capture_output=True, text=True, cwd=REPO,
+            env={**os.environ, "PYTHONPATH": path})
+
+    def test_traced_cli_step(self, tmp_path):
+        proc = self._step(tmp_path, "cli", "--quiet", "--out-dir",
+                          str(tmp_path), "verify", "--suite", "dettrace",
+                          "--out", "dettrace.json")
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+        assert {"cli.main", "verify.run_suite", "verify.dettrace"} <= {
+            s["name"] for s in spans}
+
+    def test_traced_ianmc_step(self, tmp_path):
+        rng = np.random.default_rng(2)
+        values = 0.01 * (rng.standard_normal((3, 3, 3))
+                         + 1j * rng.standard_normal((3, 3, 3)))
+        tensor = tmp_path / "tensor_x.json"
+        tensor.write_text(json.dumps(CoeffTensor(
+            user="x", memory=1, values=values).to_json_dict()))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "coeffs": str(tensor), "p1_dbm": 0.0, "p2_dbm": 0.0, "n": 600,
+            "block_len": 60, "seed": 1, "out_dir": str(tmp_path)}))
+        proc = self._step(tmp_path, "ianmc", str(spec))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads((tmp_path / "ianmc.json").read_text())
+        assert result["blocks"] == 10 and result["estimate"] > 0
 
 
 class TestEntryPoint:

@@ -126,19 +126,8 @@ class TestQuadrature:
 
     def test_non_convergent_quadrature_reports_residual(self):
         with pytest.raises(QuadratureError) as err:
-            xpm_coefficient(SHORT, SINC, GRID, 0, 0, 0, z_nodes=2,
-                            max_refinements=1)
+            xpm_coefficient(SHORT, SINC, GRID, 0, 0, 0, z_nodes=2)
         assert err.value.residual > 1e-6
-
-    def test_max_refinements_below_one_rejected(self):
-        # One level alone has no convergence check, so it is not offered.
-        flat = dataclasses.replace(SHORT, length_km=0.0)
-        for bad in (0, -1):
-            with pytest.raises(ConfigError, match="max_refinements"):
-                xpm_coefficient(SHORT, SINC, GRID, 0, 0, 0,
-                                max_refinements=bad)
-            with pytest.raises(ConfigError, match="max_refinements"):
-                coefficient_tensor(flat, SINC, GRID, max_refinements=bad)
 
     def test_initial_panels_track_walkoff(self):
         assert _initial_panels(SHORT) == 1
@@ -192,7 +181,7 @@ class TestGaussianDispersionOracle:
         link = self.LINK
         pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
         grid = TimeFreqGrid.for_link(link)
-        engine = xpm_coefficient(link, pulse, grid, *lag, max_refinements=3)
+        engine = xpm_coefficient(link, pulse, grid, *lag)
         oracle = self.analytic(*lag)
         assert abs(engine - oracle) / abs(oracle) < 1e-5
 
@@ -202,8 +191,7 @@ class TestGaussianDispersionOracle:
         link = self.LINK
         pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
         grid = TimeFreqGrid.for_link(link)
-        tw = receiver_w_tensor(coefficient_tensor(link, pulse, grid,
-                                                  max_refinements=3))
+        tw = receiver_w_tensor(coefficient_tensor(link, pulse, grid))
         for lag in self.LAGS + [(1, 2, 0)]:
             oracle = self.analytic(*lag, walkoff_sign=-1.0)
             assert abs(tw.get(*lag) - oracle) / abs(oracle) < 1e-5, lag
@@ -213,7 +201,8 @@ class TestJsonRoundTrip:
     def test_round_trip_exact(self, short_pair, tmp_path):
         tensor, _ = short_pair
         path = tmp_path / "tensor_x.json"
-        tensor.save(str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(tensor.to_json_dict(), fh)
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["user"] == "x"
         assert doc["memory"] == 1

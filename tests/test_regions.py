@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,8 +199,9 @@ class TestRegionType:
         region = build_region(0.39, 0.39, 0.494233)
         doc = region.to_json_dict()
         assert doc["tag"] == "theorem1"
-        back = Region2D.from_json_dict(doc)
-        assert back.vertices == region.vertices
+        back = json.loads(json.dumps(doc))
+        assert Region2D(vertices=tuple(map(tuple, back["vertices"])),
+                        tag=back["tag"]) == region
 
     def test_half_plane_needs_normal(self):
         with pytest.raises(ConfigError):
