@@ -20,8 +20,8 @@ from .errors import (BoundDomainError, ConfigError, GridError,
                      NoDominantFaceError, NumericalError, QuadratureError,
                      SampleBudgetError, ToolkitError)
 from .pulses import PulseShape, TimeFreqGrid
-from .regions import (HalfPlane, Region2D, build_region,
-                      dominant_face_midpoint, excess_area, intersect)
+from .regions import (Region2D, build_region, dominant_face_midpoint,
+                      excess_area, intersect)
 from .verify import (CheckReport, det_trace_check, joint_covariance_check,
                      moment_identity_check, run_suite,
                      single_user_covariance_check)
@@ -41,8 +41,8 @@ __all__ = [
     "BoundDomainError", "ConfigError", "GridError", "NoDominantFaceError",
     "NumericalError", "QuadratureError", "SampleBudgetError", "ToolkitError",
     "PulseShape", "TimeFreqGrid",
-    "HalfPlane", "Region2D", "build_region", "dominant_face_midpoint",
-    "excess_area", "intersect",
+    "Region2D", "build_region", "dominant_face_midpoint", "excess_area",
+    "intersect",
     "CheckReport", "det_trace_check", "joint_covariance_check",
     "moment_identity_check", "run_suite", "single_user_covariance_check",
 ]

@@ -235,28 +235,25 @@ def evaluate_bounds(pp: PowerPair, g_x: EffectiveCoefficient,
 
 
 def sweep(powers_dbm, g_x: EffectiveCoefficient, g_w: EffectiveCoefficient,
-          sigma_sq: float, symmetric: bool = True,
-          p2_dbm: float | None = None,
+          sigma_sq: float, p2_dbm: float | None = None,
           coeffs_x: CoeffTensor | None = None,
           coeffs_w: CoeffTensor | None = None,
           kappa: float | None = None) -> list[BoundSet]:
     """Evaluate the bound set along a list of user-1 powers in dBm.
 
-    With symmetric=True the second user tracks the first; otherwise its
-    power is fixed at p2_dbm. The interference-as-noise terms use, in
-    order of preference, the coefficient tensors (analytic variance), the
-    cubic coefficient kappa (sum |c|^2, 1/W^2, shared by both users), or
-    zero interference.
+    The second user's power is fixed at p2_dbm when given and otherwise
+    tracks the first (a symmetric sweep). The interference-as-noise terms
+    use, in order of preference, the coefficient tensors (analytic
+    variance), the cubic coefficient kappa (sum |c|^2, 1/W^2, shared by
+    both users), or zero interference.
     """
     powers_dbm = list(powers_dbm)
     if not powers_dbm:
         raise ConfigError("power list must not be empty")
-    if not symmetric and p2_dbm is None:
-        raise ConfigError("asymmetric sweep requires p2_dbm")
     out = []
     for p_dbm in powers_dbm:
         p1 = dbm_to_watts(p_dbm)
-        p2 = p1 if symmetric else dbm_to_watts(p2_dbm)
+        p2 = p1 if p2_dbm is None else dbm_to_watts(p2_dbm)
         pp = PowerPair(p1, p2)
         if coeffs_x is not None:
             p_int1 = interference_variance(coeffs_x, pp)

@@ -136,11 +136,8 @@ class SampleBatch:
     x: np.ndarray
     w: np.ndarray
     y: np.ndarray
-    model_tag: str = "memoryless"
 
     def __post_init__(self):
-        if self.model_tag not in ("full", "memoryless"):
-            raise ConfigError("model_tag must be 'full' or 'memoryless'")
         for name in ("x", "w", "y"):
             if np.asarray(getattr(self, name)).size != self.n:
                 raise ConfigError(f"sequence '{name}' length differs from n")
@@ -168,7 +165,7 @@ def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
         y = full_channel(x, w, coeffs_x, sigma_sq, seeds[2])
     else:
         raise ConfigError("model must be 'memoryless' or 'full'")
-    return SampleBatch(n=n, x=x, w=w, y=y, model_tag=model)
+    return SampleBatch(n=n, x=x, w=w, y=y)
 
 
 def write_batch_csv(batch: SampleBatch, path: str) -> None:

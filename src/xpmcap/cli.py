@@ -166,24 +166,35 @@ def _load_tensor(ctx: RunContext, path: str) -> CoeffTensor:
     return tensor
 
 
-def _resolve_g(args, sweep_cfg: dict, tensor: CoeffTensor | None,
-               prefix: str = "g") -> EffectiveCoefficient | None:
-    """Inline flags beat config values beat the tensor's center tap."""
-    flag_real = getattr(args, f"{prefix}_real", None)
-    flag_abs = getattr(args, f"{prefix}_abs_sq", None)
-    if flag_real is not None or flag_abs is not None:
-        return EffectiveCoefficient(
-            g_real=(flag_real or 0.0) * _PER_MW,
-            g_abs_sq=(flag_abs or 0.0) * _PER_MW2)
-    key_real = "g_real_per_mw" if prefix == "g" else "g_w_real_per_mw"
-    key_abs = "g_abs_sq_per_mw2" if prefix == "g" else "g_w_abs_sq_per_mw2"
-    if key_real in sweep_cfg or key_abs in sweep_cfg:
-        return EffectiveCoefficient(
-            g_real=sweep_cfg.get(key_real, 0.0) * _PER_MW,
-            g_abs_sq=sweep_cfg.get(key_abs, 0.0) * _PER_MW2)
-    if tensor is not None:
-        return EffectiveCoefficient.from_complex(tensor.get(0, 0, 0))
-    return None
+def _per_mw_pair(real, abs_sq) -> EffectiveCoefficient | None:
+    """The coefficient of a per-mW (Re, |.|^2) pair; None when both unset."""
+    if real is None and abs_sq is None:
+        return None
+    return EffectiveCoefficient(g_real=(real or 0.0) * _PER_MW,
+                                g_abs_sq=(abs_sq or 0.0) * _PER_MW2)
+
+
+def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None,
+               coeffs_w: CoeffTensor | None):
+    """(g_x, g_w): inline flags beat config values beat the tensors.
+
+    The tensors' center taps are used only when receiver x has neither
+    flags nor config values; a receiver w left unset takes g_x.
+    """
+    g_x = (_per_mw_pair(args.g_real, args.g_abs_sq)
+           or _per_mw_pair(sweep_cfg.get("g_real_per_mw"),
+                           sweep_cfg.get("g_abs_sq_per_mw2")))
+    g_w = (_per_mw_pair(args.g_w_real, args.g_w_abs_sq)
+           or _per_mw_pair(sweep_cfg.get("g_w_real_per_mw"),
+                           sweep_cfg.get("g_w_abs_sq_per_mw2")))
+    if g_x is None and coeffs_x is not None:
+        g_x = EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
+        if g_w is None and coeffs_w is not None:
+            g_w = EffectiveCoefficient.from_complex(coeffs_w.get(0, 0, 0))
+    if g_x is None:
+        raise ConfigError("missing coefficients: provide --g-real/--g-abs-sq, "
+                          "sweep.g_real_per_mw in the config, or --coeffs-x")
+    return g_x, g_w or g_x
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +238,14 @@ def cmd_sweep(args) -> int:
 
     coeffs_x = _load_tensor(ctx, args.coeffs_x) if args.coeffs_x else None
     coeffs_w = _load_tensor(ctx, args.coeffs_w) if args.coeffs_w else None
-    g_x = _resolve_g(args, sweep_cfg, coeffs_x, "g")
-    g_w = _resolve_g(args, sweep_cfg, coeffs_w, "g_w")
-    if g_w is None:
-        g_w = g_x
-    if g_x is None:
-        raise ConfigError("missing coefficients: provide --g-real/--g-abs-sq, "
-                          "sweep.g_real_per_mw in the config, or --coeffs-x")
+    g_x, g_w = _resolve_g(args, sweep_cfg, coeffs_x, coeffs_w)
 
     kappa = args.kappa if args.kappa is not None else \
         sweep_cfg.get("kappa_per_mw2")
     kappa_si = kappa * _PER_MW2 if kappa is not None else None
-    symmetric = sweep_cfg.get("symmetric", True) if args.p2_dbm is None else False
-    bound_sets = sweep(powers, g_x, g_w, cfg.noise.sigma_sq,
-                       symmetric=symmetric,
-                       p2_dbm=args.p2_dbm if args.p2_dbm is not None
-                       else sweep_cfg.get("p2_dbm"),
+    p2_dbm = args.p2_dbm if args.p2_dbm is not None else \
+        sweep_cfg.get("p2_dbm")
+    bound_sets = sweep(powers, g_x, g_w, cfg.noise.sigma_sq, p2_dbm=p2_dbm,
                        coeffs_x=coeffs_x, coeffs_w=coeffs_w, kappa=kappa_si)
 
     ctx.write(args.out, sweep_csv(powers, bound_sets))

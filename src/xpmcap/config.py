@@ -183,9 +183,8 @@ def ase_noise_variance(link: LinkParams, nsp: float = 1.0,
 _LINK_KEYS = {"gamma", "alpha_db_per_km", "beta2_ps2_per_km", "length_km",
               "baud_rate", "channel_spacing_hz", "memory"}
 _NOISE_KEYS = {"sigma_sq_w", "nsp", "center_freq_hz"}
-_SWEEP_KEYS = {"powers_dbm", "symmetric", "p2_dbm", "g_real_per_mw",
-               "g_abs_sq_per_mw2", "g_w_real_per_mw", "g_w_abs_sq_per_mw2",
-               "kappa_per_mw2"}
+_SWEEP_KEYS = {"powers_dbm", "p2_dbm", "g_real_per_mw", "g_abs_sq_per_mw2",
+               "g_w_real_per_mw", "g_w_abs_sq_per_mw2", "kappa_per_mw2"}
 _SIMULATION_KEYS = {"n", "p1_dbm", "p2_dbm", "model", "seed",
                     "g_real_per_mw", "g_imag_per_mw"}
 _PULSE_KEYS = {"kind", "rolloff", "width_s"}
@@ -228,7 +227,6 @@ class ToolkitConfig:
 #: Keys whose values are not plain numbers; every other key is parsed
 #: with float(), which also reads YAML 1.1's 32.0e9 (a string to PyYAML).
 _INT_KEYS = {"memory", "n", "seed", "n_samples", "n_symbols"}
-_BOOL_KEYS = {"symmetric"}
 _STR_KEYS = {"model", "kind"}
 _LIST_KEYS = {"powers_dbm"}
 
@@ -248,8 +246,6 @@ def _typed(section: str, mapping: dict) -> dict:
         if key in _INT_KEYS:
             _require(isinstance(value, int) and not isinstance(value, bool),
                      f"{name} must be an integer")
-        elif key in _BOOL_KEYS:
-            _require(isinstance(value, bool), f"{name} must be true or false")
         elif key in _STR_KEYS:
             _require(isinstance(value, str), f"{name} must be a string")
         elif key in _LIST_KEYS:

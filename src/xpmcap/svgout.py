@@ -132,7 +132,7 @@ def render_regions(layers, annotations=()) -> str:
     layers: iterable of (region, fill_color, fill_opacity, label); regions
     are drawn in order, later layers on top.
     """
-    layers = [l for l in layers if not l[0].is_empty]
+    layers = list(layers)
     xs_all = [0.0] + [v[0] for region, *_ in layers for v in region.vertices]
     ys_all = [0.0] + [v[1] for region, *_ in layers for v in region.vertices]
     canvas = _Canvas(_limits(xs_all), _limits(ys_all))

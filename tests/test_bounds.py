@@ -268,9 +268,13 @@ class TestBoundSetAndSweep:
             sweep([], ZERO, ZERO, SIGMA_SQ)
 
     def test_asymmetric_needs_p2(self):
-        with pytest.raises(ConfigError):
-            sweep([0.0], ZERO, ZERO, SIGMA_SQ,
-                  symmetric=False)
+        # A sweep is asymmetric exactly when p2_dbm is given.
+        powers = [-5.0, 0.0, 5.0]
+        g = coeff(0.035, 5.5e-5)
+        fixed = sweep(powers, g, g, SIGMA_SQ, p2_dbm=-10.0)
+        assert [b.at.p2 for b in fixed] == [dbm_to_watts(-10.0)] * 3
+        tracking = sweep(powers, g, g, SIGMA_SQ)
+        assert [b.at.p2 for b in tracking] == [b.at.p1 for b in tracking]
 
     def test_csv_round_trip(self, tmp_path):
         g = coeff(0.035, 5.5e-5)

@@ -211,12 +211,6 @@ class TestBatchIO:
             b"1,5e-324,1e+300,-0.0,-0.0,-1e+300,1.0\r\n"
             b"2,0.1,-0.0,0.3333333333333333,2.0,-5e-324,-0.1\r\n")
 
-    def test_simulate_full_model(self):
-        coeffs = random_tensor(1, np.random.default_rng(8), scale=0.1)
-        batch = simulate_batch(n=64, p1=1e-3, p2=1e-3, sigma_sq=0.0,
-                               master_seed=7, model="full", coeffs_x=coeffs)
-        assert batch.model_tag == "full"
-
     def test_output_is_receiver_x_channel_on_spawned_streams(self):
         # x, w and the noise of y come from the first three children of
         # the master seed, whatever else the batch could have drawn.
@@ -250,6 +244,3 @@ class TestBatchIO:
         with pytest.raises(ConfigError):
             SampleBatch(n=3, x=np.zeros(2, complex), w=np.zeros(3, complex),
                         y=np.zeros(3, complex))
-        with pytest.raises(ConfigError):
-            SampleBatch(n=1, x=np.zeros(1, complex), w=np.zeros(1, complex),
-                        y=np.zeros(1, complex), model_tag="other")

@@ -181,6 +181,42 @@ class TestSweepCommand:
         manifest = json.loads((out / "sweep-manifest.json").read_text())
         assert str(out / "tensor_x.json") in manifest["inputs"]
 
+    def test_config_pair_beats_both_tensors(self, tmp_path):
+        # The config's pair serves both receivers; receiver w's tensor
+        # must not replace it while receiver x keeps it.
+        rng = np.random.default_rng(4)
+        for user in ("x", "w"):
+            values = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal(
+                (3, 3, 3))
+            (tmp_path / f"t{user}.json").write_text(json.dumps(CoeffTensor(
+                user=user, memory=1, values=values).to_json_dict()))
+        base = ["--config", str(REPO / "configs" / "reference.yaml"),
+                "--out-dir", str(tmp_path), "--quiet", "sweep",
+                "--powers-dbm", "-5", "0", "5"]
+        assert run([*base, "--coeffs-x", str(tmp_path / "tx.json"),
+                    "--coeffs-w", str(tmp_path / "tw.json"),
+                    "--out", "tensors.csv"]) == 0
+        assert run([*base, "--out", "config.csv"]) == 0
+        with_tensors = read_sweep_csv(str(tmp_path / "tensors.csv"))
+        config_only = read_sweep_csv(str(tmp_path / "config.csv"))
+        for row, ref in zip(with_tensors, config_only):
+            assert row["u1"] == row["u2"]
+            assert [row[k] for k in ("u1", "u2", "u_sum")] == [
+                ref[k] for k in ("u1", "u2", "u_sum")]
+
+    def test_config_p2_dbm_makes_sweep_asymmetric(self, tmp_path):
+        (tmp_path / "p2.yaml").write_text("sweep: {p2_dbm: -10}\n")
+        base = ["--out-dir", str(tmp_path), "--quiet", "sweep",
+                "--powers-dbm", "-5", "0", "5",
+                "--g-real", "0.035", "--g-abs-sq", "5.545e-5"]
+        assert run(["--config", str(tmp_path / "p2.yaml"), *base,
+                    "--out", "config.csv"]) == 0
+        assert run([*base, "--p2-dbm", "-10", "--out", "flag.csv"]) == 0
+        assert run([*base, "--out", "symmetric.csv"]) == 0
+        text = (tmp_path / "config.csv").read_text()
+        assert text == (tmp_path / "flag.csv").read_text()
+        assert text != (tmp_path / "symmetric.csv").read_text()
+
 
 class TestRegionCommand:
     def test_published_pentagon(self, tmp_path):
@@ -432,6 +468,9 @@ MALFORMED = {
     "config-section-not-a-mapping": (
         {"c.yaml": "link: 0\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+    "config-sweep-symmetric-is-unknown": (
+        {"c.yaml": "sweep: {symmetric: true}\n"},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
 }
 
 
@@ -509,6 +548,18 @@ class TestBenchmarkSteps:
         assert proc.returncode == 0, proc.stderr
         spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
         assert {"cli.main", "verify.run_suite", "verify.dettrace"} <= {
+            s["name"] for s in spans}
+
+    def test_traced_region_step(self, tmp_path):
+        proc = self._step(tmp_path, "cli", "--quiet", "--out-dir",
+                          str(tmp_path), "region", "--u1", "0.39", "--u2",
+                          "0.39", "--usum", "0.494233", "--out", "r.json",
+                          "--svg", "r.svg", "--awgn", "0.39", "--ian1", "0.2",
+                          "--ian2", "0.2")
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+        assert {"regions.build_region", "regions.dominant_face_midpoint",
+                "regions.excess_area", "svgout.render_regions"} <= {
             s["name"] for s in spans}
 
     def test_traced_ianmc_step(self, tmp_path):
