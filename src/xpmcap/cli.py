@@ -291,8 +291,6 @@ def cmd_region(args) -> int:
             raise ConfigError("provide either --u1/--u2/--usum or "
                               "--from-sweep with --at-dbm")
         u1, u2, u_sum = args.u1, args.u2, args.usum
-    if min(u1, u2, u_sum) < 0:
-        raise ConfigError("bounds must be >= 0")
 
     region = build_region(u1, u2, u_sum)
     doc = region.to_json_dict()

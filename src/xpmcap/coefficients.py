@@ -12,7 +12,9 @@ pulse, additionally delayed by the accumulated walk-off between the two
 carriers as seen by receiver x; receiver w's window is the lag reversal
 of receiver x's (receiver_w_tensor). The distance integral uses composite
 Gauss-Legendre panels, checked against twice as many; the time integral
-is a trapezoid sum on the sampling grid.
+is a trapezoid sum on the sampling grid. A lag shift is a circular roll
+by whole samples per symbol, and only the Hermitian half m <= p of the
+interferer pair products is built.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
 all delays are applied on an internally zero-padded copy of the grid wide
@@ -142,13 +144,10 @@ class CoeffTensor:
 def _gauss_legendre_nodes(length_km: float, panels: int, nodes: int):
     """Nodes and weights of composite Gauss-Legendre on [0, length_km]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    zs, ws = [], []
     edges = np.linspace(0.0, length_km, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        zs.append(half * x + 0.5 * (a + b))
-        ws.append(half * w)
-    return np.concatenate(zs), np.concatenate(ws)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 def _pad_factor(link: LinkParams, grid: TimeFreqGrid) -> int:
@@ -183,49 +182,61 @@ def _initial_panels(link: LinkParams) -> int:
     return panels
 
 
+def _roll_into(out, rows, shifts) -> None:
+    """out[k] = np.roll(rows[k], shifts[k]) for each k, without temporaries."""
+    for dst, src, k in zip(out, rows, shifts):
+        k %= len(src)
+        dst[k:], dst[:k] = src[:len(src) - k], src[len(src) - k:]
+
+
 def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
                 ls, ms, ps, panels: int, z_nodes: int) -> np.ndarray:
     """Raw quadrature of the overlap kernel for all requested lag triples.
 
     Returns an array of shape (len(ls), len(ms), len(ps)) holding
     2j gamma * sum_k w_k e^(-alpha z_k) * dt * sum_t (overlap at z_k)
-    for receiver x.
+    for receiver x: c[l,m,p] = sum_t a_l b_mp with a_l = g* roll(g, l s)
+    and b_mp = roll(u_(p-m), m s), u_d = gw roll(gw, d s)*, for s samples
+    per symbol. Only m <= p is built; b_pm = b_mp* gives the rest.
     """
     T = link.symbol_period
     pgrid = grid.scaled(_pad_factor(link, grid))
-    base = pulse.samples(pgrid, T)
-    spec0 = np.fft.fft(base)
+    step = T / pgrid.dt
+    if abs(step - round(step)) > 1e-9 * step:
+        raise GridError(f"{step:.6g} samples per symbol is not a whole number")
+    step = round(step)
+    spec0 = np.fft.fft(pulse.samples(pgrid, T))
     w = pgrid.omega
     w_sq = w * w
 
-    shifts = sorted(set(ms) | set(ps))
-    m_idx = [shifts.index(m) for m in ms]
-    p_idx = [shifts.index(p) for p in ps]
-    ramp_l = np.stack([np.exp(-1j * w * (l * T)) for l in ls])
-    ramp_s = np.stack([np.exp(-1j * w * (s * T)) for s in shifts])
+    L = len(ls)
+    pairs = sorted({(min(m, p), max(m, p)) for m in ms for p in ps})
+    diffs = sorted({p - m for m, p in pairs})
+    flip = np.array([[m > p for p in ps] for m in ms])
+    rows = np.arange(L)[:, None, None] + L * flip
+    cols = np.array([[pairs.index((min(m, p), max(m, p))) for p in ps]
+                     for m in ms])
 
     zs, wq = _gauss_legendre_nodes(link.length_km, panels, z_nodes)
     weights = wq * np.exp(-link.alpha_np_per_km * zs)
 
-    n = pgrid.n_samples
-    shape = (len(ls), len(ms), len(ps))
-    out_flat = np.zeros((len(ls), len(ms) * len(ps)), dtype=np.complex128)
-    b = np.empty((len(ms) * len(ps), n), dtype=np.complex128)
+    acc = np.zeros((2 * L, len(pairs)), dtype=np.complex128)
+    a, u, b = (np.empty((k, pgrid.n_samples), dtype=np.complex128)
+               for k in (2 * L, len(diffs), len(pairs)))
     for z, wz in zip(zs, weights):
         disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * w_sq)
-        tau = link.walkoff_delay_s(z)
-
-        gl = np.fft.ifft(disp[None, :] * ramp_l, axis=1)
-        g0 = gl[ls.index(0)] if 0 in ls else np.fft.ifft(disp)
-        a = np.conj(g0)[None, :] * gl
-
-        disp_w = disp * np.exp(-1j * w * tau)
-        gw = np.fft.ifft(disp_w[None, :] * ramp_s, axis=1)
-        gw_p_conj = np.conj(gw[p_idx])
-        np.multiply(gw[m_idx][:, None, :], gw_p_conj[None, :, :],
-                    out=b.reshape(len(ms), len(ps), n))
-        out_flat += wz * (a @ b.T)
-    return (2j * link.gamma * pgrid.dt) * out_flat.reshape(shape)
+        g = np.fft.ifft(disp)
+        gw = np.fft.ifft(disp * np.exp(-1j * w * link.walkoff_delay_s(z)))
+        _roll_into(a[:L], [g] * L, [l * step for l in ls])
+        a[:L] *= np.conj(g)
+        np.conjugate(a[:L], out=a[L:])
+        _roll_into(u, [np.conj(gw)] * len(diffs), [d * step for d in diffs])
+        u *= gw
+        _roll_into(b, [u[diffs.index(p - m)] for m, p in pairs],
+                   [m * step for m, _ in pairs])
+        acc += wz * (a @ b.T)
+    values = acc[rows, cols]
+    return (2j * link.gamma * pgrid.dt) * np.where(flip, values.conj(), values)
 
 
 def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,

@@ -118,8 +118,12 @@ class TimeFreqGrid:
     @classmethod
     def for_link(cls, link: LinkParams, n_samples: int = 4096,
                  n_symbols: int = 64) -> "TimeFreqGrid":
-        """Default grid: n_symbols symbol periods, validated against link."""
+        """Default grid: n_symbols symbol periods, validated against link;
+        n_samples must be a multiple of n_symbols (whole-sample lags)."""
         grid = cls(n_samples, n_symbols * link.symbol_period)
+        if n_samples % n_symbols:
+            raise ConfigError(f"n_samples {n_samples} is not a multiple of "
+                              f"n_symbols {n_symbols}")
         grid.check_covers(link)
         return grid
 

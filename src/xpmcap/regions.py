@@ -16,21 +16,9 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, NoDominantFaceError
 
-#: Absolute tolerance (bits) for slope detection.
-GEOM_TOL = 1e-9
 _DEDUP_TOL = 1e-12
 
 REGION_TAGS = ("theorem1", "awgn-box", "ian-box", "custom")
-
-
-def _shoelace(vertices) -> float:
-    s = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
 
 
 def _vertices(u1: float, u2: float, s: float) -> tuple:
@@ -74,14 +62,10 @@ class Region2D:
                            _vertices(self.u1, self.u2, self.u_sum))
 
     def area(self) -> float:
-        if len(self.vertices) < 3:
-            return 0.0
-        return _shoelace(self.vertices)
-
-    def edges(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
+        """The box min(u1, s) x min(u2, s) less the corner the sum bound
+        s cuts off."""
+        a, b = min(self.u1, self.u_sum), min(self.u2, self.u_sum)
+        return a * b - max(0.0, a + b - self.u_sum) ** 2 / 2.0
 
     def to_json_dict(self) -> dict:
         return {"tag": self.tag,
@@ -100,16 +84,19 @@ def build_region(u1: float, u2: float, u_sum: float,
 
 
 def dominant_face_midpoint(region: Region2D):
-    """Midpoint of the slope -1 (sum-rate) edge.
+    """Midpoint of the slope -1 (sum-rate) edge, from (min(u1, s),
+    max(0, s - u1)) to (max(0, s - u2), min(u2, s)) with s = u_sum.
 
-    Raises NoDominantFaceError when no such edge exists, e.g. for
+    Raises NoDominantFaceError when that edge has no length, e.g. for
     rectangles whose sum constraint is slack.
     """
-    for (x0, y0), (x1, y1) in region.edges():
-        dx, dy = x1 - x0, y1 - y0
-        if abs(dx) > GEOM_TOL and abs(dx + dy) <= GEOM_TOL * max(1.0, abs(dx)):
-            return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    raise NoDominantFaceError("no dominant face: region has no slope -1 edge")
+    u1, u2, s = region.u1, region.u2, region.u_sum
+    x0, y0 = min(u1, s), max(0.0, s - u1)
+    x1, y1 = max(0.0, s - u2), min(u2, s)
+    if not x1 < x0:
+        raise NoDominantFaceError(
+            "no dominant face: region has no slope -1 edge")
+    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
 def intersect(a: Region2D, b: Region2D) -> Region2D:

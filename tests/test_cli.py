@@ -462,6 +462,13 @@ MALFORMED = {
     "config-grid-size-not-an-integer": (
         {"c.yaml": "grid: {n_samples: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-samples-not-a-multiple-of-symbols": (
+        {"c.yaml": "grid: {n_samples: 4096, n_symbols: 48}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "region-u1-nan": (
+        {}, ["region", "--u1", "nan", "--u2", "1", "--usum", "1"]),
+    "region-usum-negative": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "-1"]),
     "config-rolloff-not-a-number": (
         {"c.yaml": "pulse: {rolloff: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
@@ -561,6 +568,21 @@ class TestBenchmarkSteps:
         assert {"regions.build_region", "regions.dominant_face_midpoint",
                 "regions.excess_area", "svgout.render_regions"} <= {
             s["name"] for s in spans}
+
+    def test_traced_coeffs_step(self, tmp_path, config_path):
+        # perfbench divides its per-layer coefficient metrics by the
+        # number of pulses.samples calls: one per quadrature level.
+        proc = self._step(tmp_path, "cli", "--config", config_path,
+                          "--quiet", "--out-dir", str(tmp_path), "coeffs",
+                          "--memory", "1")
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+        names = [s["name"] for s in spans]
+        assert {"coefficients.coefficient_tensor",
+                "coefficients.to_json_dict"} <= set(names)
+        samples = [s for s in spans if s["name"] == "pulses.samples"]
+        assert len(samples) == names.count("pulses.fft") == 2
+        assert all(s["n"] >= 1024 for s in samples)
 
     def test_traced_ianmc_step(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -6,9 +6,10 @@ import pytest
 
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
                                  receiver_w_tensor, xpm_coefficient,
-                                 _initial_panels, _pad_factor, _window_sum)
+                                 _gauss_legendre_nodes, _initial_panels,
+                                 _pad_factor, _window_sum)
 from xpmcap.config import LinkParams, effective_length
-from xpmcap.errors import ConfigError, QuadratureError
+from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape, TimeFreqGrid
 
 # Short span keeps the dispersion spread small so unit tests run on a
@@ -132,6 +133,52 @@ class TestQuadrature:
     def test_initial_panels_track_walkoff(self):
         assert _initial_panels(SHORT) == 1
         assert _initial_panels(LinkParams()) >= 2
+
+
+def _ramp_window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes):
+    """Reference kernel: every lag shift a phase ramp with its own inverse
+    FFT, and all len(ms) * len(ps) pair products formed."""
+    T = link.symbol_period
+    pgrid = grid.scaled(_pad_factor(link, grid))
+    spec0 = np.fft.fft(pulse.samples(pgrid, T))
+    w = pgrid.omega
+    ramp_l = np.stack([np.exp(-1j * w * (l * T)) for l in ls])
+    ramp_m = np.stack([np.exp(-1j * w * (m * T)) for m in ms])
+    ramp_p = np.stack([np.exp(-1j * w * (p * T)) for p in ps])
+    zs, wq = _gauss_legendre_nodes(link.length_km, panels, z_nodes)
+    out = np.zeros((len(ls), len(ms) * len(ps)), dtype=np.complex128)
+    for z, wz in zip(zs, wq * np.exp(-link.alpha_np_per_km * zs)):
+        disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * w * w)
+        g = np.fft.ifft(disp)
+        a = np.conj(g) * np.fft.ifft(disp * ramp_l, axis=1)
+        disp_w = disp * np.exp(-1j * w * link.walkoff_delay_s(z))
+        gm = np.fft.ifft(disp_w * ramp_m, axis=1)
+        gp = np.fft.ifft(disp_w * ramp_p, axis=1)
+        b = (gm[:, None, :] * np.conj(gp)[None, :, :]).reshape(-1, len(w))
+        out += wz * (a @ b.T)
+    return (2j * link.gamma * pgrid.dt) * out.reshape(
+        len(ls), len(ms), len(ps))
+
+
+class TestKernelOracle:
+    """_window_sum against the phase-ramp reference kernel above."""
+
+    @pytest.mark.parametrize("pulse", [SINC, GAUSS], ids=["sinc", "gauss"])
+    @pytest.mark.parametrize("lags", [
+        ([-1, 0, 1], [-1, 0, 1], [-1, 0, 1]),
+        ([1], [-1], [1]),
+        ([0], [1], [-1]),
+    ], ids=["window", "1,-1,1", "0,1,-1"])
+    def test_matches_phase_ramp_kernel(self, pulse, lags):
+        panels = _initial_panels(SHORT)
+        fast = _window_sum(SHORT, pulse, GRID, *lags, panels, 64)
+        slow = _ramp_window_sum(SHORT, pulse, GRID, *lags, panels, 64)
+        assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+    def test_fractional_samples_per_symbol_rejected(self):
+        grid = TimeFreqGrid(1024, 30.5 * T)
+        with pytest.raises(GridError):
+            _window_sum(SHORT, SINC, grid, [0], [0], [0], 1, 64)
 
 
 class TestGaussianDispersionOracle:

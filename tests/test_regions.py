@@ -97,6 +97,13 @@ class TestDominantFace:
         with pytest.raises(NoDominantFaceError):
             dominant_face_midpoint(build_region(1.0, 1.0, 0.0))
 
+    def test_tiny_bound_keeps_its_face(self):
+        # the face follows from the triple, with no slope tolerance
+        mid = dominant_face_midpoint(build_region(1.0, 1e-9, 1.0))
+        assert mid == pytest.approx((0.9999999995, 5e-10), rel=1e-15)
+        with pytest.raises(NoDominantFaceError):
+            dominant_face_midpoint(build_region(0.0, 1.0, 0.5))
+
 
 class TestIntersect:
     def test_subset_returns_subset(self):
