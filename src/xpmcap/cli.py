@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Commands: coeffs, sweep, region, simulate, verify. Each command writes
-its outputs atomically (write-then-rename) into --out-dir together with a
-run manifest listing the effective configuration, input digests, output
-digests, wall time and master seed.
+Commands: coeffs, sweep, region, simulate, verify. `main` runs each
+command inside one RunContext, which loads the configuration, resolves
+the master seed and creates --out-dir before the command runs, and writes
+the run manifest (effective configuration, input digests, output digests,
+wall time and master seed) after it returns. Outputs are written
+atomically (write-then-rename).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 numerical failure.
+error or an unreadable input or unwritable output, 3 numerical failure.
+Exit codes 2 and 3 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .channel import simulate_batch, write_batch_csv
 from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
-                     SampleBudgetError, ToolkitError)
+                     ToolkitError)
 from .pulses import PulseShape, TimeFreqGrid
 from .regions import build_region, dominant_face_midpoint, excess_area
 from .svgout import render_curves, render_regions
@@ -79,28 +82,30 @@ def _json_text(obj) -> str:
 
 
 class RunContext:
-    """Collects inputs/outputs of one command and writes its manifest."""
+    """One command's run: its effective configuration, master seed and
+    output directory, and the inputs and outputs its manifest records."""
 
-    def __init__(self, command: str, args, config: ToolkitConfig,
-                 master_seed: int):
-        self.command = command
+    def __init__(self, args):
         self.args = args
-        self.config = config
-        self.master_seed = master_seed
-        self.out_dir = args.out_dir
-        self.quiet = args.quiet
+        path = args.config or os.environ.get(ENV_CONFIG)
+        self.config = load_config(path) if path else ToolkitConfig()
+        seed = args.seed if args.seed is not None else \
+            self.config.simulation.get("seed", DEFAULT_MASTER_SEED)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        self.master_seed = seed
         self.t0 = time.monotonic()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        os.makedirs(self.out_dir, exist_ok=True)
-        if config.source_path:
-            self.note_input(config.source_path)
+        os.makedirs(args.out_dir, exist_ok=True)
+        if self.config.source_path:
+            self.note_input(self.config.source_path)
 
     def note_input(self, path: str) -> None:
         self.inputs[path] = _sha256_file(path)
 
     def out_path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
+        return os.path.join(self.args.out_dir, name)
 
     def write(self, name: str, text: str) -> str:
         return self.write_with(name, lambda tmp: _write_text(tmp, text))
@@ -114,12 +119,12 @@ class RunContext:
         return path
 
     def say(self, message: str) -> None:
-        if not self.quiet:
+        if not self.args.quiet:
             print(message)
 
     def finish(self) -> None:
         manifest = {
-            "command": self.command,
+            "command": self.args.command,
             "argv": self.args.argv,
             "version": __version__,
             "master_seed": self.master_seed,
@@ -130,34 +135,13 @@ class RunContext:
             "wall_time_s": time.monotonic() - self.t0,
         }
         text = _json_text(manifest)
-        _atomic_write(self.out_path(f"{self.command}-manifest.json"),
+        _atomic_write(self.out_path(f"{self.args.command}-manifest.json"),
                       lambda tmp: _write_text(tmp, text))
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _load_effective_config(args) -> ToolkitConfig:
-    path = args.config or os.environ.get(ENV_CONFIG)
-    if path:
-        return load_config(path)
-    return ToolkitConfig()
-
-
-def _pulse_from_config(cfg: ToolkitConfig) -> PulseShape:
-    p = cfg.pulse
-    return PulseShape(kind=p.get("kind", "nyquist-sinc"),
-                      rolloff=p.get("rolloff", 0.1),
-                      width_s=p.get("width_s"))
-
-
-def _grid_from_config(cfg: ToolkitConfig, link) -> TimeFreqGrid:
-    g = cfg.grid
-    return TimeFreqGrid.for_link(link,
-                                 n_samples=g.get("n_samples", 4096),
-                                 n_symbols=g.get("n_symbols", 64))
 
 
 def _load_tensor(ctx: RunContext, path: str) -> CoeffTensor:
@@ -202,8 +186,8 @@ def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None,
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args) -> int:
-    cfg = _load_effective_config(args)
+def cmd_coeffs(args, ctx: RunContext) -> int:
+    cfg = ctx.config
     link = cfg.link
     overrides = {}
     if args.memory is not None:
@@ -212,24 +196,22 @@ def cmd_coeffs(args) -> int:
         overrides["length_km"] = args.length_km
     if overrides:
         link = dataclasses.replace(link, **overrides)
-    ctx = RunContext("coeffs", args, cfg, _master_seed(args, cfg))
-    pulse = _pulse_from_config(cfg)
-    grid = _grid_from_config(cfg, link)
-    tx, report = coefficient_tensor(link, pulse, grid, with_report=True)
+        # The manifest records the link the tensors were computed on.
+        ctx.config = dataclasses.replace(cfg, link=link)
+    tx, report = coefficient_tensor(link, PulseShape(**cfg.pulse),
+                                    TimeFreqGrid.for_link(link, **cfg.grid),
+                                    with_report=True)
     for tensor in (tx, receiver_w_tensor(tx)):
-        ctx.write(f"{args.out_base}_{tensor.user}.json",
+        ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
     # One quadrature serves both receivers, so both share its report.
-    ctx.write(f"{args.out_base}_convergence.json",
+    ctx.write("tensor_convergence.json",
               _json_text({"x": report, "w": report}))
-    ctx.finish()
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_effective_config(args)
-    ctx = RunContext("sweep", args, cfg, _master_seed(args, cfg))
-    sweep_cfg = cfg.sweep
+def cmd_sweep(args, ctx: RunContext) -> int:
+    sweep_cfg = ctx.config.sweep
 
     powers = args.powers_dbm or sweep_cfg.get("powers_dbm")
     if not powers:
@@ -245,8 +227,9 @@ def cmd_sweep(args) -> int:
     kappa_si = kappa * _PER_MW2 if kappa is not None else None
     p2_dbm = args.p2_dbm if args.p2_dbm is not None else \
         sweep_cfg.get("p2_dbm")
-    bound_sets = sweep(powers, g_x, g_w, cfg.noise.sigma_sq, p2_dbm=p2_dbm,
-                       coeffs_x=coeffs_x, coeffs_w=coeffs_w, kappa=kappa_si)
+    bound_sets = sweep(powers, g_x, g_w, ctx.config.noise.sigma_sq,
+                       p2_dbm=p2_dbm, coeffs_x=coeffs_x, coeffs_w=coeffs_w,
+                       kappa=kappa_si)
 
     ctx.write(args.out, sweep_csv(powers, bound_sets))
     if args.json:
@@ -261,14 +244,10 @@ def cmd_sweep(args) -> int:
         ]
         ctx.write(args.svg, render_curves(series, "P1 (dBm)",
                                           "Rate (bits per symbol)"))
-    ctx.finish()
     return EXIT_OK
 
 
-def cmd_region(args) -> int:
-    cfg = _load_effective_config(args)
-    ctx = RunContext("region", args, cfg, _master_seed(args, cfg))
-
+def cmd_region(args, ctx: RunContext) -> int:
     awgn = args.awgn
     ian1, ian2 = args.ian1, args.ian2
     if args.from_sweep:
@@ -319,14 +298,11 @@ def cmd_region(args) -> int:
                 f"excess area: bound region outside ian box = "
                 f"{excess_area(region, ian_box):.4g} bits^2")
         ctx.write(args.svg, render_regions(layers, annotations))
-    ctx.finish()
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_effective_config(args)
-    ctx = RunContext("simulate", args, cfg, _master_seed(args, cfg))
-    sim = cfg.simulation
+def cmd_simulate(args, ctx: RunContext) -> int:
+    sim = ctx.config.simulation
 
     n = args.n if args.n is not None else sim.get("n", 4096)
     p1_dbm = args.p1_dbm if args.p1_dbm is not None else sim.get("p1_dbm", 0.0)
@@ -355,16 +331,13 @@ def cmd_simulate(args) -> int:
 
     batch = simulate_batch(
         n=n, p1=dbm_to_watts(p1_dbm), p2=dbm_to_watts(p2_dbm),
-        sigma_sq=cfg.noise.sigma_sq, master_seed=ctx.master_seed,
+        sigma_sq=ctx.config.noise.sigma_sq, master_seed=ctx.master_seed,
         model=model, g_x=g_x, coeffs_x=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
-    ctx.finish()
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_effective_config(args)
-    ctx = RunContext("verify", args, cfg, _master_seed(args, cfg))
+def cmd_verify(args, ctx: RunContext) -> int:
     reports = run_suite(args.suite, args.samples, ctx.master_seed)
     ctx.write(args.out, _json_text([r.to_dict() for r in reports]))
     failed = [r for r in reports if r.verdict == "fail"]
@@ -373,19 +346,10 @@ def cmd_verify(args) -> int:
                   if r.stderr > 0 else "")
         ctx.say(f"{r.verdict.upper():4s} {r.name}: estimate={r.estimate:.6g} "
                 f"bound={r.bound:.6g} stderr={r.stderr:.3g}{margin}")
-    ctx.finish()
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _master_seed(args, cfg: ToolkitConfig) -> int:
-    seed = args.seed if args.seed is not None else \
-        cfg.simulation.get("seed", DEFAULT_MASTER_SEED)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="compute per-user coefficient tensors")
-    p.add_argument("--out-base", default="tensor", dest="out_base",
-                   help="basename for tensor_{x,w}.json outputs")
     p.add_argument("--memory", type=int, help="override link memory window")
     p.add_argument("--length-km", type=float, dest="length_km",
                    help="override span length")
@@ -486,20 +448,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv  # the manifest records what was parsed
     try:
-        return args.func(args)
-    except (ConfigError, SampleBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        ctx = RunContext(args)
+        code = args.func(args, ctx)
+        ctx.finish()
+        return code
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ToolkitError as exc:
+    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error reading inputs: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

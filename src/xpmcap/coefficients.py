@@ -113,10 +113,17 @@ class CoeffTensor:
         try:
             user = doc["user"]
             memory = int(doc["memory"])
+            entries = doc["entries"]
             side = 2 * memory + 1
+            # Checked before the window is allocated, so a large memory
+            # with too few entries cannot size the allocation.
+            if memory < 0 or len(entries) != side ** 3:
+                raise ConfigError(
+                    f"tensor document does not fill the full window: "
+                    f"{len(entries)} entries for memory {memory}")
             values = np.full((side, side, side), np.nan + 0j,
                              dtype=np.complex128)
-            for e in doc["entries"]:
+            for e in entries:
                 l, m, p = int(e["l"]), int(e["m"]), int(e["p"])
                 if max(abs(l), abs(m), abs(p)) > memory:
                     raise ConfigError(

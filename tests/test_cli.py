@@ -94,6 +94,8 @@ class TestCoeffsCommand:
                     "coeffs", "--memory", "0"]) == 0
         tx = json.loads((out / "tensor_x.json").read_text())
         assert len(tx["entries"]) == 1
+        manifest = json.loads((out / "coeffs-manifest.json").read_text())
+        assert manifest["config"]["link"]["memory"] == 0
 
     def test_zero_length_gives_zero_tensor(self, tmp_path, config_path):
         out = tmp_path / "l0"
@@ -101,6 +103,8 @@ class TestCoeffsCommand:
                     "coeffs", "--length-km", "0"]) == 0
         tx = json.loads((out / "tensor_x.json").read_text())
         assert all(e["re"] == 0.0 and e["im"] == 0.0 for e in tx["entries"])
+        manifest = json.loads((out / "coeffs-manifest.json").read_text())
+        assert manifest["config"]["link"]["length_km"] == 0.0
 
 
 class TestSweepCommand:
@@ -412,6 +416,8 @@ class TestVerifyCommand:
         code = run(["--out-dir", str(tmp_path), "--quiet", "verify",
                     "--suite", "moments", "--out", "f.json"])
         assert code == 1
+        manifest = json.loads((tmp_path / "verify-manifest.json").read_text())
+        assert list(manifest["outputs"]) == [str(tmp_path / "f.json")]
 
     def test_sample_budget_is_usage_error(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--quiet", "verify",
@@ -478,6 +484,19 @@ MALFORMED = {
     "config-sweep-symmetric-is-unknown": (
         {"c.yaml": "sweep: {symmetric: true}\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+    "tensor-file-missing": (
+        {}, ["sweep", "--powers-dbm", "0", "--coeffs-x", "@missing.json"]),
+    "tensor-file-not-json": (
+        {"t.json": "not json\n"},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    # 200001^3 lags: the entry count must be checked before any allocation.
+    "tensor-memory-without-entries": (
+        {"t.json": json.dumps({"user": "x", "memory": 100000,
+                               "entries": []})},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "region-out-in-missing-directory": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
+             "--out", "nodir/r.json"]),
 }
 
 
@@ -583,6 +602,11 @@ class TestBenchmarkSteps:
         samples = [s for s in spans if s["name"] == "pulses.samples"]
         assert len(samples) == names.count("pulses.fft") == 2
         assert all(s["n"] >= 1024 for s in samples)
+        # perfbench sums coefficients.tensor_save_ms from these spans.
+        written = {s["file"] for s in spans if s["name"] == "cli.write"}
+        assert {"tensor_x.json", "tensor_w.json"} <= written
+        assert sum(s["name"] == "cli.json_text" and s["tensor"]
+                   for s in spans) == 2
 
     def test_traced_ianmc_step(self, tmp_path):
         rng = np.random.default_rng(2)
