@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import interference_terms, sample_cscg, spawn_seeds
+from .channel import _lag_stack, interference_terms, sample_cscg, spawn_seeds
 from .coefficients import CoeffTensor
 from .config import PowerPair, dbm_to_watts
 from .errors import BoundDomainError, ConfigError, SampleBudgetError
@@ -130,8 +130,10 @@ def interference_variance_mc(coeffs: CoeffTensor, pp: PowerPair, n: int,
     and averages |residual|^2. Returns (estimate, stderr) where stderr is
     the standard error over block means.
 
-    Raises SampleBudgetError when n is too small for the window.
+    Raises SampleBudgetError when n is too small for the window or blocks < 2.
     """
+    if blocks < 2:
+        raise SampleBudgetError(f"blocks={blocks}: need at least 2")
     M = coeffs.memory
     block_len = max(4 * (2 * M + 1), n // blocks)
     if n < blocks * (2 * M + 1):
@@ -139,15 +141,13 @@ def interference_variance_mc(coeffs: CoeffTensor, pp: PowerPair, n: int,
             f"n={n} too small: need at least {blocks * (2 * M + 1)} samples "
             f"for {blocks} blocks of window {2 * M + 1}")
     gains = coeffs.coherent_gains()
-    lags = list(coeffs.lags())
     seeds = spawn_seeds(seed, 2 * blocks)
     means = np.empty(blocks)
     for b in range(blocks):
         x = sample_cscg(block_len, pp.p1, seeds[2 * b])
         w = sample_cscg(block_len, pp.p2, seeds[2 * b + 1])
         total = interference_terms(x, w, coeffs)
-        coherent = pp.p2 * sum(gains[i] * np.roll(x, l)
-                               for i, l in enumerate(lags))
+        coherent = pp.p2 * (gains @ _lag_stack(x, 0, block_len, M))
         resid = total - coherent
         means[b] = float(np.mean(np.abs(resid) ** 2))
     estimate = float(np.mean(means))

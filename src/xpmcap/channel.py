@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import CoeffTensor
 from .errors import ConfigError
@@ -21,6 +22,9 @@ BATCH_CSV_HEADER = ("k", "x_re", "x_im", "w_re", "w_im", "y_re", "y_im")
 #: Rows formatted at a time by write_batch_csv; bounds the Python floats
 #: held at once (six per row) for long batches.
 _CSV_BLOCK_ROWS = 65536
+
+#: Symbols per cyclic chunk of interference_terms.
+_CHUNK = 2048
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -73,40 +77,51 @@ def full_channel(x: np.ndarray, w: np.ndarray, coeffs: CoeffTensor,
     y[k] = x[k] + sum_{l,m,p} c[l,m,p] w[k-m] conj(w[k-p]) x[k-l] + noise.
 
     Lagged indices wrap around the block, which preserves stationarity of
-    the interference for moment estimation. Entries are accumulated in a
-    fixed (l,m,p) order, so a window whose only nonzero entry is c[0,0,0]
-    reproduces memoryless_channel bit for bit.
+    the interference for moment estimation. interference_terms adds the
+    centre tap first, as memoryless_channel does, so a window whose only
+    nonzero entry is c[0,0,0] reproduces memoryless_channel bit for bit.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if x.shape != w.shape:
-        raise ConfigError("input sequences must have equal length")
     y = x + interference_terms(x, w, coeffs)
     if sigma_sq > 0:
-        y = y + _cscg(_rng(seed), x.size, sigma_sq)
+        y = y + _cscg(_rng(seed), y.size, sigma_sq)
     return y
+
+
+def _lag_stack(v: np.ndarray, s: int, e: int, M: int) -> np.ndarray:
+    """Row l+M holds v[k-l] for k = s..e-1, l = -M..M, indices mod len(v):
+    views into one copy of the chunk and its M-symbol halo."""
+    ext = v[np.arange(s - M, e + M) % v.size]
+    return sliding_window_view(ext, e - s)[::-1]
 
 
 def interference_terms(x: np.ndarray, w: np.ndarray,
                        coeffs: CoeffTensor) -> np.ndarray:
     """Trilinear interference sum of the full-memory model (no noise,
-    no identity term)."""
+    no identity term).
+
+    The centre tap goes first, as memoryless_channel's (c * (w conj(w))) x,
+    so a window with no other tap is bitwise memoryless_channel. The other
+    taps follow in cyclic _CHUNK-symbol chunks with an M-symbol halo, each
+    one matmul of the tensor (centre zeroed) by the chunk's pair products.
+    """
+    x, w = np.asarray(x, complex), np.asarray(w, complex)
+    if x.shape != w.shape:
+        raise ConfigError("input sequences must have equal length")
     n = x.size
     M = coeffs.memory
-    if n < 2 * M + 1:
-        raise ConfigError(
-            f"block of {n} symbols is shorter than the coefficient window "
-            f"({2 * M + 1})")
-    rolls_x = {l: np.roll(x, l) for l in coeffs.lags()}
-    rolls_w = {m: np.roll(w, m) for m in coeffs.lags()}
-    acc = np.zeros(n, dtype=np.complex128)
-    for l in coeffs.lags():
-        for m in coeffs.lags():
-            for p in coeffs.lags():
-                c = coeffs.values[l + M, m + M, p + M]
-                if c == 0:
-                    continue
-                acc += (c * (rolls_w[m] * np.conj(rolls_w[p]))) * rolls_x[l]
+    side = 2 * M + 1
+    if n < side:
+        raise ConfigError(f"block of {n} symbols is shorter than the "
+                          f"coefficient window ({side})")
+    acc = (coeffs.values[M, M, M] * (w * np.conj(w))) * x
+    rest = coeffs.values.copy()
+    rest[M, M, M] = 0
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        lw = _lag_stack(w, s, e, M)
+        pairs = (lw[:, None] * np.conj(lw)[None]).reshape(side * side, -1)
+        acc[s:e] += np.einsum("lk,lk->k", rest.reshape(side, -1) @ pairs,
+                              _lag_stack(x, s, e, M))
     return acc
 
 

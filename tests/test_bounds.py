@@ -13,7 +13,7 @@ from xpmcap.bounds import (BoundSet, EffectiveCoefficient, awgn_capacity,
                            sweep, sweep_csv)
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.config import PowerPair, dbm_to_watts
-from xpmcap.errors import BoundDomainError, ConfigError
+from xpmcap.errors import BoundDomainError, ConfigError, SampleBudgetError
 
 SIGMA_SQ = 1.0e-3  # 2 sigma^2 = 2.0 mW, the calibrated default
 ZERO = EffectiveCoefficient()
@@ -171,9 +171,16 @@ class TestInterferenceVariance:
     def test_mc_sample_budget(self):
         coeffs = CoeffTensor(user="x", memory=2,
                              values=np.ones((5, 5, 5), complex))
-        from xpmcap.errors import SampleBudgetError
         with pytest.raises(SampleBudgetError):
             interference_variance_mc(coeffs, PowerPair(1e-3, 1e-3), 10, 1)
+
+    @pytest.mark.parametrize("blocks", [1, 0, -1])
+    def test_mc_needs_two_blocks(self, blocks):
+        coeffs = CoeffTensor(user="x", memory=1,
+                             values=np.ones((3, 3, 3), complex))
+        with pytest.raises(SampleBudgetError):
+            interference_variance_mc(coeffs, PowerPair(1e-3, 1e-3), 10 ** 4,
+                                     1, blocks=blocks)
 
 
 class TestIanRate:

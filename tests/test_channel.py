@@ -1,13 +1,15 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpmcap.channel import (BATCH_CSV_HEADER, SampleBatch, full_channel,
-                            interference_terms, memoryless_channel,
-                            real_imag_decompose, sample_cscg, simulate_batch,
-                            spawn_seeds, write_batch_csv)
+from xpmcap.channel import (_CHUNK, BATCH_CSV_HEADER, SampleBatch,
+                            full_channel, interference_terms,
+                            memoryless_channel, real_imag_decompose,
+                            sample_cscg, simulate_batch, spawn_seeds,
+                            write_batch_csv)
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.errors import ConfigError
 
@@ -32,6 +34,15 @@ def brute_force_output(x, w, coeffs):
                             * np.conj(w[(k - p) % n]) * x[(k - l) % n])
         y[k] += acc
     return y
+
+
+def brute_force_row(x, w, coeffs, k):
+    """Interference at symbol k and the sum of its terms' moduli."""
+    lags = np.arange(-coeffs.memory, coeffs.memory + 1)
+    xl = x[(k - lags) % x.size]
+    wl = w[(k - lags) % w.size]
+    terms = coeffs.values * np.einsum("l,m,p->lmp", xl, wl, np.conj(wl))
+    return terms.sum(), np.abs(terms).sum()
 
 
 class TestSampleCscg:
@@ -151,6 +162,47 @@ class TestFullChannel:
         x = sample_cscg(5, 1e-3, 1)
         with pytest.raises(ConfigError):
             interference_terms(x, x, coeffs)
+
+    def test_interference_terms_length_mismatch(self):
+        coeffs = random_tensor(1, np.random.default_rng(2))
+        with pytest.raises(ConfigError):
+            interference_terms(sample_cscg(8, 1e-3, 1),
+                               sample_cscg(9, 1e-3, 2), coeffs)
+
+    @pytest.mark.parametrize("memory", [2, 5])
+    def test_rows_across_chunk_edges_match_brute_force(self, memory):
+        M = memory
+        rng = np.random.default_rng(500 + M)
+        coeffs = random_tensor(M, rng, scale=10.0)
+        before = coeffs.values.copy()
+        for n in (2 * _CHUNK + 5, 2 * M + 1):
+            x = sample_cscg(n, 1e-3, 31 + n)
+            w = sample_cscg(n, 2e-3, 37 + n)
+            x0, w0 = x.copy(), w.copy()
+            terms = interference_terms(x, w, coeffs)
+            rows = set(range(M + 1)) | set(range(n - M - 1, n))
+            for edge in range(_CHUNK, n, _CHUNK):
+                rows |= set(range(edge - M, edge + M + 1))
+            for k in sorted(r for r in rows if 0 <= r < n):
+                ref, scale = brute_force_row(x, w, coeffs, k)
+                assert abs(terms[k] - ref) <= 1e-12 * scale, (n, k)
+            assert np.array_equal(x, x0) and np.array_equal(w, w0)
+        assert np.array_equal(coeffs.values, before)
+
+    def test_peak_memory_grows_by_a_few_arrays_per_symbol(self):
+        coeffs = random_tensor(5, np.random.default_rng(3))
+        peaks = []
+        for n in (10 ** 5, 2 * 10 ** 5):
+            x = sample_cscg(n, 1e-3, 1)
+            w = sample_cscg(n, 1e-3, 2)
+            tracemalloc.start()
+            try:
+                interference_terms(x, w, coeffs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # at most 4 complex128 arrays of length n, not one per lag
+        assert peaks[1] - peaks[0] <= 4 * 16 * 10 ** 5
 
 
 class TestRealImagDecompose:
