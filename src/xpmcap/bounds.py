@@ -236,38 +236,26 @@ def evaluate_bounds(pp: PowerPair, g_x: EffectiveCoefficient,
 
 def sweep(powers_dbm, g_x: EffectiveCoefficient, g_w: EffectiveCoefficient,
           sigma_sq: float, p2_dbm: float | None = None,
-          coeffs_x: CoeffTensor | None = None,
-          coeffs_w: CoeffTensor | None = None,
           kappa: float | None = None) -> list[BoundSet]:
     """Evaluate the bound set along a list of user-1 powers in dBm.
 
     The second user's power is fixed at p2_dbm when given and otherwise
-    tracks the first (a symmetric sweep). The interference-as-noise terms
-    use, in order of preference, the coefficient tensors (analytic
-    variance), the cubic coefficient kappa (sum |c|^2, 1/W^2, shared by
-    both users), or zero interference.
+    tracks the first (a symmetric sweep). kappa = sum |c|^2 (1/W^2) gives
+    both interference-as-noise terms through the analytic variance
+    P1 P2^2 kappa (interference_variance): receiver w's window is receiver
+    x's with its lags reversed, so the sum is shared. None means no
+    interference.
     """
     powers_dbm = list(powers_dbm)
     if not powers_dbm:
         raise ConfigError("power list must not be empty")
+    k = 0.0 if kappa is None else kappa
     out = []
     for p_dbm in powers_dbm:
         p1 = dbm_to_watts(p_dbm)
         p2 = p1 if p2_dbm is None else dbm_to_watts(p2_dbm)
-        pp = PowerPair(p1, p2)
-        if coeffs_x is not None:
-            p_int1 = interference_variance(coeffs_x, pp)
-        elif kappa is not None:
-            p_int1 = kappa * p1 * p2 ** 2
-        else:
-            p_int1 = 0.0
-        if coeffs_w is not None:
-            p_int2 = interference_variance(coeffs_w, pp.swapped())
-        elif kappa is not None:
-            p_int2 = kappa * p2 * p1 ** 2
-        else:
-            p_int2 = 0.0
-        out.append(evaluate_bounds(pp, g_x, g_w, sigma_sq, p_int1, p_int2))
+        out.append(evaluate_bounds(PowerPair(p1, p2), g_x, g_w, sigma_sq,
+                                   k * p1 * p2 ** 2, k * p2 * p1 ** 2))
     return out
 
 

@@ -159,27 +159,17 @@ class SampleBatch:
 
 
 def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
-                   master_seed: int, model: str = "memoryless",
-                   g_x: complex | None = None,
-                   coeffs_x: CoeffTensor | None = None) -> SampleBatch:
-    """Draw CSCG inputs and push them through receiver x's channel.
+                   master_seed: int, coeffs: CoeffTensor) -> SampleBatch:
+    """Draw CSCG inputs and push them through receiver x's full_channel.
 
-    Child streams (x, w, noise_y) are spawned from the master seed, in
-    that order.
+    The memoryless model is the memory-0 window [[[g]]], for which
+    full_channel is memoryless_channel bit for bit. Child streams (x, w,
+    noise_y) are spawned from the master seed, in that order.
     """
     seeds = spawn_seeds(master_seed, 3)
     x = sample_cscg(n, p1, seeds[0])
     w = sample_cscg(n, p2, seeds[1])
-    if model == "memoryless":
-        if g_x is None:
-            raise ConfigError("memoryless model requires g_x")
-        y = memoryless_channel(x, w, g_x, sigma_sq, seeds[2])
-    elif model == "full":
-        if coeffs_x is None:
-            raise ConfigError("full model requires coeffs_x")
-        y = full_channel(x, w, coeffs_x, sigma_sq, seeds[2])
-    else:
-        raise ConfigError("model must be 'memoryless' or 'full'")
+    y = full_channel(x, w, coeffs, sigma_sq, seeds[2])
     return SampleBatch(n=n, x=x, w=w, y=y)
 
 

@@ -158,12 +158,11 @@ def _per_mw_pair(real, abs_sq) -> EffectiveCoefficient | None:
                                 g_abs_sq=(abs_sq or 0.0) * _PER_MW2)
 
 
-def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None,
-               coeffs_w: CoeffTensor | None):
-    """(g_x, g_w): inline flags beat config values beat the tensors.
+def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None):
+    """(g_x, g_w): inline flags beat config values beat the tensor.
 
-    The tensors' center taps are used only when receiver x has neither
-    flags nor config values; a receiver w left unset takes g_x.
+    The tensor's center tap, shared by both receivers, is used only when
+    receiver x has neither flags nor config values; g_w defaults to g_x.
     """
     g_x = (_per_mw_pair(args.g_real, args.g_abs_sq)
            or _per_mw_pair(sweep_cfg.get("g_real_per_mw"),
@@ -173,8 +172,6 @@ def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None,
                            sweep_cfg.get("g_w_abs_sq_per_mw2")))
     if g_x is None and coeffs_x is not None:
         g_x = EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
-        if g_w is None and coeffs_w is not None:
-            g_w = EffectiveCoefficient.from_complex(coeffs_w.get(0, 0, 0))
     if g_x is None:
         raise ConfigError("missing coefficients: provide --g-real/--g-abs-sq, "
                           "sweep.g_real_per_mw in the config, or --coeffs-x")
@@ -219,17 +216,21 @@ def cmd_sweep(args, ctx: RunContext) -> int:
                           "sweep.powers_dbm in the config")
 
     coeffs_x = _load_tensor(ctx, args.coeffs_x) if args.coeffs_x else None
-    coeffs_w = _load_tensor(ctx, args.coeffs_w) if args.coeffs_w else None
-    g_x, g_w = _resolve_g(args, sweep_cfg, coeffs_x, coeffs_w)
+    if args.coeffs_w:
+        # Validated and recorded as an input; receiver x's tensor serves both.
+        _load_tensor(ctx, args.coeffs_w)
+    g_x, g_w = _resolve_g(args, sweep_cfg, coeffs_x)
 
     kappa = args.kappa if args.kappa is not None else \
         sweep_cfg.get("kappa_per_mw2")
-    kappa_si = kappa * _PER_MW2 if kappa is not None else None
+    if coeffs_x is not None:
+        kappa = coeffs_x.sum_abs_sq()
+    elif kappa is not None:
+        kappa *= _PER_MW2
     p2_dbm = args.p2_dbm if args.p2_dbm is not None else \
         sweep_cfg.get("p2_dbm")
     bound_sets = sweep(powers, g_x, g_w, ctx.config.noise.sigma_sq,
-                       p2_dbm=p2_dbm, coeffs_x=coeffs_x, coeffs_w=coeffs_w,
-                       kappa=kappa_si)
+                       p2_dbm=p2_dbm, kappa=kappa)
 
     ctx.write(args.out, sweep_csv(powers, bound_sets))
     if args.json:
@@ -313,7 +314,6 @@ def cmd_simulate(args, ctx: RunContext) -> int:
     if args.coeffs_w:
         # Validated and recorded as an input; the batch is receiver x's.
         _load_tensor(ctx, args.coeffs_w)
-    g_x = None
     if model == "memoryless":
         if args.g_real is not None or args.g_imag is not None:
             g_x = complex((args.g_real or 0.0) * _PER_MW,
@@ -326,13 +326,16 @@ def cmd_simulate(args, ctx: RunContext) -> int:
         else:
             raise ConfigError("memoryless simulation needs --g-real/--g-imag, "
                               "simulation.g_*_per_mw, or --coeffs-x")
-    elif model == "full" and coeffs_x is None:
+        coeffs_x = CoeffTensor(user="x", memory=0, values=[[[g_x]]])
+    elif model != "full":
+        raise ConfigError(f"unknown simulation.model {model!r}")
+    elif coeffs_x is None:
         raise ConfigError("full-model simulation requires --coeffs-x")
 
     batch = simulate_batch(
         n=n, p1=dbm_to_watts(p1_dbm), p2=dbm_to_watts(p2_dbm),
         sigma_sq=ctx.config.noise.sigma_sq, master_seed=ctx.master_seed,
-        model=model, g_x=g_x, coeffs_x=coeffs_x)
+        coeffs=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
     return EXIT_OK
 
@@ -389,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-w-abs-sq", type=float, dest="g_w_abs_sq",
                    help="second receiver |tap|^2, 1/mW^2")
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
-    p.add_argument("--coeffs-w", dest="coeffs_w", help="tensor JSON, user w")
+    p.add_argument("--coeffs-w", dest="coeffs_w",
+                   help="tensor JSON, user w; checked and recorded, but "
+                        "--coeffs-x serves both receivers")
     p.add_argument("--kappa", type=float,
                    help="cubic interference coefficient, 1/mW^2")
     p.add_argument("--p2-dbm", type=float, dest="p2_dbm",

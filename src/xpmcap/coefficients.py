@@ -111,8 +111,11 @@ class CoeffTensor:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CoeffTensor":
         try:
-            user = doc["user"]
-            memory = int(doc["memory"])
+            user, memory, link = doc["user"], doc["memory"], doc.get("link", {})
+            if type(memory) is not int:  # not isinstance: refuses bool
+                raise ConfigError(f"non-integer tensor memory {memory!r}")
+            if not isinstance(link, dict):
+                raise ConfigError(f"tensor link {link!r} is not a mapping")
             entries = doc["entries"]
             side = 2 * memory + 1
             # Checked before the window is allocated, so a large memory
@@ -124,18 +127,17 @@ class CoeffTensor:
             values = np.full((side, side, side), np.nan + 0j,
                              dtype=np.complex128)
             for e in entries:
-                l, m, p = int(e["l"]), int(e["m"]), int(e["p"])
-                if max(abs(l), abs(m), abs(p)) > memory:
+                l, m, p = lags = e["l"], e["m"], e["p"]
+                if any(type(v) is not int or abs(v) > memory for v in lags):
                     raise ConfigError(
-                        f"entry lag ({l},{m},{p}) outside window")
+                        f"entry lag {lags} is not an integer in the window")
                 values[l + memory, m + memory, p + memory] = complex(
                     float(e["re"]), float(e["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed tensor document: {exc}") from exc
         if np.any(np.isnan(values.view(np.float64))):
             raise ConfigError("tensor document does not fill the full window")
-        return cls(user=user, memory=memory, values=values,
-                   link=doc.get("link") or {})
+        return cls(user=user, memory=memory, values=values, link=link)
 
     @classmethod
     def load(cls, path: str) -> "CoeffTensor":

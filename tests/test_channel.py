@@ -233,8 +233,8 @@ class TestRealImagDecompose:
 class TestBatchIO:
     def test_simulate_and_round_trip(self, tmp_path):
         batch = simulate_batch(n=128, p1=1e-3, p2=2e-3, sigma_sq=1e-3,
-                               master_seed=2024, model="memoryless",
-                               g_x=0.05j)
+                               master_seed=2024, coeffs=CoeffTensor(
+                                   user="x", memory=0, values=[[[0.05j]]]))
         path = tmp_path / "batch.csv"
         write_batch_csv(batch, str(path))
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -268,21 +268,22 @@ class TestBatchIO:
         # the master seed, whatever else the batch could have drawn.
         seed, n, p1, p2, sigma_sq = 31, 64, 1e-3, 2e-3, 1e-3
         coeffs = random_tensor(1, np.random.default_rng(8), scale=0.1)
-        for model, channel, tap in (("full", full_channel, coeffs),
-                                    ("memoryless", memoryless_channel, 0.05j)):
+        for window, channel, tap in (
+                (coeffs, full_channel, coeffs),
+                (CoeffTensor(user="x", memory=0, values=[[[0.05j]]]),
+                 memoryless_channel, 0.05j)):
             sx, sw, sy = np.random.SeedSequence(seed).spawn(3)
             x = sample_cscg(n, p1, sx)
             w = sample_cscg(n, p2, sw)
             batch = simulate_batch(n=n, p1=p1, p2=p2, sigma_sq=sigma_sq,
-                                   master_seed=seed, model=model, g_x=0.05j,
-                                   coeffs_x=coeffs)
+                                   master_seed=seed, coeffs=window)
             assert np.array_equal(batch.x, x)
             assert np.array_equal(batch.w, w)
             assert np.array_equal(batch.y, channel(x, w, tap, sigma_sq, sy))
 
     def test_same_master_seed_is_reproducible(self):
         kw = dict(n=64, p1=1e-3, p2=1e-3, sigma_sq=1e-3, master_seed=5,
-                  model="memoryless", g_x=0.1j)
+                  coeffs=CoeffTensor(user="x", memory=0, values=[[[0.1j]]]))
         a, b = simulate_batch(**kw), simulate_batch(**kw)
         assert np.array_equal(a.y, b.y)
 

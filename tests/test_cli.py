@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xpmcap.bounds import SWEEP_CSV_HEADER, read_sweep_csv
+from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
+                           read_sweep_csv)
 from xpmcap.cli import main
 from xpmcap.coefficients import CoeffTensor
+from xpmcap.config import PowerPair
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -207,6 +209,59 @@ class TestSweepCommand:
             assert row["u1"] == row["u2"]
             assert [row[k] for k in ("u1", "u2", "u_sum")] == [
                 ref[k] for k in ("u1", "u2", "u_sum")]
+
+    def _random_tensor(self, path, user, seed, scale=300.0):
+        # 300 /W per tap: at 0 dBm the interference is comparable to the
+        # noise, so ian1 sits well below awgn.
+        rng = np.random.default_rng(seed)
+        values = scale * (rng.standard_normal((3, 3, 3))
+                          + 1j * rng.standard_normal((3, 3, 3)))
+        tensor = CoeffTensor(user=user, memory=1, values=values)
+        path.write_text(json.dumps(tensor.to_json_dict()))
+        return tensor
+
+    @pytest.mark.parametrize("with_config", [False, True],
+                             ids=["tensor-alone", "with-reference-config"])
+    def test_tensor_drives_both_receivers(self, tmp_path, with_config):
+        # Receiver w's window is receiver x's lag reversal, so one
+        # kappa = sum |c|^2 gives both interference-as-noise rates; the
+        # config's kappa_per_mw2 must not replace it for receiver w.
+        tensor = self._random_tensor(tmp_path / "tx.json", "x", 6)
+        config = ["--config", str(REPO / "configs" / "reference.yaml")]
+        assert run([*(config if with_config else []), "--out-dir",
+                    str(tmp_path), "--quiet", "sweep",
+                    "--powers-dbm", "-5", "0", "5",
+                    "--coeffs-x", str(tmp_path / "tx.json"),
+                    "--out", "s.csv", "--json", "s.json"]) == 0
+        rows = json.loads((tmp_path / "s.json").read_text())
+        for row in rows:
+            pp = PowerPair(row["p1_w"], row["p2_w"])
+            ian = ian_rate(pp, 1e-3, interference_variance(tensor, pp))
+            assert row["ian1"] == pytest.approx(ian, rel=1e-12)
+            assert row["ian2"] == row["ian1"] < row["awgn"]
+
+    def test_coeffs_w_is_recorded_but_leaves_sweep_unchanged(self, tmp_path):
+        self._random_tensor(tmp_path / "tx.json", "x", 6)
+        self._random_tensor(tmp_path / "tw.json", "w", 7)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}", encoding="utf-8")
+
+        def sweep(out, *extra):
+            return run(["--out-dir", str(out), "--quiet", "sweep",
+                        "--powers-dbm", "-5", "0", "5",
+                        "--coeffs-x", str(tmp_path / "tx.json"), *extra,
+                        "--json", "sweep.json"])
+
+        assert sweep(tmp_path / "x") == 0
+        assert sweep(tmp_path / "xw", "--coeffs-w",
+                     str(tmp_path / "tw.json")) == 0
+        for name in ("sweep.csv", "sweep.json"):
+            assert ((tmp_path / "x" / name).read_bytes()
+                    == (tmp_path / "xw" / name).read_bytes())
+        manifest = json.loads(
+            (tmp_path / "xw" / "sweep-manifest.json").read_text())
+        assert str(tmp_path / "tw.json") in manifest["inputs"]
+        assert sweep(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
     def test_config_p2_dbm_makes_sweep_asymmetric(self, tmp_path):
         (tmp_path / "p2.yaml").write_text("sweep: {p2_dbm: -10}\n")
@@ -494,6 +549,23 @@ MALFORMED = {
         {"t.json": json.dumps({"user": "x", "memory": 100000,
                                "entries": []})},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-link-not-a-mapping": (
+        {"t.json": json.dumps({**json.loads(_tensor_text(re=1.0)),
+                               "link": 5})},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-memory-not-an-integer": (
+        {"t.json": json.dumps({**json.loads(_tensor_text(re=1.0)),
+                               "memory": 0.7})},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-lag-not-an-integer": (
+        {"t.json": _tensor_text(re=1.0, l=0.4)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    # With a tensor at hand, an unchecked model would run the full channel.
+    "config-simulation-model-unknown": (
+        {"c.yaml": "simulation: {model: foo}\n",
+         "t.json": _tensor_text(re=1.0)},
+        ["--config", "@c.yaml", "simulate", "--n", "4", "--coeffs-x",
+         "@t.json"]),
     "region-out-in-missing-directory": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--out", "nodir/r.json"]),
@@ -607,6 +679,39 @@ class TestBenchmarkSteps:
         assert {"tensor_x.json", "tensor_w.json"} <= written
         assert sum(s["name"] == "cli.json_text" and s["tensor"]
                    for s in spans) == 2
+
+    def _tensors(self, tmp_path):
+        rng = np.random.default_rng(3)
+        paths = []
+        for user in ("x", "w"):
+            values = 0.1 * (rng.standard_normal((3, 3, 3))
+                            + 1j * rng.standard_normal((3, 3, 3)))
+            path = tmp_path / f"tensor_{user}.json"
+            path.write_text(json.dumps(CoeffTensor(
+                user=user, memory=1, values=values).to_json_dict()))
+            paths += [f"--coeffs-{user}", str(path)]
+        return paths
+
+    def test_traced_full_simulate_step(self, tmp_path):
+        # perfbench computes channel.full_channel_s from these spans.
+        proc = self._step(tmp_path, "cli", "--quiet", "--out-dir",
+                          str(tmp_path), "simulate", "--model", "full",
+                          "--n", "64", *self._tensors(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+        assert {"channel.simulate_batch", "channel.full_channel",
+                "channel.write_batch_csv"} <= {s["name"] for s in spans}
+
+    def test_traced_tensor_sweep_step(self, tmp_path):
+        # perfbench computes coefficients.tensor_load_ms from these spans.
+        proc = self._step(tmp_path, "cli", "--quiet", "--out-dir",
+                          str(tmp_path), "sweep", "--powers-dbm", "-5", "0",
+                          *self._tensors(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        names = [s["name"] for s in json.loads(
+            (tmp_path / "spans.json").read_text())["spans"]]
+        assert "bounds.sweep" in names
+        assert names.count("coefficients.tensor_load") == 2
 
     def test_traced_ianmc_step(self, tmp_path):
         rng = np.random.default_rng(2)
