@@ -218,14 +218,13 @@ class BoundSet:
                 f"{self.u1 + self.u2!r}")
 
 
-def evaluate_bounds(pp: PowerPair, g_x: EffectiveCoefficient,
-                    g_w: EffectiveCoefficient, sigma_sq: float,
+def evaluate_bounds(pp: PowerPair, g: EffectiveCoefficient, sigma_sq: float,
                     p_int1: float = 0.0, p_int2: float = 0.0) -> BoundSet:
-    """Evaluate the bound triple plus both reference bounds at one point."""
+    """All bounds at one point, with g the center tap of both receivers."""
     return BoundSet(
-        u1=outer_bound_u1(pp, g_x, sigma_sq),
-        u2=outer_bound_u2(pp, g_w, sigma_sq),
-        u_sum=outer_bound_sum(pp, g_x, g_w, sigma_sq),
+        u1=outer_bound_u1(pp, g, sigma_sq),
+        u2=outer_bound_u2(pp, g, sigma_sq),
+        u_sum=outer_bound_sum(pp, g, g, sigma_sq),
         awgn1=awgn_capacity(pp.p1, sigma_sq),
         awgn2=awgn_capacity(pp.p2, sigma_sq),
         ian1=ian_rate(pp, sigma_sq, p_int1),
@@ -234,17 +233,17 @@ def evaluate_bounds(pp: PowerPair, g_x: EffectiveCoefficient,
     )
 
 
-def sweep(powers_dbm, g_x: EffectiveCoefficient, g_w: EffectiveCoefficient,
-          sigma_sq: float, p2_dbm: float | None = None,
+def sweep(powers_dbm, g: EffectiveCoefficient, sigma_sq: float,
+          p2_dbm: float | None = None,
           kappa: float | None = None) -> list[BoundSet]:
     """Evaluate the bound set along a list of user-1 powers in dBm.
 
     The second user's power is fixed at p2_dbm when given and otherwise
-    tracks the first (a symmetric sweep). kappa = sum |c|^2 (1/W^2) gives
-    both interference-as-noise terms through the analytic variance
-    P1 P2^2 kappa (interference_variance): receiver w's window is receiver
-    x's with its lags reversed, so the sum is shared. None means no
-    interference.
+    tracks the first (a symmetric sweep). Receiver w's window is receiver
+    x's with its lags reversed, so both receivers share the center tap g
+    and kappa = sum |c|^2 (1/W^2). kappa gives both interference-as-noise
+    terms through the analytic variance P1 P2^2 kappa
+    (interference_variance); None means no interference.
     """
     powers_dbm = list(powers_dbm)
     if not powers_dbm:
@@ -254,7 +253,7 @@ def sweep(powers_dbm, g_x: EffectiveCoefficient, g_w: EffectiveCoefficient,
     for p_dbm in powers_dbm:
         p1 = dbm_to_watts(p_dbm)
         p2 = p1 if p2_dbm is None else dbm_to_watts(p2_dbm)
-        out.append(evaluate_bounds(PowerPair(p1, p2), g_x, g_w, sigma_sq,
+        out.append(evaluate_bounds(PowerPair(p1, p2), g, sigma_sq,
                                    k * p1 * p2 ** 2, k * p2 * p1 ** 2))
     return out
 

@@ -144,38 +144,33 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
-def _load_tensor(ctx: RunContext, path: str) -> CoeffTensor:
+def _load_tensor(ctx: RunContext, path, user: str) -> CoeffTensor | None:
+    if not path:
+        return None
     tensor = CoeffTensor.load(path)
+    if tensor.user != user:
+        raise ConfigError(f"{path} holds receiver {tensor.user}'s tensor, "
+                          f"not receiver {user}'s")
     ctx.note_input(path)
     return tensor
 
 
-def _per_mw_pair(real, abs_sq) -> EffectiveCoefficient | None:
-    """The coefficient of a per-mW (Re, |.|^2) pair; None when both unset."""
-    if real is None and abs_sq is None:
-        return None
-    return EffectiveCoefficient(g_real=(real or 0.0) * _PER_MW,
-                                g_abs_sq=(abs_sq or 0.0) * _PER_MW2)
-
-
 def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None):
-    """(g_x, g_w): inline flags beat config values beat the tensor.
-
-    The tensor's center tap, shared by both receivers, is used only when
-    receiver x has neither flags nor config values; g_w defaults to g_x.
-    """
-    g_x = (_per_mw_pair(args.g_real, args.g_abs_sq)
-           or _per_mw_pair(sweep_cfg.get("g_real_per_mw"),
-                           sweep_cfg.get("g_abs_sq_per_mw2")))
-    g_w = (_per_mw_pair(args.g_w_real, args.g_w_abs_sq)
-           or _per_mw_pair(sweep_cfg.get("g_w_real_per_mw"),
-                           sweep_cfg.get("g_w_abs_sq_per_mw2")))
-    if g_x is None and coeffs_x is not None:
-        g_x = EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
-    if g_x is None:
+    """The center tap of both receivers: lag reversal, which takes
+    receiver x's window to receiver w's, fixes lag (0,0,0). Each part is
+    its flag, else its config key, else 0; the tensor's tap serves only
+    when neither part is set."""
+    real = args.g_real if args.g_real is not None else \
+        sweep_cfg.get("g_real_per_mw")
+    abs_sq = args.g_abs_sq if args.g_abs_sq is not None else \
+        sweep_cfg.get("g_abs_sq_per_mw2")
+    if real is not None or abs_sq is not None:
+        return EffectiveCoefficient(g_real=(real or 0.0) * _PER_MW,
+                                    g_abs_sq=(abs_sq or 0.0) * _PER_MW2)
+    if coeffs_x is None:
         raise ConfigError("missing coefficients: provide --g-real/--g-abs-sq, "
                           "sweep.g_real_per_mw in the config, or --coeffs-x")
-    return g_x, g_w or g_x
+    return EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +210,10 @@ def cmd_sweep(args, ctx: RunContext) -> int:
         raise ConfigError("no powers given: pass --powers-dbm or set "
                           "sweep.powers_dbm in the config")
 
-    coeffs_x = _load_tensor(ctx, args.coeffs_x) if args.coeffs_x else None
-    if args.coeffs_w:
-        # Validated and recorded as an input; receiver x's tensor serves both.
-        _load_tensor(ctx, args.coeffs_w)
-    g_x, g_w = _resolve_g(args, sweep_cfg, coeffs_x)
+    coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
+    # --coeffs-w is only validated and recorded; --coeffs-x serves both.
+    _load_tensor(ctx, args.coeffs_w, "w")
+    g = _resolve_g(args, sweep_cfg, coeffs_x)
 
     kappa = args.kappa if args.kappa is not None else \
         sweep_cfg.get("kappa_per_mw2")
@@ -229,7 +223,7 @@ def cmd_sweep(args, ctx: RunContext) -> int:
         kappa *= _PER_MW2
     p2_dbm = args.p2_dbm if args.p2_dbm is not None else \
         sweep_cfg.get("p2_dbm")
-    bound_sets = sweep(powers, g_x, g_w, ctx.config.noise.sigma_sq,
+    bound_sets = sweep(powers, g, ctx.config.noise.sigma_sq,
                        p2_dbm=p2_dbm, kappa=kappa)
 
     ctx.write(args.out, sweep_csv(powers, bound_sets))
@@ -310,17 +304,16 @@ def cmd_simulate(args, ctx: RunContext) -> int:
     p2_dbm = args.p2_dbm if args.p2_dbm is not None else sim.get("p2_dbm", 0.0)
     model = args.model or sim.get("model", "memoryless")
 
-    coeffs_x = _load_tensor(ctx, args.coeffs_x) if args.coeffs_x else None
-    if args.coeffs_w:
-        # Validated and recorded as an input; the batch is receiver x's.
-        _load_tensor(ctx, args.coeffs_w)
+    coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
+    # --coeffs-w is only validated and recorded; the batch is receiver x's.
+    _load_tensor(ctx, args.coeffs_w, "w")
     if model == "memoryless":
-        if args.g_real is not None or args.g_imag is not None:
-            g_x = complex((args.g_real or 0.0) * _PER_MW,
-                          (args.g_imag or 0.0) * _PER_MW)
-        elif "g_real_per_mw" in sim or "g_imag_per_mw" in sim:
-            g_x = complex(sim.get("g_real_per_mw", 0.0) * _PER_MW,
-                          sim.get("g_imag_per_mw", 0.0) * _PER_MW)
+        real = args.g_real if args.g_real is not None else \
+            sim.get("g_real_per_mw")
+        imag = args.g_imag if args.g_imag is not None else \
+            sim.get("g_imag_per_mw")
+        if real is not None or imag is not None:
+            g_x = complex((real or 0.0) * _PER_MW, (imag or 0.0) * _PER_MW)
         elif coeffs_x is not None:
             g_x = coeffs_x.get(0, 0, 0)
         else:
@@ -360,8 +353,15 @@ def cmd_verify(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line; subparsers share this class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xpmcap",
         description="Rate bounds, cross-phase perturbation coefficients and "
                     "rate-region geometry for a two-user fiber link.")
@@ -387,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Re of the center tap, 1/mW")
     p.add_argument("--g-abs-sq", type=float, dest="g_abs_sq",
                    help="|center tap|^2, 1/mW^2")
-    p.add_argument("--g-w-real", type=float, dest="g_w_real",
-                   help="second receiver Re tap, 1/mW (defaults to --g-real)")
-    p.add_argument("--g-w-abs-sq", type=float, dest="g_w_abs_sq",
-                   help="second receiver |tap|^2, 1/mW^2")
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
     p.add_argument("--coeffs-w", dest="coeffs_w",
                    help="tensor JSON, user w; checked and recorded, but "
@@ -450,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
-    args.argv = argv  # the manifest records what was parsed
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = argv  # the manifest records what was parsed
         ctx = RunContext(args)
         code = args.func(args, ctx)
         ctx.finish()

@@ -25,6 +25,7 @@ the channel of interest.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,12 @@ class CoeffTensor:
                 if any(type(v) is not int or abs(v) > memory for v in lags):
                     raise ConfigError(
                         f"entry lag {lags} is not an integer in the window")
-                values[l + memory, m + memory, p + memory] = complex(
-                    float(e["re"]), float(e["im"]))
+                parts = e["re"], e["im"]
+                if any(type(v) not in (int, float)  # bool is not a number
+                       or not abs(v) <= sys.float_info.max for v in parts):
+                    raise ConfigError(
+                        f"entry {lags}: re and im must be finite numbers")
+                values[l + memory, m + memory, p + memory] = complex(*parts)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed tensor document: {exc}") from exc
         if np.any(np.isnan(values.view(np.float64))):

@@ -184,7 +184,7 @@ _LINK_KEYS = {"gamma", "alpha_db_per_km", "beta2_ps2_per_km", "length_km",
               "baud_rate", "channel_spacing_hz", "memory"}
 _NOISE_KEYS = {"sigma_sq_w", "nsp", "center_freq_hz"}
 _SWEEP_KEYS = {"powers_dbm", "p2_dbm", "g_real_per_mw", "g_abs_sq_per_mw2",
-               "g_w_real_per_mw", "g_w_abs_sq_per_mw2", "kappa_per_mw2"}
+               "kappa_per_mw2"}
 _SIMULATION_KEYS = {"n", "p1_dbm", "p2_dbm", "model", "seed",
                     "g_real_per_mw", "g_imag_per_mw"}
 _PULSE_KEYS = {"kind", "rolloff", "width_s"}

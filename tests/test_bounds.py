@@ -249,7 +249,7 @@ class TestBoundSetAndSweep:
 
     def test_sweep_awgn_column_anchors(self):
         powers = [-20.0, -5.0, 10.3]
-        rows = sweep(powers, ZERO, ZERO, SIGMA_SQ)
+        rows = sweep(powers, ZERO, SIGMA_SQ)
         got = [b.awgn1 for b in rows]
         assert got == pytest.approx([0.00720, 0.21178, 2.66848], abs=5e-5)
         # with zero coefficients every column collapses to the linear bound
@@ -260,33 +260,33 @@ class TestBoundSetAndSweep:
 
     def test_sweep_monotone_u1(self):
         g = coeff(0.035, 5.5e-5)
-        rows = sweep(list(np.linspace(-20, 15, 71)), g, g, SIGMA_SQ)
+        rows = sweep(list(np.linspace(-20, 15, 71)), g, SIGMA_SQ)
         u1 = [b.u1 for b in rows]
         assert all(b > a for a, b in zip(u1, u1[1:]))
 
     def test_sweep_with_cubic_interference(self):
         kappa = fit_cubic_interference(-3.8, SIGMA_SQ)
-        rows = sweep([-3.8], ZERO, ZERO, SIGMA_SQ, kappa=kappa)
+        rows = sweep([-3.8], ZERO, SIGMA_SQ, kappa=kappa)
         assert rows[0].ian1 == pytest.approx(0.1877, abs=1e-3)
         assert rows[0].ian2 == rows[0].ian1
 
     def test_empty_power_list_rejected(self):
         with pytest.raises(ConfigError):
-            sweep([], ZERO, ZERO, SIGMA_SQ)
+            sweep([], ZERO, SIGMA_SQ)
 
     def test_asymmetric_needs_p2(self):
         # A sweep is asymmetric exactly when p2_dbm is given.
         powers = [-5.0, 0.0, 5.0]
         g = coeff(0.035, 5.5e-5)
-        fixed = sweep(powers, g, g, SIGMA_SQ, p2_dbm=-10.0)
+        fixed = sweep(powers, g, SIGMA_SQ, p2_dbm=-10.0)
         assert [b.at.p2 for b in fixed] == [dbm_to_watts(-10.0)] * 3
-        tracking = sweep(powers, g, g, SIGMA_SQ)
+        tracking = sweep(powers, g, SIGMA_SQ)
         assert [b.at.p2 for b in tracking] == [b.at.p1 for b in tracking]
 
     def test_csv_round_trip(self, tmp_path):
         g = coeff(0.035, 5.5e-5)
         powers = [-20.0, -5.0, 10.3]
-        rows = sweep(powers, g, g, SIGMA_SQ)
+        rows = sweep(powers, g, SIGMA_SQ)
         text = sweep_csv(powers, rows)
         path = tmp_path / "sweep.csv"
         path.write_text(text, encoding="utf-8")
@@ -296,7 +296,7 @@ class TestBoundSetAndSweep:
 
     def test_evaluate_bounds_fields(self):
         g = coeff(0.035, 5.5e-5)
-        bs = evaluate_bounds(PowerPair(1e-3, 1e-3), g, g, SIGMA_SQ,
+        bs = evaluate_bounds(PowerPair(1e-3, 1e-3), g, SIGMA_SQ,
                              p_int1=1e-4, p_int2=2e-4)
         assert bs.u_sum >= bs.u1 + bs.u2 - 1e-12
         assert bs.ian1 > bs.ian2  # more interference on user 2

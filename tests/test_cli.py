@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -11,9 +13,9 @@ import pytest
 
 from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
                            read_sweep_csv)
-from xpmcap.cli import main
+from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
-from xpmcap.config import PowerPair
+from xpmcap.config import _SECTIONS, PowerPair
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -263,6 +265,16 @@ class TestSweepCommand:
         assert str(tmp_path / "tw.json") in manifest["inputs"]
         assert sweep(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
+    def test_one_flag_keeps_the_config_other_half(self, tmp_path):
+        # --g-real replaces Re g alone; |g|^2 still comes from the config.
+        base = ["--config", str(REPO / "configs" / "reference.yaml"),
+                "--quiet", "sweep"]
+        assert run(["--out-dir", str(tmp_path / "config"), *base]) == 0
+        assert run(["--out-dir", str(tmp_path / "flag"), *base,
+                    "--g-real", "0.034940"]) == 0
+        assert ((tmp_path / "flag" / "sweep.csv").read_bytes()
+                == (tmp_path / "config" / "sweep.csv").read_bytes())
+
     def test_config_p2_dbm_makes_sweep_asymmetric(self, tmp_path):
         (tmp_path / "p2.yaml").write_text("sweep: {p2_dbm: -10}\n")
         base = ["--out-dir", str(tmp_path), "--quiet", "sweep",
@@ -401,6 +413,16 @@ class TestSimulateCommand:
         assert {paths["x"], paths["w"]} <= set(manifest["inputs"])
         assert simulate(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
+    def test_one_flag_keeps_the_config_other_part(self, tmp_path):
+        # --g-real replaces Re g alone; Im g still comes from the config.
+        base = ["--config", str(REPO / "configs" / "reference.yaml"),
+                "--quiet", "simulate", "--g-real", "0.01"]
+        assert run(["--out-dir", str(tmp_path / "one"), *base]) == 0
+        assert run(["--out-dir", str(tmp_path / "both"), *base,
+                    "--g-imag", "0.05"]) == 0
+        assert ((tmp_path / "one" / "batch.csv").read_bytes()
+                == (tmp_path / "both" / "batch.csv").read_bytes())
+
     def test_failed_batch_write_leaves_no_temp_file(self, tmp_path,
                                                     config_path, monkeypatch):
         import xpmcap.cli as climod
@@ -511,6 +533,27 @@ MALFORMED = {
     "tensor-entry-re-not-a-number": (
         {"t.json": _tensor_text(re="abc")},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-entry-re-a-string": (
+        {"t.json": _tensor_text(re="1.5")},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-entry-re-a-bool": (
+        {"t.json": _tensor_text(re=True)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-entry-re-too-large": (
+        {"t.json": _tensor_text(re=10 ** 400)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "sweep-coeffs-x-holds-receiver-w": (
+        {"t.json": json.dumps({**json.loads(_tensor_text(re=1.0)),
+                               "user": "w"})},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "simulate-coeffs-w-holds-receiver-x": (
+        {"t.json": _tensor_text(re=1.0)},
+        ["simulate", "--n", "4", "--g-imag", "0.05", "--coeffs-w",
+         "@t.json"]),
+    "sweep-power-not-a-number": (
+        {}, ["sweep", "--powers-dbm", "abc", *ZERO_G]),
+    "sweep-removed-receiver-w-flag": (
+        {}, ["sweep", "--powers-dbm", "0", *ZERO_G, "--g-w-real", "1"]),
     "config-n-not-an-integer": (
         {"c.yaml": "simulation: {n: abc}\n"},
         ["--config", "@c.yaml", "simulate", "--g-imag", "0.05"]),
@@ -538,6 +581,9 @@ MALFORMED = {
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
     "config-sweep-symmetric-is-unknown": (
         {"c.yaml": "sweep: {symmetric: true}\n"},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+    "config-sweep-receiver-w-key-is-unknown": (
+        {"c.yaml": "sweep: {g_w_real_per_mw: 1}\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
     "tensor-file-missing": (
         {}, ["sweep", "--powers-dbm", "0", "--coeffs-x", "@missing.json"]),
@@ -584,6 +630,25 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestReadme:
+    def test_documented_flags_and_keys_exist(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        text = text[text.index("## CLI"):]
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {o for p in (parser, *subparsers.choices.values())
+                   for a in p._actions for o in a.option_strings}
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+        assert flags and flags <= options, flags - options
+        keys = re.findall(r"`(?:(\w+)\.)?(\w+_(?:per_mw2?|dbm))`", text)
+        assert keys
+        for section, key in keys:
+            allowed = (_SECTIONS[section] if section
+                       else set().union(*_SECTIONS.values()))
+            assert key in allowed, (section, key)
 
 
 class TestManifest:
