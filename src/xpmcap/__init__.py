@@ -12,8 +12,7 @@ from .bounds import (BoundSet, EffectiveCoefficient, awgn_capacity,
 from .channel import (SampleBatch, full_channel, memoryless_channel,
                       real_imag_decompose, sample_cscg, simulate_batch,
                       spawn_seeds)
-from .coefficients import (CoeffTensor, coefficient_tensor,
-                           receiver_w_tensor, xpm_coefficient)
+from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import (LinkParams, NoiseParams, PowerPair, ase_noise_variance,
                      dbm_to_watts, effective_length, load_config)
 from .errors import (BoundDomainError, ConfigError, GridError,
@@ -35,7 +34,6 @@ __all__ = [
     "SampleBatch", "full_channel", "memoryless_channel",
     "real_imag_decompose", "sample_cscg", "simulate_batch", "spawn_seeds",
     "CoeffTensor", "coefficient_tensor", "receiver_w_tensor",
-    "xpm_coefficient",
     "LinkParams", "NoiseParams", "PowerPair", "ase_noise_variance",
     "dbm_to_watts", "effective_length", "load_config",
     "BoundDomainError", "ConfigError", "GridError", "NoDominantFaceError",

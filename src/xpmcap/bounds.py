@@ -290,7 +290,7 @@ def read_sweep_csv(path: str) -> list[dict]:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != SWEEP_CSV_HEADER:
-            raise ConfigError(f"unexpected sweep CSV header: {header}")
+            raise ConfigError(f"{path}: unexpected sweep CSV header: {header}")
         rows = []
         for row in reader:
             where = f"{path} line {reader.line_num}"

@@ -191,8 +191,7 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
         # The manifest records the link the tensors were computed on.
         ctx.config = dataclasses.replace(cfg, link=link)
     tx, report = coefficient_tensor(link, PulseShape(**cfg.pulse),
-                                    TimeFreqGrid.for_link(link, **cfg.grid),
-                                    with_report=True)
+                                    TimeFreqGrid.for_link(link, **cfg.grid))
     for tensor in (tx, receiver_w_tensor(tx)):
         ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
@@ -246,6 +245,9 @@ def cmd_region(args, ctx: RunContext) -> int:
     awgn = args.awgn
     ian1, ian2 = args.ian1, args.ian2
     if args.from_sweep:
+        if (args.u1, args.u2, args.usum) != (None, None, None):
+            raise ConfigError("give the bound triple by --u1/--u2/--usum "
+                              "or by --from-sweep, not both")
         if args.at_dbm is None:
             raise ConfigError("--from-sweep requires --at-dbm")
         rows = read_sweep_csv(args.from_sweep)
@@ -322,6 +324,8 @@ def cmd_simulate(args, ctx: RunContext) -> int:
         coeffs_x = CoeffTensor(user="x", memory=0, values=[[[g_x]]])
     elif model != "full":
         raise ConfigError(f"unknown simulation.model {model!r}")
+    elif args.g_real is not None or args.g_imag is not None:
+        raise ConfigError("--g-real/--g-imag are for the memoryless model")
     elif coeffs_x is None:
         raise ConfigError("full-model simulation requires --coeffs-x")
 
@@ -456,7 +460,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

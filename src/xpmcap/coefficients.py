@@ -9,8 +9,9 @@ profile e^(-alpha z) and integrated along the span,
 
 where g is the channel-of-interest pulse and gw the interfering-channel
 pulse, additionally delayed by the accumulated walk-off between the two
-carriers as seen by receiver x; receiver w's window is the lag reversal
-of receiver x's (receiver_w_tensor). The distance integral uses composite
+carriers as seen by receiver x. coefficient_tensor evaluates receiver x's
+whole (2M+1)^3 window in one quadrature; receiver w's window is its lag
+reversal (receiver_w_tensor). The distance integral uses composite
 Gauss-Legendre panels, checked against twice as many; the time integral
 is a trapezoid sum on the sampling grid. A lag shift is a circular roll
 by whole samples per symbol, and only the Hermitian half m <= p of the
@@ -24,6 +25,7 @@ the channel of interest.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -98,14 +100,10 @@ class CoeffTensor:
     # -- JSON round trip ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        entries = []
-        M = self.memory
-        for l in self.lags():
-            for m in self.lags():
-                for p in self.lags():
-                    c = self.values[l + M, m + M, p + M]
-                    entries.append({"l": l, "m": m, "p": p,
-                                    "re": float(c.real), "im": float(c.imag)})
+        # Entries in (l, m, p) row-major order, the order of values.
+        lags = itertools.product(self.lags(), repeat=3)
+        entries = [{"l": l, "m": m, "p": p, "re": c.real, "im": c.imag}
+                   for (l, m, p), c in zip(lags, self.values.ravel().tolist())]
         return {"user": self.user, "memory": self.memory,
                 "link": dict(self.link), "entries": entries}
 
@@ -147,7 +145,10 @@ class CoeffTensor:
     @classmethod
     def load(cls, path: str) -> "CoeffTensor":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except (ConfigError, ValueError) as exc:  # ValueError: bad JSON
+                raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +205,10 @@ def _roll_into(out, rows, shifts) -> None:
 
 
 def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                ls, ms, ps, panels: int, z_nodes: int) -> np.ndarray:
-    """Raw quadrature of the overlap kernel for all requested lag triples.
+                panels: int, z_nodes: int) -> np.ndarray:
+    """Raw quadrature of the overlap kernel over the whole lag window.
 
-    Returns an array of shape (len(ls), len(ms), len(ps)) holding
+    Returns an array of shape (2M+1, 2M+1, 2M+1) holding
     2j gamma * sum_k w_k e^(-alpha z_k) * dt * sum_t (overlap at z_k)
     for receiver x: c[l,m,p] = sum_t a_l b_mp with a_l = g* roll(g, l s)
     and b_mp = roll(u_(p-m), m s), u_d = gw roll(gw, d s)*, for s samples
@@ -223,52 +224,50 @@ def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
     w = pgrid.omega
     w_sq = w * w
 
-    L = len(ls)
-    pairs = sorted({(min(m, p), max(m, p)) for m in ms for p in ps})
-    diffs = sorted({p - m for m, p in pairs})
-    flip = np.array([[m > p for p in ps] for m in ms])
-    rows = np.arange(L)[:, None, None] + L * flip
-    cols = np.array([[pairs.index((min(m, p), max(m, p))) for p in ps]
-                     for m in ms])
+    side = 2 * link.memory + 1
+    shifts = step * np.arange(-link.memory, link.memory + 1)
+    # The Hermitian half m <= p, row-major: pair k is lags (mi[k], pi[k]).
+    mi, pi = np.triu_indices(side)
 
     zs, wq = _gauss_legendre_nodes(link.length_km, panels, z_nodes)
     weights = wq * np.exp(-link.alpha_np_per_km * zs)
 
-    acc = np.zeros((2 * L, len(pairs)), dtype=np.complex128)
+    acc = np.zeros((2 * side, len(mi)), dtype=np.complex128)
     a, u, b = (np.empty((k, pgrid.n_samples), dtype=np.complex128)
-               for k in (2 * L, len(diffs), len(pairs)))
+               for k in (2 * side, side, len(mi)))
     for z, wz in zip(zs, weights):
         disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * w_sq)
         g = np.fft.ifft(disp)
         gw = np.fft.ifft(disp * np.exp(-1j * w * link.walkoff_delay_s(z)))
-        _roll_into(a[:L], [g] * L, [l * step for l in ls])
-        a[:L] *= np.conj(g)
-        np.conjugate(a[:L], out=a[L:])
-        _roll_into(u, [np.conj(gw)] * len(diffs), [d * step for d in diffs])
+        _roll_into(a[:side], [g] * side, shifts)
+        a[:side] *= np.conj(g)
+        np.conjugate(a[:side], out=a[side:])
+        _roll_into(u, [np.conj(gw)] * side, step * np.arange(side))
         u *= gw
-        _roll_into(b, [u[diffs.index(p - m)] for m, p in pairs],
-                   [m * step for m, _ in pairs])
+        _roll_into(b, [u[d] for d in pi - mi], shifts[mi])
         acc += wz * (a @ b.T)
-    values = acc[rows, cols]
-    return (2j * link.gamma * pgrid.dt) * np.where(flip, values.conj(), values)
+    values = np.empty((side, side, side), dtype=np.complex128)
+    values[:, pi, mi] = acc[side:].conj()
+    values[:, mi, pi] = acc[:side]
+    return (2j * link.gamma * pgrid.dt) * values
 
 
-def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                      ls, ms, ps, z_nodes: int):
+def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
     """Distance quadrature of the window, checked against twice the panels.
 
     The walk-off-sized panel count is compared once with twice as many
-    panels; returns (values at the finer level, report). Raises
-    QuadratureError when their relative change exceeds DEFAULT_QUAD_RTOL.
+    panels, DEFAULT_Z_NODES nodes each; returns (values at the finer
+    level, report). Raises QuadratureError when their relative change
+    exceeds DEFAULT_QUAD_RTOL.
     """
+    report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
+              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL}
     if link.length_km == 0.0 or link.gamma == 0.0:
-        zeros = np.zeros((len(ls), len(ms), len(ps)), dtype=np.complex128)
-        return zeros, {"z_nodes": z_nodes, "panels": 1, "refinements": 0,
-                       "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL}
+        return np.zeros((2 * link.memory + 1,) * 3, complex), report
     base_panels = _initial_panels(link)
-    coarse = _window_sum(link, pulse, grid, ls, ms, ps, base_panels, z_nodes)
+    coarse = _window_sum(link, pulse, grid, base_panels, DEFAULT_Z_NODES)
     panels = 2 * base_panels
-    fine = _window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes)
+    fine = _window_sum(link, pulse, grid, panels, DEFAULT_Z_NODES)
     scale = float(np.max(np.abs(fine)))
     change = float(np.max(np.abs(fine - coarse)))
     residual = 0.0 if scale == 0.0 else change / scale
@@ -276,8 +275,8 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
         raise QuadratureError(
             f"distance quadrature residual {residual:.3e} above tolerance "
             f"{DEFAULT_QUAD_RTOL:.1e} at {panels} panels", residual)
-    return fine, {"z_nodes": z_nodes, "panels": panels, "refinements": 1,
-                  "residual": residual, "rtol": DEFAULT_QUAD_RTOL}
+    report.update(panels=panels, refinements=1, residual=residual)
+    return fine, report
 
 
 def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
@@ -288,8 +287,6 @@ def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
     t -> -t maps the overlap kernel with walk-off tau onto the one with
     walk-off -tau and every lag negated, so the two windows are exact lag
     reversals of each other and one quadrature serves both receivers.
-    A single receiver-w coefficient c_w[l,m,p] is therefore
-    xpm_coefficient at the negated lags (-l, -m, -p).
     """
     if tx.user != "x":
         raise ConfigError("lag reversal maps a receiver-x tensor")
@@ -297,34 +294,15 @@ def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
                        values=tx.values[::-1, ::-1, ::-1], link=tx.link)
 
 
-def xpm_coefficient(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                    l: int, m: int, p: int,
-                    z_nodes: int = DEFAULT_Z_NODES) -> complex:
-    """Single receiver-x coefficient c[l,m,p] (receiver w's: see
-    receiver_w_tensor)."""
-    if max(abs(l), abs(m), abs(p)) > link.memory:
-        raise ConfigError(f"lags ({l},{m},{p}) exceed the memory window "
-                          f"+-{link.memory}")
-    grid.check_covers(link)
-    values, _ = _integrate_window(link, pulse, grid, [l], [m], [p], z_nodes)
-    return complex(values[0, 0, 0])
-
-
 def coefficient_tensor(link: LinkParams, pulse: PulseShape,
-                       grid: TimeFreqGrid,
-                       z_nodes: int = DEFAULT_Z_NODES,
-                       with_report: bool = False):
-    """Receiver x's full (2M+1)^3 coefficient window.
+                       grid: TimeFreqGrid):
+    """Receiver x's full (2M+1)^3 coefficient window and the report of its
+    distance quadrature (z_nodes, panels, refinements, residual, rtol).
 
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.
     """
     grid.check_covers(link)
-    lags = list(range(-link.memory, link.memory + 1))
-    values, report = _integrate_window(link, pulse, grid, lags, lags, lags,
-                                       z_nodes)
-    tensor = CoeffTensor(user="x", memory=link.memory, values=values,
-                         link=link.to_dict())
-    if with_report:
-        return tensor, report
-    return tensor
+    values, report = _integrate_window(link, pulse, grid)
+    return CoeffTensor(user="x", memory=link.memory, values=values,
+                       link=link.to_dict()), report

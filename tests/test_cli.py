@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import xpmcap
 from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
                            read_sweep_csv)
 from xpmcap.cli import build_parser, main
@@ -527,6 +528,14 @@ MALFORMED = {
     "sweep-csv-short-row": (
         {"s.csv": SWEEP_HEADER + "0,0.1\n"},
         ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    "sweep-csv-bad-header": (
+        {"s.csv": "p,q\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    # One source for the bound triple: a sweep row or the three flags.
+    "region-triple-and-from-sweep": (
+        {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,0.1,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0",
+         "--u1", "5", "--u2", "5", "--usum", "9"]),
     "tensor-entry-without-re": (
         {"t.json": _tensor_text()},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
@@ -541,6 +550,9 @@ MALFORMED = {
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
     "tensor-entry-re-too-large": (
         {"t.json": _tensor_text(re=10 ** 400)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "tensor-entry-re-nan": (
+        {"t.json": _tensor_text(re=float("nan"))},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
     "sweep-coeffs-x-holds-receiver-w": (
         {"t.json": json.dumps({**json.loads(_tensor_text(re=1.0)),
@@ -612,10 +624,22 @@ MALFORMED = {
          "t.json": _tensor_text(re=1.0)},
         ["--config", "@c.yaml", "simulate", "--n", "4", "--coeffs-x",
          "@t.json"]),
+    # The full model's window is the tensor; a center tap has no place.
+    "simulate-full-with-center-tap-flags": (
+        {"t.json": _tensor_text(re=1.0)},
+        ["simulate", "--model", "full", "--n", "4", "--coeffs-x", "@t.json",
+         "--g-real", "3", "--g-imag", "0.5"]),
     "region-out-in-missing-directory": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--out", "nodir/r.json"]),
 }
+
+
+# Cases whose tensor or sweep CSV input is at fault: the error names it.
+NAMES_INPUT_FILE = {
+    case for case in MALFORMED
+    if case.startswith(("tensor-", "sweep-csv-", "sweep-coeffs-x-",
+                        "simulate-coeffs-w-"))}
 
 
 class TestMalformedInputs:
@@ -630,6 +654,9 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if case in NAMES_INPUT_FILE:
+            (path,) = [a for a in args if a.endswith((".json", ".csv"))]
+            assert path in err, err
 
 
 class TestReadme:
@@ -649,6 +676,14 @@ class TestReadme:
             allowed = (_SECTIONS[section] if section
                        else set().union(*_SECTIONS.values()))
             assert key in allowed, (section, key)
+
+    def test_library_highlights_use_public_names(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Library highlights", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        names = set(re.findall(r"\bxc\.(\w+)", block))
+        assert names and names <= set(xpmcap.__all__), names - set(
+            xpmcap.__all__)
 
 
 class TestManifest:

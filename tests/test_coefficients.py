@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
-                                 receiver_w_tensor, xpm_coefficient,
-                                 _gauss_legendre_nodes, _initial_panels,
-                                 _pad_factor, _window_sum)
+                                 receiver_w_tensor, _gauss_legendre_nodes,
+                                 _initial_panels, _pad_factor, _window_sum)
 from xpmcap.config import LinkParams, effective_length
 from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape, TimeFreqGrid
@@ -24,19 +24,24 @@ GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
 
 @pytest.fixture(scope="module")
 def short_pair():
-    tx = coefficient_tensor(SHORT, SINC, GRID)
+    tx, _ = coefficient_tensor(SHORT, SINC, GRID)
     return tx, receiver_w_tensor(tx)
+
+
+def center_tap(link, pulse, grid):
+    tensor, _ = coefficient_tensor(link, pulse, grid)
+    return tensor.get(0, 0, 0)
 
 
 class TestKernelLimits:
     def test_zero_length_gives_zero(self):
         link = dataclasses.replace(SHORT, length_km=0.0)
-        tensor = coefficient_tensor(link, SINC, GRID)
+        tensor, _ = coefficient_tensor(link, SINC, GRID)
         assert np.all(tensor.values == 0)
 
     def test_zero_dispersion_closed_form_gaussian(self):
         link = dataclasses.replace(SHORT, beta2_ps2_per_km=0.0)
-        c = xpm_coefficient(link, GAUSS, GRID, 0, 0, 0)
+        c = center_tap(link, GAUSS, GRID)
         g0 = GAUSS.samples(GRID.scaled(_pad_factor(link, GRID)), T)
         fourth = GRID.dt * float(np.sum(np.abs(g0) ** 4))
         expected = 2j * link.gamma * effective_length(
@@ -48,7 +53,7 @@ class TestKernelLimits:
         # memory 0 needs no padding, so the user grid is the compute grid
         link = dataclasses.replace(SHORT, beta2_ps2_per_km=0.0, memory=0)
         assert _pad_factor(link, GRID) == 1
-        c = xpm_coefficient(link, SINC, GRID, 0, 0, 0)
+        c = center_tap(link, SINC, GRID)
         g0 = SINC.samples(GRID, T)
         expected = 2j * link.gamma * effective_length(
             link.alpha_db_per_km, link.length_km) * GRID.dt * float(
@@ -57,18 +62,19 @@ class TestKernelLimits:
 
     def test_gamma_linearity_exact(self):
         doubled = dataclasses.replace(SHORT, gamma=2 * SHORT.gamma)
-        c1 = xpm_coefficient(SHORT, SINC, GRID, 1, 0, -1)
-        c2 = xpm_coefficient(doubled, SINC, GRID, 1, 0, -1)
+        c1 = coefficient_tensor(SHORT, SINC, GRID)[0].get(1, 0, -1)
+        c2 = coefficient_tensor(doubled, SINC, GRID)[0].get(1, 0, -1)
         assert abs(c2 - 2 * c1) <= 1e-12 * abs(c2)
 
 
 class TestTensor:
     def test_memory_zero_collapses_to_single_entry(self):
         link = dataclasses.replace(SHORT, memory=0)
-        tensor = coefficient_tensor(link, SINC, GRID)
+        tensor, report = coefficient_tensor(link, SINC, GRID)
         assert tensor.values.shape == (1, 1, 1)
-        single = xpm_coefficient(link, SINC, GRID, 0, 0, 0)
-        assert tensor.get(0, 0, 0) == pytest.approx(single, rel=1e-12)
+        single = _ramp_window_sum(link, SINC, GRID, report["panels"], 64)
+        assert tensor.get(0, 0, 0) == pytest.approx(single[0, 0, 0],
+                                                    rel=1e-12)
 
     def test_l0_skew_symmetry(self, short_pair):
         tensor, _ = short_pair
@@ -90,44 +96,38 @@ class TestTensor:
         assert tw.get(0, 0, 0) == pytest.approx(tx.get(0, 0, 0), rel=1e-9)
 
     def test_grid_refinement_is_cauchy(self):
-        coarse = coefficient_tensor(SHORT, SINC, GRID)
-        fine = coefficient_tensor(SHORT, SINC, GRID.refined())
+        coarse, _ = coefficient_tensor(SHORT, SINC, GRID)
+        fine, _ = coefficient_tensor(SHORT, SINC, GRID.refined())
         rel = np.abs(fine.values - coarse.values) / np.abs(fine.values)
         assert float(rel.max()) < 1e-4
-
-    def test_entry_order_independence(self, short_pair):
-        # whole-window computation matches per-entry evaluation
-        tensor, _ = short_pair
-        for lag in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
-            single = xpm_coefficient(SHORT, SINC, GRID, *lag)
-            assert tensor.get(*lag) == pytest.approx(single, rel=1e-12)
 
     def test_second_receiver_is_lag_reversal(self, short_pair):
         tx, tw = short_pair
         assert tw.user == "w"
         assert tw.link == tx.link
         assert np.array_equal(tw.values, tx.values[::-1, ::-1, ::-1])
+        # receiver x's window from the independent phase-ramp kernel
+        panels = 2 * _initial_panels(SHORT)  # coefficient_tensor's finer level
+        rx = _ramp_window_sum(SHORT, SINC, GRID, panels, 64)
+        M = SHORT.memory
         for l, m, p in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
-            single = xpm_coefficient(SHORT, SINC, GRID, -l, -m, -p)
+            single = rx[M - l, M - m, M - p]
             assert tw.get(l, m, p) == pytest.approx(single, rel=1e-12)
         with pytest.raises(ConfigError):
             receiver_w_tensor(tw)
-
-    def test_lag_outside_window_rejected(self):
-        with pytest.raises(ConfigError):
-            xpm_coefficient(SHORT, SINC, GRID, 2, 0, 0)
 
 
 class TestQuadrature:
     def test_z_node_doubling_converged(self):
         panels = _initial_panels(SHORT)
-        a = _window_sum(SHORT, SINC, GRID, [0], [0], [0], panels, 64)
-        b = _window_sum(SHORT, SINC, GRID, [0], [0], [0], panels, 128)
+        a = _window_sum(SHORT, SINC, GRID, panels, 64)
+        b = _window_sum(SHORT, SINC, GRID, panels, 128)
         assert abs(b - a).max() / abs(b).max() < 1e-6
 
-    def test_non_convergent_quadrature_reports_residual(self):
+    def test_non_convergent_quadrature_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "DEFAULT_Z_NODES", 2)
         with pytest.raises(QuadratureError) as err:
-            xpm_coefficient(SHORT, SINC, GRID, 0, 0, 0, z_nodes=2)
+            coefficient_tensor(SHORT, SINC, GRID)
         assert err.value.residual > 1e-6
 
     def test_initial_panels_track_walkoff(self):
@@ -135,10 +135,11 @@ class TestQuadrature:
         assert _initial_panels(LinkParams()) >= 2
 
 
-def _ramp_window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes):
-    """Reference kernel: every lag shift a phase ramp with its own inverse
-    FFT, and all len(ms) * len(ps) pair products formed."""
+def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
+    """Reference kernel over the whole window: every lag shift a phase ramp
+    with its own inverse FFT, and all (2M+1)^2 pair products formed."""
     T = link.symbol_period
+    ls = ms = ps = range(-link.memory, link.memory + 1)
     pgrid = grid.scaled(_pad_factor(link, grid))
     spec0 = np.fft.fft(pulse.samples(pgrid, T))
     w = pgrid.omega
@@ -163,22 +164,28 @@ def _ramp_window_sum(link, pulse, grid, ls, ms, ps, panels, z_nodes):
 class TestKernelOracle:
     """_window_sum against the phase-ramp reference kernel above."""
 
-    @pytest.mark.parametrize("pulse", [SINC, GAUSS], ids=["sinc", "gauss"])
-    @pytest.mark.parametrize("lags", [
-        ([-1, 0, 1], [-1, 0, 1], [-1, 0, 1]),
-        ([1], [-1], [1]),
-        ([0], [1], [-1]),
-    ], ids=["window", "1,-1,1", "0,1,-1"])
-    def test_matches_phase_ramp_kernel(self, pulse, lags):
+    @pytest.mark.parametrize("pulse", [SINC, GAUSS],
+                             ids=["window-sinc", "window-gauss"])
+    def test_matches_phase_ramp_kernel(self, pulse):
         panels = _initial_panels(SHORT)
-        fast = _window_sum(SHORT, pulse, GRID, *lags, panels, 64)
-        slow = _ramp_window_sum(SHORT, pulse, GRID, *lags, panels, 64)
+        fast = _window_sum(SHORT, pulse, GRID, panels, 64)
+        slow = _ramp_window_sum(SHORT, pulse, GRID, panels, 64)
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
     def test_fractional_samples_per_symbol_rejected(self):
         grid = TimeFreqGrid(1024, 30.5 * T)
         with pytest.raises(GridError):
-            _window_sum(SHORT, SINC, grid, [0], [0], [0], 1, 64)
+            _window_sum(SHORT, SINC, grid, 1, 64)
+
+
+@pytest.fixture(scope="module")
+def gauss_window():
+    """Receiver x's Gaussian-pulse window on TestGaussianDispersionOracle's
+    link, computed once for both of its tests."""
+    link = TestGaussianDispersionOracle.LINK
+    pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
+    tx, _ = coefficient_tensor(link, pulse, TimeFreqGrid.for_link(link))
+    return tx
 
 
 class TestGaussianDispersionOracle:
@@ -224,21 +231,15 @@ class TestGaussianDispersionOracle:
     LAGS = [(0, 0, 0), (1, 0, 0), (0, 2, -1), (2, -2, 1)]
 
     @pytest.mark.parametrize("lag", LAGS)
-    def test_engine_matches_closed_form(self, lag):
-        link = self.LINK
-        pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-        grid = TimeFreqGrid.for_link(link)
-        engine = xpm_coefficient(link, pulse, grid, *lag)
+    def test_engine_matches_closed_form(self, gauss_window, lag):
+        engine = gauss_window.get(*lag)
         oracle = self.analytic(*lag)
         assert abs(engine - oracle) / abs(oracle) < 1e-5
 
-    def test_second_receiver_flips_walkoff(self):
+    def test_second_receiver_flips_walkoff(self, gauss_window):
         # The oracle flips the walk-off sign directly, so it checks the
         # engine's lag reversal without relying on it.
-        link = self.LINK
-        pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-        grid = TimeFreqGrid.for_link(link)
-        tw = receiver_w_tensor(coefficient_tensor(link, pulse, grid))
+        tw = receiver_w_tensor(gauss_window)
         for lag in self.LAGS + [(1, 2, 0)]:
             oracle = self.analytic(*lag, walkoff_sign=-1.0)
             assert abs(tw.get(*lag) - oracle) / abs(oracle) < 1e-5, lag
