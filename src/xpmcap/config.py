@@ -27,6 +27,10 @@ DEFAULT_CHANNEL_SPACING_HZ = 50.0e9
 #: Default reference carrier frequency (Hz), c/1550 nm.
 DEFAULT_CENTER_FREQ_HZ = 299792458.0 / 1550e-9
 
+#: Default coefficient time grid: 64 symbol periods at 16 samples per symbol.
+DEFAULT_GRID_SAMPLES = 1024
+DEFAULT_GRID_SYMBOLS = 64
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -130,6 +134,19 @@ class PowerPair:
 
     def swapped(self) -> "PowerPair":
         return PowerPair(self.p2, self.p1)
+
+
+def check_grid(n_samples: int, n_symbols: int) -> None:
+    """Require n_samples, a power of two, to span n_symbols symbol periods
+    at an even whole number of samples per symbol: lags are whole-sample
+    shifts, and the coefficient quadrature checks itself at half as many."""
+    _require(n_samples >= 2 and not n_samples & (n_samples - 1),
+             f"grid n_samples {n_samples} is not a power of two >= 2")
+    _require(n_symbols >= 1 and n_samples % n_symbols == 0,
+             f"n_samples {n_samples} is not a multiple of "
+             f"n_symbols {n_symbols}")
+    _require(n_samples // n_symbols % 2 == 0,
+             f"{n_samples // n_symbols} samples per symbol is odd")
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -274,8 +291,18 @@ def _section(raw: dict, name: str) -> dict:
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
     """Build a validated ToolkitConfig from a parsed mapping.
 
-    Unknown sections or keys and values of the wrong type are hard errors.
+    Unknown sections or keys, values of the wrong type and a grid pair
+    check_grid refuses are hard errors; each names source_path if given.
     """
+    try:
+        return _build_config(raw, source_path)
+    except ConfigError as exc:
+        if source_path is None:
+            raise
+        raise ConfigError(f"{source_path}: {exc}") from exc
+
+
+def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -284,6 +311,9 @@ def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
     sections = {name: _section(raw, name) for name in _SECTIONS}
+    grid = sections["grid"]
+    check_grid(grid.get("n_samples", DEFAULT_GRID_SAMPLES),
+               grid.get("n_symbols", DEFAULT_GRID_SYMBOLS))
 
     link = LinkParams(**sections["link"])
 
@@ -305,7 +335,7 @@ def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig
         sweep=sections["sweep"],
         simulation=sections["simulation"],
         pulse=sections["pulse"],
-        grid=sections["grid"],
+        grid=grid,
         source_path=source_path,
     )
 

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import LinkParams
+from .config import (DEFAULT_GRID_SAMPLES, DEFAULT_GRID_SYMBOLS, LinkParams,
+                     check_grid)
 from .errors import ConfigError, GridError
 
 PULSE_KINDS = ("nyquist-sinc", "root-raised-cosine", "gaussian")
@@ -116,14 +117,13 @@ class TimeFreqGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
 
     @classmethod
-    def for_link(cls, link: LinkParams, n_samples: int = 4096,
-                 n_symbols: int = 64) -> "TimeFreqGrid":
-        """Default grid: n_symbols symbol periods, validated against link;
-        n_samples must be a multiple of n_symbols (whole-sample lags)."""
+    def for_link(cls, link: LinkParams, n_samples: int = DEFAULT_GRID_SAMPLES,
+                 n_symbols: int = DEFAULT_GRID_SYMBOLS) -> "TimeFreqGrid":
+        """Default grid: n_symbols symbol periods at 16 samples per symbol,
+        validated against link; the samples per symbol must be an even
+        whole number (see check_grid)."""
+        check_grid(n_samples, n_symbols)
         grid = cls(n_samples, n_symbols * link.symbol_period)
-        if n_samples % n_symbols:
-            raise ConfigError(f"n_samples {n_samples} is not a multiple of "
-                              f"n_symbols {n_symbols}")
         grid.check_covers(link)
         return grid
 

@@ -581,6 +581,15 @@ MALFORMED = {
     "config-grid-samples-not-a-multiple-of-symbols": (
         {"c.yaml": "grid: {n_samples: 4096, n_symbols: 48}\n"},
         ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-size-not-a-power-of-two": (
+        {"c.yaml": "grid: {n_samples: 1000, n_symbols: 8}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-odd-samples-per-symbol": (
+        {"c.yaml": "grid: {n_samples: 64, n_symbols: 64}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-no-symbols": (
+        {"c.yaml": "grid: {n_symbols: 0}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
     "region-u1-nan": (
         {}, ["region", "--u1", "nan", "--u2", "1", "--usum", "1"]),
     "region-usum-negative": (
@@ -635,11 +644,14 @@ MALFORMED = {
 }
 
 
-# Cases whose tensor or sweep CSV input is at fault: the error names it.
+# Cases whose tensor, sweep CSV or config input is at fault: the error
+# names it. An unknown simulation.model is refused by the command, once
+# the config has loaded.
 NAMES_INPUT_FILE = {
     case for case in MALFORMED
     if case.startswith(("tensor-", "sweep-csv-", "sweep-coeffs-x-",
-                        "simulate-coeffs-w-"))}
+                        "simulate-coeffs-w-", "config-"))
+    and case != "config-simulation-model-unknown"}
 
 
 class TestMalformedInputs:
@@ -655,7 +667,8 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if case in NAMES_INPUT_FILE:
-            (path,) = [a for a in args if a.endswith((".json", ".csv"))]
+            (path,) = [a for a in args
+                       if a.endswith((".json", ".csv", ".yaml"))]
             assert path in err, err
 
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
@@ -107,7 +108,8 @@ class TestTensor:
         assert tw.link == tx.link
         assert np.array_equal(tw.values, tx.values[::-1, ::-1, ::-1])
         # receiver x's window from the independent phase-ramp kernel
-        panels = 2 * _initial_panels(SHORT)  # coefficient_tensor's finer level
+        # coefficient_tensor's finer level
+        panels = 2 * _initial_panels(SHORT, SINC)
         rx = _ramp_window_sum(SHORT, SINC, GRID, panels, 64)
         M = SHORT.memory
         for l, m, p in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
@@ -119,7 +121,7 @@ class TestTensor:
 
 class TestQuadrature:
     def test_z_node_doubling_converged(self):
-        panels = _initial_panels(SHORT)
+        panels = _initial_panels(SHORT, SINC)
         a = _window_sum(SHORT, SINC, GRID, panels, 64)
         b = _window_sum(SHORT, SINC, GRID, panels, 128)
         assert abs(b - a).max() / abs(b).max() < 1e-6
@@ -130,9 +132,27 @@ class TestQuadrature:
             coefficient_tensor(SHORT, SINC, GRID)
         assert err.value.residual > 1e-6
 
+    def test_under_sampled_time_grid_reports_residual(self):
+        # 2 samples per symbol: the coarse level at 1 sample per symbol
+        # cannot resolve the pulse, so the residual exposes the time grid
+        grid = TimeFreqGrid.for_link(SHORT, n_samples=64, n_symbols=32)
+        with pytest.raises(QuadratureError, match="1 samples per symbol .* "
+                           "2 samples per symbol") as err:
+            coefficient_tensor(SHORT, SINC, grid)
+        assert err.value.residual > 1e-2
+
     def test_initial_panels_track_walkoff(self):
-        assert _initial_panels(SHORT) == 1
-        assert _initial_panels(LinkParams()) >= 2
+        assert _initial_panels(SHORT, SINC) == 1
+        assert _initial_panels(LinkParams(), SINC) >= 2
+
+    def test_initial_panels_track_gaussian_width(self):
+        # a Gaussian narrower than T/2 varies faster along the span
+        link = LinkParams()
+        sinc = _initial_panels(link, SINC)
+        wide, narrow = (PulseShape(kind="gaussian", width_s=w * T)
+                        for w in (0.5, 0.25))
+        assert _initial_panels(link, wide) == sinc
+        assert _initial_panels(link, narrow) == 4 * sinc
 
 
 def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
@@ -167,7 +187,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("pulse", [SINC, GAUSS],
                              ids=["window-sinc", "window-gauss"])
     def test_matches_phase_ramp_kernel(self, pulse):
-        panels = _initial_panels(SHORT)
+        panels = _initial_panels(SHORT, pulse)
         fast = _window_sum(SHORT, pulse, GRID, panels, 64)
         slow = _ramp_window_sum(SHORT, pulse, GRID, panels, 64)
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
@@ -201,10 +221,11 @@ class TestGaussianDispersionOracle:
 
     LINK = LinkParams(length_km=100.0, memory=2)
 
-    def analytic(self, l, m, p, walkoff_sign=1.0, n_z=200001):
-        link = self.LINK
+    def analytic(self, l, m, p, walkoff_sign=1.0, n_z=200001, link=LINK,
+                 w_s=None):
         T = link.symbol_period
-        w_s = T / 3
+        if w_s is None:
+            w_s = T / 3
         sig2 = w_s ** 2 / 2.0
         z = np.linspace(0.0, link.length_km, n_z)
         beta = link.beta2_s2_per_km
@@ -235,6 +256,29 @@ class TestGaussianDispersionOracle:
         engine = gauss_window.get(*lag)
         oracle = self.analytic(*lag)
         assert abs(engine - oracle) / abs(oracle) < 1e-5
+
+    # Six fixed examples keep this near 3 s: the costliest corner (250 km,
+    # 100 GHz, width T/4) alone runs 32 panels on an 8-fold padded grid.
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(length_km=st.floats(10.0, 250.0),
+           beta2_sign=st.sampled_from([-1.0, 1.0]),
+           spacing_hz=st.floats(0.0, 100e9),
+           width=st.floats(0.25, 0.5), data=st.data())
+    def test_engine_matches_closed_form_across_links(
+            self, length_km, beta2_sign, spacing_hz, width, data):
+        link = LinkParams(length_km=length_km,
+                          beta2_ps2_per_km=beta2_sign * 21.7,
+                          channel_spacing_hz=spacing_hz, memory=1)
+        w_s = width * link.symbol_period
+        pulse = PulseShape(kind="gaussian", width_s=w_s)
+        tx, _ = coefficient_tensor(link, pulse, TimeFreqGrid.for_link(link))
+        # entries far below the window's largest carry no relative accuracy
+        size = np.abs(tx.values)
+        lags = [tuple(int(i) - link.memory for i in idx)
+                for idx in np.argwhere(size >= 1e-3 * size.max())]
+        lag = data.draw(st.sampled_from(lags), label="lag")
+        oracle = self.analytic(*lag, link=link, w_s=w_s)
+        assert abs(tx.get(*lag) - oracle) / abs(oracle) < 1e-5
 
     def test_second_receiver_flips_walkoff(self, gauss_window):
         # The oracle flips the walk-off sign directly, so it checks the

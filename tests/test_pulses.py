@@ -64,8 +64,14 @@ class TestGrid:
 
     def test_for_link_default_covers_reference_span(self):
         grid = TimeFreqGrid.for_link(LINK)
-        assert grid.n_samples == 4096
+        assert grid.n_samples == 1024
         assert grid.t_span == pytest.approx(64 * T)
+
+    def test_for_link_rejects_odd_samples_per_symbol(self):
+        # the coefficient engine's coarse level runs at half the grid's
+        # samples per symbol, which must stay whole
+        with pytest.raises(ConfigError, match="odd"):
+            TimeFreqGrid.for_link(LINK, n_samples=64, n_symbols=64)
 
     def test_too_small_window_rejected(self):
         with pytest.raises(GridError):
