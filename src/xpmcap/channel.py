@@ -25,6 +25,8 @@ _CSV_BLOCK_ROWS = 65536
 
 #: Symbols per cyclic chunk of interference_terms.
 _CHUNK = 2048
+#: Samples per block where long arrays are filled in place.
+BLOCK = 1 << 16
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -32,13 +34,21 @@ def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(master_seed).spawn(count)
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def normal_blocks(rng: np.random.Generator, n: int):
+    """(slice, block) pairs of rng.standard_normal(n), drawn in order into
+    one reused buffer; a Generator's stream does not depend on the split."""
+    buf = np.empty(min(n, BLOCK))
+    for s in range(0, n, BLOCK):
+        yield slice(s, s + BLOCK), rng.standard_normal(out=buf[:n - s])
 
 
 def _cscg(rng: np.random.Generator, n: int, var_per_dim: float) -> np.ndarray:
-    scale = np.sqrt(var_per_dim)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    out = np.empty(n, np.complex128)
+    for part in (out.real, out.imag):
+        for sl, z in normal_blocks(rng, n):
+            part[sl] = z
+    out *= np.sqrt(var_per_dim)
+    return out
 
 
 def sample_cscg(n: int, power: float, seed) -> np.ndarray:
@@ -50,7 +60,7 @@ def sample_cscg(n: int, power: float, seed) -> np.ndarray:
         raise ConfigError("n must be >= 1")
     if power < 0:
         raise ConfigError("power must be >= 0")
-    return _cscg(_rng(seed), n, power / 2.0)
+    return _cscg(np.random.default_rng(seed), n, power / 2.0)
 
 
 def memoryless_channel(x: np.ndarray, w: np.ndarray, g: complex,
@@ -66,7 +76,7 @@ def memoryless_channel(x: np.ndarray, w: np.ndarray, g: complex,
         raise ConfigError("input sequences must have equal length")
     y = x + (g * (w * np.conj(w))) * x
     if sigma_sq > 0:
-        y = y + _cscg(_rng(seed), x.size, sigma_sq)
+        y = y + _cscg(np.random.default_rng(seed), x.size, sigma_sq)
     return y
 
 
@@ -83,7 +93,7 @@ def full_channel(x: np.ndarray, w: np.ndarray, coeffs: CoeffTensor,
     """
     y = x + interference_terms(x, w, coeffs)
     if sigma_sq > 0:
-        y = y + _cscg(_rng(seed), y.size, sigma_sq)
+        y = y + _cscg(np.random.default_rng(seed), y.size, sigma_sq)
     return y
 
 

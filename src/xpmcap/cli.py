@@ -3,9 +3,9 @@
 Commands: coeffs, sweep, region, simulate, verify. `main` runs each
 command inside one RunContext, which loads the configuration, resolves
 the master seed and creates --out-dir before the command runs, and writes
-the run manifest (effective configuration, input digests, output digests,
-wall time and master seed) after it returns. Outputs are written
-atomically (write-then-rename).
+the run manifest (effective configuration, input and output digests,
+wall time, master seed and diagnostics) after it returns. Outputs are
+written atomically (write-then-rename).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error or an unreadable input or unwritable output, 3 numerical failure.
@@ -28,13 +28,13 @@ from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
                      sweep_rows)
 from .channel import simulate_batch, write_batch_csv
 from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
-from .config import ToolkitConfig, load_config, dbm_to_watts
+from .config import SIMULATION_MODELS, ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      ToolkitError)
 from .pulses import PulseShape, TimeFreqGrid
 from .regions import build_region, dominant_face_midpoint, excess_area
 from .svgout import render_curves, render_regions
-from .verify import run_suite
+from .verify import check_workers, run_suite
 
 ENV_CONFIG = "XPMCAP_CONFIG"
 DEFAULT_MASTER_SEED = 12345
@@ -97,6 +97,7 @@ class RunContext:
         self.t0 = time.monotonic()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.diagnostics: dict = {}  # numbers that back the outputs
         os.makedirs(args.out_dir, exist_ok=True)
         if self.config.source_path:
             self.note_input(self.config.source_path)
@@ -133,6 +134,7 @@ class RunContext:
             "inputs": self.inputs,
             "outputs": {p: _sha256_file(p) for p in self.outputs},
             "wall_time_s": time.monotonic() - self.t0,
+            "diagnostics": self.diagnostics,
         }
         text = _json_text(manifest)
         _atomic_write(self.out_path(f"{self.args.command}-manifest.json"),
@@ -322,8 +324,6 @@ def cmd_simulate(args, ctx: RunContext) -> int:
             raise ConfigError("memoryless simulation needs --g-real/--g-imag, "
                               "simulation.g_*_per_mw, or --coeffs-x")
         coeffs_x = CoeffTensor(user="x", memory=0, values=[[[g_x]]])
-    elif model != "full":
-        raise ConfigError(f"unknown simulation.model {model!r}")
     elif args.g_real is not None or args.g_imag is not None:
         raise ConfigError("--g-real/--g-imag are for the memoryless model")
     elif coeffs_x is None:
@@ -341,9 +341,13 @@ def cmd_verify(args, ctx: RunContext) -> int:
     reports = run_suite(args.suite, args.samples, ctx.master_seed)
     ctx.write(args.out, _json_text([r.to_dict() for r in reports]))
     failed = [r for r in reports if r.verdict == "fail"]
+    margins = {r.name: (r.bound - r.estimate) / r.stderr if r.stderr > 0
+               else None for r in reports}
+    ctx.diagnostics = {"check_workers": check_workers(
+        sum(r.kind != "exact" for r in reports)), "margin_se": margins}
     for r in reports:
-        margin = (f" margin_se={(r.bound - r.estimate) / r.stderr:+.2f}"
-                  if r.stderr > 0 else "")
+        margin = ("" if margins[r.name] is None
+                  else f" margin_se={margins[r.name]:+.2f}")
         ctx.say(f"{r.verdict.upper():4s} {r.name}: estimate={r.estimate:.6g} "
                 f"bound={r.bound:.6g} stderr={r.stderr:.3g}{margin}")
     if failed:
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="block length")
     p.add_argument("--p1-dbm", type=float, dest="p1_dbm")
     p.add_argument("--p2-dbm", type=float, dest="p2_dbm")
-    p.add_argument("--model", choices=("memoryless", "full"))
+    p.add_argument("--model", choices=SIMULATION_MODELS)
     p.add_argument("--g-real", type=float, dest="g_real",
                    help="Re of the center tap, 1/mW (memoryless)")
     p.add_argument("--g-imag", type=float, dest="g_imag",

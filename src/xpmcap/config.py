@@ -204,6 +204,7 @@ _SWEEP_KEYS = {"powers_dbm", "p2_dbm", "g_real_per_mw", "g_abs_sq_per_mw2",
                "kappa_per_mw2"}
 _SIMULATION_KEYS = {"n", "p1_dbm", "p2_dbm", "model", "seed",
                     "g_real_per_mw", "g_imag_per_mw"}
+SIMULATION_MODELS = ("memoryless", "full")
 _PULSE_KEYS = {"kind", "rolloff", "width_s"}
 _GRID_KEYS = {"n_samples", "n_symbols"}
 
@@ -291,7 +292,7 @@ def _section(raw: dict, name: str) -> dict:
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
     """Build a validated ToolkitConfig from a parsed mapping.
 
-    Unknown sections or keys, values of the wrong type and a grid pair
+    Unknown sections, keys or models, wrongly typed values and a grid pair
     check_grid refuses are hard errors; each names source_path if given.
     """
     try:
@@ -311,6 +312,8 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
     sections = {name: _section(raw, name) for name in _SECTIONS}
+    model = sections["simulation"].get("model", "memoryless")
+    _require(model in SIMULATION_MODELS, f"unknown simulation.model {model!r}")
     grid = sections["grid"]
     check_grid(grid.get("n_samples", DEFAULT_GRID_SAMPLES),
                grid.get("n_symbols", DEFAULT_GRID_SYMBOLS))

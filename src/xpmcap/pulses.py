@@ -147,7 +147,3 @@ class TimeFreqGrid:
         """Same dt, window enlarged by an integer power-of-two factor."""
         return TimeFreqGrid(self.n_samples * factor, self.t_span * factor)
 
-    def refined(self) -> "TimeFreqGrid":
-        """Same window, twice the sample count."""
-        return TimeFreqGrid(self.n_samples * 2, self.t_span)
-

@@ -5,18 +5,21 @@ Stochastic checks accept at the 5-standard-error level: one-sided where
 an inequality is being verified, two-sided for moment identities. Under a
 correct implementation each one-sided check passes with probability at
 least 1 - 1e-6 at desk-scale sample counts. Every check owns a generator
-seeded from its explicit seed, so reports are reproducible and checks can
-run concurrently.
+seeded from its explicit seed, so run_suite runs two checks at once and
+still returns a serial run's reports, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
-from .channel import real_imag_decompose, sample_cscg, spawn_seeds
+from .channel import (BLOCK, normal_blocks, real_imag_decompose, sample_cscg,
+                      spawn_seeds)
 from .config import PowerPair
 from .errors import ConfigError, SampleBudgetError
 
@@ -132,6 +135,22 @@ def _batched_cov_det(rows: np.ndarray) -> tuple[float, float]:
     return det, stderr
 
 
+def _noisy_rows(maps, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Rows y_r, y_i of real_imag_decompose(x, w, g) per (x, w, g) in maps,
+    plus scale * rng.standard_normal(n) per row, built BLOCK at a time."""
+    n = maps[0][0].size
+    rows = np.empty((2 * len(maps), n))
+    for pair, (x, w, g) in zip(rows.reshape(len(maps), 2, n), maps):
+        for s in range(0, n, BLOCK):
+            sl = slice(s, s + BLOCK)
+            pair[0, sl], pair[1, sl] = real_imag_decompose(
+                x[sl], w[sl] if np.ndim(w) else w, g)
+    for row in rows:
+        for sl, z in normal_blocks(rng, n):
+            row[sl] += scale * z
+    return rows
+
+
 def single_user_covariance_check(g: complex, w: complex, p1: float,
                                  sigma_sq: float, n: int, seed: int,
                                  power_split: float = 0.5,
@@ -152,11 +171,9 @@ def single_user_covariance_check(g: complex, w: complex, p1: float,
     rng = np.random.default_rng(seed)
     x = (math.sqrt(power_split * p1) * rng.standard_normal(n)
          + 1j * math.sqrt((1.0 - power_split) * p1) * rng.standard_normal(n))
-    y_r, y_i = real_imag_decompose(x, np.full(n, w), g)
-    noise_scale = math.sqrt(sigma_sq)
-    y_r = y_r + noise_scale * rng.standard_normal(n)
-    y_i = y_i + noise_scale * rng.standard_normal(n)
-    det, stderr = _batched_cov_det(np.vstack([y_r, y_i]))
+    rows = _noisy_rows([(x, w, g)], rng, math.sqrt(sigma_sq))
+    del x
+    det, stderr = _batched_cov_det(rows)
     q = abs(w) ** 2
     bound = ((1.0 + 2.0 * g.real * q + abs(g) ** 2 * q * q) * p1 / 2.0
              + sigma_sq) ** 2
@@ -178,16 +195,9 @@ def joint_covariance_check(g_x: complex, g_w: complex, pp: PowerPair,
     seeds = spawn_seeds(seed, 3)
     x = sample_cscg(n, pp.p1, seeds[0])
     w = sample_cscg(n, pp.p2, seeds[1])
-    y_r, y_i = real_imag_decompose(x, w, g_x)
-    z_r, z_i = real_imag_decompose(w, x, g_w)
-    rng = np.random.default_rng(seeds[2])
-    s = math.sqrt(sigma_sq)
-    rows = np.vstack([
-        y_r + s * rng.standard_normal(n),
-        y_i + s * rng.standard_normal(n),
-        z_r + s * rng.standard_normal(n),
-        z_i + s * rng.standard_normal(n),
-    ])
+    rows = _noisy_rows([(x, w, g_x), (w, x, g_w)],
+                       np.random.default_rng(seeds[2]), math.sqrt(sigma_sq))
+    del x, w
     det, stderr = _batched_cov_det(rows)
     p1, p2 = pp.p1, pp.p2
     trace_quarter = ((1.0 + 2.0 * g_x.real * p2 + 4.0 * abs(g_x) ** 2 * p2 * p2) * p1
@@ -249,61 +259,68 @@ def random_psd_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
     return b @ b.T
 
 
+def check_workers(n_sampling: int) -> int:
+    """Threads for n_sampling checks that draw samples, 1 meaning inline:
+    two at most, as two building arrays in place fit where one used to."""
+    return max(1, min(2, n_sampling, len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1))
+
+
 def run_suite(suite: str, n: int, master_seed: int) -> list[CheckReport]:
-    """Run one named suite (or 'all') and return its reports."""
-    suites = {
-        "dettrace": _run_dettrace,
-        "conv4": _run_conv4,
-        "conv6": _run_conv6,
-        "moments": _run_moments,
-    }
-    if suite == "all":
-        reports = []
-        for i, fn in enumerate(suites.values()):
-            reports.extend(fn(n, master_seed + i))
-        return reports
-    if suite not in suites:
+    """Run one named suite (or 'all') on check_workers threads (1: inline),
+    costliest check first by normal variates per sample. Reports, one per
+    check, keep suite order; a check's exception propagates at the end."""
+    suites = {"dettrace": (0, _run_dettrace), "conv4": (4, _run_conv4),
+              "conv6": (8, _run_conv6), "moments": (2, _run_moments)}
+    if suite != "all" and suite not in suites:
         raise ConfigError(f"unknown suite '{suite}'; expected one of "
                           f"{('all',) + tuple(suites)}")
-    return suites[suite](n, master_seed)
+    names = list(suites) if suite == "all" else [suite]
+    checks = [(suites[name][0], check) for i, name in enumerate(names)
+              for check in suites[name][1](n, master_seed + i)]
+    if (workers := check_workers(sum(cost > 0 for cost, _ in checks))) == 1:
+        return [check() for _, check in checks]
+    from concurrent.futures import ThreadPoolExecutor  # off the CLI import
+    with ThreadPoolExecutor(workers) as pool:
+        futures = {i: pool.submit(checks[i][1]) for i in
+                   sorted(range(len(checks)), key=lambda i: -checks[i][0])}
+        return [futures[i].result() for i in range(len(checks))]
 
 
-def _run_dettrace(n: int, seed: int) -> list[CheckReport]:
-    reports = [
-        det_trace_check(np.eye(2), name="dettrace-identity-2x2"),
-        det_trace_check(np.diag([1.0, 3.0]), name="dettrace-diag-1-3"),
-    ]
-    rng = np.random.default_rng(seed)
-    count = 1000
-    worst = -math.inf
-    for _ in range(count):
-        a = random_psd_matrix(rng, int(rng.integers(2, 5)))
-        r = det_trace_check(a)
-        worst = max(worst, r.estimate - r.bound)
-    reports.append(CheckReport(
-        name=f"dettrace-random-psd[{count}]", n_samples=count,
-        estimate=worst, bound=0.0, stderr=0.0,
-        verdict="pass" if worst <= 0.0 else "fail", seed=seed, kind="exact"))
-    return reports
+def _run_dettrace(n: int, seed: int) -> list:
+    def random_psd(count: int = 1000) -> CheckReport:
+        rng = np.random.default_rng(seed)
+        worst = -math.inf
+        for _ in range(count):
+            r = det_trace_check(random_psd_matrix(rng, rng.integers(2, 5)))
+            worst = max(worst, r.estimate - r.bound)
+        return _report(f"dettrace-random-psd[{count}]", count, worst, 0.0,
+                       0.0, seed, "exact")
+    return [partial(det_trace_check, np.eye(2), name="dettrace-identity-2x2"),
+            partial(det_trace_check, np.diag([1.0, 3.0]),
+                    name="dettrace-diag-1-3"),
+            random_psd]
 
 
-def _run_conv4(n: int, seed: int) -> list[CheckReport]:
+def _run_conv4(n: int, seed: int) -> list:
     seeds = spawn_seeds(seed, len(CONV4_SETS))
     return [
-        single_user_covariance_check(g, w, p1, s2, n,
-                                     int(cs.generate_state(1)[0]), name=name)
+        partial(single_user_covariance_check, g, w, p1, s2, n,
+                int(cs.generate_state(1)[0]), name=name)
         for (name, g, w, p1, s2), cs in zip(CONV4_SETS, seeds)
     ]
 
 
-def _run_conv6(n: int, seed: int) -> list[CheckReport]:
+def _run_conv6(n: int, seed: int) -> list:
     seeds = spawn_seeds(seed, len(CONV6_SETS))
     return [
-        joint_covariance_check(gx, gw, PowerPair(p1, p2), s2, n,
-                               int(cs.generate_state(1)[0]), name=name)
+        partial(joint_covariance_check, gx, gw, PowerPair(p1, p2), s2, n,
+                int(cs.generate_state(1)[0]), name=name)
         for (name, gx, gw, p1, p2, s2), cs in zip(CONV6_SETS, seeds)
     ]
 
 
-def _run_moments(n: int, seed: int) -> list[CheckReport]:
-    return [moment_identity_check(1e-3, n, seed, name="moments-cscg-1mW")]
+def _run_moments(n: int, seed: int) -> list:
+    return [partial(moment_identity_check, 1e-3, n, seed,
+                    name="moments-cscg-1mW")]

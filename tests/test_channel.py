@@ -49,6 +49,16 @@ class TestSampleCscg:
     def test_zero_power_gives_zeros(self):
         assert np.all(sample_cscg(100, 0.0, 1) == 0)
 
+    @pytest.mark.parametrize("n", [1, 1000, 65536, 200_003])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_equals_whole_array_form_bitwise(self, n, seed):
+        for p in (0.0, 1e-3, 3.7):
+            rng = np.random.default_rng(seed)
+            n1 = rng.standard_normal(n)
+            n2 = rng.standard_normal(n)
+            expected = np.sqrt(p / 2.0) * (n1 + 1j * n2)
+            assert sample_cscg(n, p, seed).tobytes() == expected.tobytes()
+
     def test_seed_determinism(self):
         a = sample_cscg(1000, 1e-3, 42)
         b = sample_cscg(1000, 1e-3, 42)

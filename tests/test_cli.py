@@ -475,6 +475,37 @@ class TestVerifyCommand:
             else:
                 assert "margin_se" not in line
 
+    def test_manifest_diagnostics(self, tmp_path):
+        from xpmcap.verify import check_workers
+
+        code = run(["--out-dir", str(tmp_path), "--seed", "3", "--quiet",
+                    "verify", "--suite", "all", "--samples", "100000",
+                    "--out", "all.json"])
+        assert code == 0
+        reports = json.loads((tmp_path / "all.json").read_text())
+        manifest = json.loads((tmp_path / "verify-manifest.json").read_text())
+        assert {"command", "argv", "outputs", "wall_time_s"} <= set(manifest)
+        diagnostics = manifest["diagnostics"]
+        assert set(diagnostics) == {"check_workers", "margin_se"}
+        # seven of the ten checks draw samples; the dettrace ones do not
+        assert diagnostics["check_workers"] == check_workers(7)
+        assert 1 <= diagnostics["check_workers"] <= 2
+        margins = diagnostics["margin_se"]
+        assert list(margins) == sorted(r["name"] for r in reports)
+        for r in reports:
+            if r["stderr"] > 0:
+                assert margins[r["name"]] == \
+                    (r["bound"] - r["estimate"]) / r["stderr"]
+            else:
+                assert margins[r["name"]] is None
+        assert None in margins.values()
+
+        code = run(["--out-dir", str(tmp_path), "--quiet", "verify",
+                    "--suite", "dettrace", "--out", "d.json"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "verify-manifest.json").read_text())
+        assert manifest["diagnostics"]["check_workers"] == 1
+
     def test_conv4_suite_small(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--seed", "5", "--quiet",
                     "verify", "--suite", "conv4", "--samples", "200000",
@@ -645,13 +676,11 @@ MALFORMED = {
 
 
 # Cases whose tensor, sweep CSV or config input is at fault: the error
-# names it. An unknown simulation.model is refused by the command, once
-# the config has loaded.
+# names it (the config file, for a config case).
 NAMES_INPUT_FILE = {
     case for case in MALFORMED
     if case.startswith(("tensor-", "sweep-csv-", "sweep-coeffs-x-",
-                        "simulate-coeffs-w-", "config-"))
-    and case != "config-simulation-model-unknown"}
+                        "simulate-coeffs-w-", "config-"))}
 
 
 class TestMalformedInputs:
@@ -667,8 +696,9 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if case in NAMES_INPUT_FILE:
-            (path,) = [a for a in args
-                       if a.endswith((".json", ".csv", ".yaml"))]
+            at_fault = (".yaml",) if case.startswith("config-") else \
+                (".json", ".csv", ".yaml")
+            (path,) = [a for a in args if a.endswith(at_fault)]
             assert path in err, err
 
 

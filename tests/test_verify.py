@@ -1,8 +1,12 @@
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from xpmcap import verify
+from xpmcap.channel import BLOCK, real_imag_decompose
 from xpmcap.config import PowerPair
 from xpmcap.errors import ConfigError, SampleBudgetError
 from xpmcap.verify import (CheckReport, det_small, det_trace_check,
@@ -152,3 +156,104 @@ class TestSuiteRunner:
         assert set(doc) == {"name", "n_samples", "estimate", "bound",
                             "stderr", "verdict", "seed", "kind"}
         assert isinstance(report, CheckReport)
+
+
+def _report_bytes(reports) -> str:
+    return json.dumps([r.to_dict() for r in reports])
+
+
+class TestConcurrentSuite:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reports_do_not_depend_on_worker_count(self, seed, monkeypatch):
+        serial = [check() for i, name in
+                  enumerate(("dettrace", "conv4", "conv6", "moments"))
+                  for check in getattr(verify, f"_run_{name}")(100_000,
+                                                               seed + i)]
+        texts = {_report_bytes(serial)}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(verify, "check_workers", lambda k: workers)
+            texts.add(_report_bytes(run_suite("all", 100_000, seed)))
+        assert len(texts) == 1
+
+    def test_worker_count_is_capped(self):
+        assert verify.check_workers(0) == 1
+        assert verify.check_workers(1) == 1
+        assert 1 <= verify.check_workers(7) <= 2
+
+    def _record_starts(self, monkeypatch):
+        started = []
+        for attr in ("det_trace_check", "single_user_covariance_check",
+                     "joint_covariance_check", "moment_identity_check"):
+            def record(*args, _inner=getattr(verify, attr), **kwargs):
+                on_main = threading.current_thread() is threading.main_thread()
+                started.append((kwargs.get("name", "-").split("-")[0],
+                                on_main))
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(verify, attr, record)
+        return started
+
+    def test_costliest_checks_start_first(self, monkeypatch):
+        started = self._record_starts(monkeypatch)
+        monkeypatch.setattr(verify, "check_workers", lambda k: 2)
+        names = [r.name for r in run_suite("all", 100_000, 4)]
+        sampling = [name for name, _ in started if name]
+        assert sampling[:7] == ["conv6"] * 3 + ["conv4"] * 3 + ["moments"]
+        assert not any(on_main for _, on_main in started)
+        assert [n.split("-")[0] for n in names] == \
+            ["dettrace"] * 3 + ["conv4"] * 3 + ["conv6"] * 3 + ["moments"]
+
+    @pytest.mark.parametrize("suite", ["dettrace", "moments"])
+    def test_single_worker_runs_inline(self, suite, monkeypatch):
+        started = self._record_starts(monkeypatch)
+        run_suite(suite, 100_000, 1)
+        assert started and all(on_main for _, on_main in started)
+
+    def test_check_exception_propagates_unchanged(self, monkeypatch):
+        error = RuntimeError("check broke")
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(verify, "joint_covariance_check", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            run_suite("all", 100_000, 1)
+        assert excinfo.value is error
+        assert threading.active_count() == before
+
+    def test_sample_budget_error_propagates(self):
+        before = threading.active_count()
+        with pytest.raises(SampleBudgetError):
+            run_suite("all", 10, 1)
+        assert threading.active_count() == before
+
+
+class TestNoisyRows:
+    """The in-place rows equal the whole-array construction bit for bit."""
+
+    @pytest.mark.parametrize("n", [1000, BLOCK, 2 * BLOCK + 123])
+    def test_joint_rows_equal_whole_array_form(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g_x, g_w, s = 30.0 + 40.0j, -5.0 + 2.0j, 0.7
+        rows = verify._noisy_rows([(x, w, g_x), (w, x, g_w)],
+                                  np.random.default_rng(9), s)
+        y_r, y_i = real_imag_decompose(x, w, g_x)
+        z_r, z_i = real_imag_decompose(w, x, g_w)
+        noise = np.random.default_rng(9)
+        whole = np.vstack([v + s * noise.standard_normal(n)
+                           for v in (y_r, y_i, z_r, z_i)])
+        assert rows.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [777, 3 * BLOCK - 1])
+    def test_scalar_interferer_equals_full_array(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w, s = 0.3 - 0.8j, 1.3
+        rows = verify._noisy_rows([(x, w, 50.0j)], np.random.default_rng(1),
+                                  s)
+        noise = np.random.default_rng(1)
+        whole = np.vstack([v + s * noise.standard_normal(n) for v in
+                           real_imag_decompose(x, np.full(n, w), 50.0j)])
+        assert rows.tobytes() == whole.tobytes()
