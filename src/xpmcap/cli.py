@@ -26,7 +26,8 @@ import time
 from . import __version__
 from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
                      sweep_rows)
-from .channel import simulate_batch, write_batch_csv
+from .channel import (cpu_workers, csv_workers, simulate_batch,
+                      write_batch_csv)
 from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import SIMULATION_MODELS, ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
@@ -34,7 +35,7 @@ from .errors import (ConfigError, NoDominantFaceError, NumericalError,
 from .pulses import PulseShape, TimeFreqGrid
 from .regions import build_region, dominant_face_midpoint, excess_area
 from .svgout import render_curves, render_regions
-from .verify import check_workers, run_suite
+from .verify import run_suite
 
 ENV_CONFIG = "XPMCAP_CONFIG"
 DEFAULT_MASTER_SEED = 12345
@@ -197,6 +198,10 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
     for tensor in (tx, receiver_w_tensor(tx)):
         ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
+    # The quadrature's layout is run telemetry: the manifest, not the file.
+    ctx.diagnostics = {k: report.pop(k) for k in
+                       ("pad_factor", "levels", "nodes_evaluated")}
+    ctx.diagnostics["residual"] = report["residual"]
     # One quadrature serves both receivers, so both share its report.
     ctx.write("tensor_convergence.json",
               _json_text({"x": report, "w": report}))
@@ -334,6 +339,7 @@ def cmd_simulate(args, ctx: RunContext) -> int:
         sigma_sq=ctx.config.noise.sigma_sq, master_seed=ctx.master_seed,
         coeffs=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
+    ctx.diagnostics = {"rows": n, "csv_workers": csv_workers(n)}
     return EXIT_OK
 
 
@@ -343,7 +349,7 @@ def cmd_verify(args, ctx: RunContext) -> int:
     failed = [r for r in reports if r.verdict == "fail"]
     margins = {r.name: (r.bound - r.estimate) / r.stderr if r.stderr > 0
                else None for r in reports}
-    ctx.diagnostics = {"check_workers": check_workers(
+    ctx.diagnostics = {"check_workers": cpu_workers(
         sum(r.kind != "exact" for r in reports)), "margin_se": margins}
     for r in reports:
         margin = ("" if margins[r.name] is None

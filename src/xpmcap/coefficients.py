@@ -19,9 +19,11 @@ shift is a circular roll by whole samples per symbol, and only the
 Hermitian half m <= p of the interferer pair products is built.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
-all delays are applied on an internally zero-padded copy of the grid wide
-enough that the periodic transform cannot wrap the interferer back onto
-the channel of interest.
+delays are applied on a grid _pad_factor times wider (same dt), where the
+periodic transform cannot wrap the interferer onto the channel of
+interest. The pulse is sampled and renormalised across all of it, not
+zero-padded, so the tensor depends on the pad factor (reference config,
+pad 4 -> 8: c[0,0,0] scales by 0.999208).
 """
 
 from __future__ import annotations
@@ -275,7 +277,8 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
     truncated window is left.
     """
     report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
-              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL}
+              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL, "pad_factor": 1,
+              "levels": [], "nodes_evaluated": 0}
     if link.length_km == 0.0 or link.gamma == 0.0:
         return np.zeros((2 * link.memory + 1,) * 3, complex), report
     base_panels = _initial_panels(link, pulse)
@@ -293,7 +296,13 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
             f"{DEFAULT_QUAD_RTOL:.1e} between {sps / 2:g} samples per "
             f"symbol at {base_panels} panels and {sps:g} samples per symbol "
             f"at {panels} panels", residual)
-    report.update(panels=panels, refinements=1, residual=residual)
+    pad = _pad_factor(link, grid)  # set by t_span alone: one for both levels
+    report.update(
+        panels=panels, refinements=1, residual=residual, pad_factor=pad,
+        nodes_evaluated=(base_panels + panels) * DEFAULT_Z_NODES,
+        levels=[{"padded_n": pad * g.n_samples, "panels": p,
+                 "samples_per_symbol": round(link.symbol_period / g.dt)}
+                for g, p in ((half_grid, base_panels), (grid, panels))])
     return fine, report
 
 
@@ -315,7 +324,8 @@ def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
 def coefficient_tensor(link: LinkParams, pulse: PulseShape,
                        grid: TimeFreqGrid):
     """Receiver x's full (2M+1)^3 coefficient window and the report of its
-    two-level quadrature (z_nodes, panels, refinements, residual, rtol).
+    two-level quadrature (z_nodes, panels, refinements, residual, rtol;
+    pad_factor, levels, nodes_evaluated).
 
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.

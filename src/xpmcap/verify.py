@@ -12,14 +12,13 @@ still returns a serial run's reports, bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
 
-from .channel import (BLOCK, normal_blocks, real_imag_decompose, sample_cscg,
-                      spawn_seeds)
+from .channel import (BLOCK, cpu_workers, normal_blocks, real_imag_decompose,
+                      sample_cscg, spawn_seeds)
 from .config import PowerPair
 from .errors import ConfigError, SampleBudgetError
 
@@ -259,18 +258,12 @@ def random_psd_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
     return b @ b.T
 
 
-def check_workers(n_sampling: int) -> int:
-    """Threads for n_sampling checks that draw samples, 1 meaning inline:
-    two at most, as two building arrays in place fit where one used to."""
-    return max(1, min(2, n_sampling, len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1))
-
-
 def run_suite(suite: str, n: int, master_seed: int) -> list[CheckReport]:
-    """Run one named suite (or 'all') on check_workers threads (1: inline),
-    costliest check first by normal variates per sample. Reports, one per
-    check, keep suite order; a check's exception propagates at the end."""
+    """Run one named suite (or 'all') on cpu_workers threads (1: inline),
+    one per check that draws samples (two building arrays in place fit
+    where one used to), costliest check first by normal variates per
+    sample. Reports, one per check, keep suite order; a check's exception
+    propagates at the end."""
     suites = {"dettrace": (0, _run_dettrace), "conv4": (4, _run_conv4),
               "conv6": (8, _run_conv6), "moments": (2, _run_moments)}
     if suite != "all" and suite not in suites:
@@ -279,7 +272,7 @@ def run_suite(suite: str, n: int, master_seed: int) -> list[CheckReport]:
     names = list(suites) if suite == "all" else [suite]
     checks = [(suites[name][0], check) for i, name in enumerate(names)
               for check in suites[name][1](n, master_seed + i)]
-    if (workers := check_workers(sum(cost > 0 for cost, _ in checks))) == 1:
+    if (workers := cpu_workers(sum(cost > 0 for cost, _ in checks))) == 1:
         return [check() for _, check in checks]
     from concurrent.futures import ThreadPoolExecutor  # off the CLI import
     with ThreadPoolExecutor(workers) as pool:

@@ -1,15 +1,17 @@
 import csv
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpmcap.channel import (_CHUNK, BATCH_CSV_HEADER, SampleBatch,
-                            full_channel, interference_terms,
-                            memoryless_channel, real_imag_decompose,
-                            sample_cscg, simulate_batch, spawn_seeds,
-                            write_batch_csv)
+from xpmcap import channel as xch
+from xpmcap.channel import (_CHUNK, _CSV_BLOCK_ROWS, _CSV_SPLIT_ROWS,
+                            BATCH_CSV_HEADER, SampleBatch, full_channel,
+                            interference_terms, memoryless_channel,
+                            real_imag_decompose, sample_cscg, simulate_batch,
+                            spawn_seeds, write_batch_csv)
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.errors import ConfigError
 
@@ -307,3 +309,73 @@ class TestBatchIO:
         with pytest.raises(ConfigError):
             SampleBatch(n=3, x=np.zeros(2, complex), w=np.zeros(3, complex),
                         y=np.zeros(3, complex))
+
+
+def reference_csv(batch, path):
+    """The single-process writer the split writer must match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(BATCH_CSV_HEADER) + "\r\n")
+        for start in range(0, batch.n, _CSV_BLOCK_ROWS):
+            block = slice(start, min(start + _CSV_BLOCK_ROWS, batch.n))
+            cols = [part[block].tolist()
+                    for v in (batch.x, batch.w, batch.y)
+                    for part in (v.real, v.imag)]
+            fh.write("".join(
+                f"{k},{xr!r},{xi!r},{wr!r},{wi!r},{yr!r},{yi!r}\r\n"
+                for k, xr, xi, wr, wi, yr, yi
+                in zip(range(block.start, block.stop), *cols)))
+
+
+def odd_batch(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x, w, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+               for _ in range(3))
+    specials = [complex(-0.0, 5e-324), complex(1e300, -1e-310),
+                complex(float("inf"), float("nan"))]
+    x[-len(specials):] = specials[:n]
+    return SampleBatch(n=n, x=x, w=w, y=y)
+
+
+class TestSplitWriter:
+    @pytest.mark.parametrize("n", [1, _CSV_SPLIT_ROWS - 1, _CSV_SPLIT_ROWS,
+                                   _CSV_SPLIT_ROWS + 3,
+                                   2 * _CSV_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bytes_equal_the_single_process_writer(self, n, cpus, tmp_path,
+                                                   monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(xch, "cpu_workers", lambda k: min(k, cpus))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(n) or fork())
+        batch = odd_batch(n)
+        reference_csv(batch, tmp_path / "ref.csv")
+        write_batch_csv(batch, str(tmp_path / "batch.csv"))
+        assert ((tmp_path / "batch.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+        split = cpus == 2 and n >= _CSV_SPLIT_ROWS
+        assert xch.csv_workers(n) == (2 if split else 1)
+        assert len(forks) == split
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "batch.csv", "ref.csv"]
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_half_leaves_no_file_or_child(self, failing, tmp_path,
+                                                 monkeypatch):
+        rows = xch._write_rows
+
+        def write_rows(fh, batch, start, stop):
+            if (start > 0) == (failing == "child"):
+                raise RuntimeError("formatting failed")
+            rows(fh, batch, start, stop)
+
+        monkeypatch.setattr(xch, "cpu_workers", lambda k: 2)
+        monkeypatch.setattr(xch, "_write_rows", write_rows)
+        path = str(tmp_path / "batch.csv")
+        error = OSError if failing == "child" else RuntimeError
+        with pytest.raises(error) as info:
+            write_batch_csv(odd_batch(_CSV_SPLIT_ROWS), path)
+        if failing == "child":
+            assert path in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["batch.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

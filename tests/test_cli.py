@@ -92,6 +92,39 @@ class TestCoeffsCommand:
         conv = json.loads((out / "tensor_convergence.json").read_text())
         assert conv["x"]["residual"] <= 1e-6
         assert conv["w"]["residual"] <= 1e-6
+        # The reference link: pad 4, 2 + 4 panels of 64 distance nodes.
+        diagnostics = json.loads(
+            (out / "coeffs-manifest.json").read_text())["diagnostics"]
+        assert diagnostics["pad_factor"] == 4
+        assert diagnostics["nodes_evaluated"] == 128 + 256
+        assert diagnostics["levels"] == [
+            {"padded_n": 2048, "samples_per_symbol": 8, "panels": 2},
+            {"padded_n": 4096, "samples_per_symbol": 16, "panels": 4}]
+
+    def test_manifest_diagnostics(self, tmp_path, config_path):
+        out = tmp_path / "diag"
+        assert run(["--config", config_path, "--out-dir", str(out), "--quiet",
+                    "coeffs"]) == 0
+        conv = json.loads((out / "tensor_convergence.json").read_text())
+        # The data file keeps its keys; the quadrature's layout is telemetry.
+        for report in conv.values():
+            assert set(report) == {"z_nodes", "panels", "refinements",
+                                   "residual", "rtol"}
+        report = conv["x"]
+        diagnostics = json.loads(
+            (out / "coeffs-manifest.json").read_text())["diagnostics"]
+        assert set(diagnostics) == {"pad_factor", "levels", "nodes_evaluated",
+                                    "residual"}
+        assert diagnostics["residual"] == report["residual"]
+        coarse, fine = diagnostics["levels"]
+        assert fine["panels"] == report["panels"] == 2 * coarse["panels"]
+        assert diagnostics["nodes_evaluated"] == report["z_nodes"] * (
+            coarse["panels"] + fine["panels"])
+        # CONFIG's grid: 1024 samples over 32 symbols, padded pad_factor-fold
+        assert fine == {"padded_n": 1024 * diagnostics["pad_factor"],
+                        "samples_per_symbol": 32, "panels": fine["panels"]}
+        assert coarse["padded_n"] == fine["padded_n"] // 2
+        assert coarse["samples_per_symbol"] == 16
 
     def test_memory_zero_gives_single_entry(self, tmp_path, config_path):
         out = tmp_path / "m0"
@@ -424,6 +457,40 @@ class TestSimulateCommand:
         assert ((tmp_path / "one" / "batch.csv").read_bytes()
                 == (tmp_path / "both" / "batch.csv").read_bytes())
 
+    @pytest.mark.parametrize("n, cpus, workers", [
+        (64, 2, 1), (20000, 1, 1), (20000, 2, 2)])
+    def test_manifest_diagnostics(self, n, cpus, workers, tmp_path,
+                                  config_path, monkeypatch):
+        from xpmcap import channel
+
+        monkeypatch.setattr(channel, "cpu_workers", lambda k: min(k, cpus))
+        assert run(["--config", config_path, "--out-dir", str(tmp_path),
+                    "--quiet", "simulate", "--n", str(n), "--model",
+                    "memoryless", "--g-imag", "0.05"]) == 0
+        manifest = tmp_path / "simulate-manifest.json"
+        assert json.loads(manifest.read_text())["diagnostics"] == {
+            "rows": n, "csv_workers": workers}
+
+    def test_split_batch_prints_its_line_once(self, tmp_path, config_path):
+        # stdout is a pipe, so block-buffered: a child that flushed it or
+        # returned into the CLI would print the line twice.
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "xpmcap.cli", "--config", config_path,
+             "--out-dir", str(tmp_path / "out"), "simulate", "--n", "40000",
+             "--model", "memoryless", "--g-imag", "0.05"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {tmp_path / 'out' / 'batch.csv'}\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "batch.csv", "simulate-manifest.json"]
+        rows = (tmp_path / "out" / "batch.csv").read_bytes().split(b"\r\n")
+        assert len(rows) == 40000 + 2 and rows[-1] == b""
+        assert [int(r.split(b",")[0]) for r in rows[1:-1]] == list(
+            range(40000))
+
     def test_failed_batch_write_leaves_no_temp_file(self, tmp_path,
                                                     config_path, monkeypatch):
         import xpmcap.cli as climod
@@ -476,7 +543,7 @@ class TestVerifyCommand:
                 assert "margin_se" not in line
 
     def test_manifest_diagnostics(self, tmp_path):
-        from xpmcap.verify import check_workers
+        from xpmcap.channel import cpu_workers
 
         code = run(["--out-dir", str(tmp_path), "--seed", "3", "--quiet",
                     "verify", "--suite", "all", "--samples", "100000",
@@ -488,7 +555,7 @@ class TestVerifyCommand:
         diagnostics = manifest["diagnostics"]
         assert set(diagnostics) == {"check_workers", "margin_se"}
         # seven of the ten checks draw samples; the dettrace ones do not
-        assert diagnostics["check_workers"] == check_workers(7)
+        assert diagnostics["check_workers"] == cpu_workers(7)
         assert 1 <= diagnostics["check_workers"] <= 2
         margins = diagnostics["margin_se"]
         assert list(margins) == sorted(r["name"] for r in reports)

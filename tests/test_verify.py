@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xpmcap import verify
-from xpmcap.channel import BLOCK, real_imag_decompose
+from xpmcap.channel import BLOCK, cpu_workers, real_imag_decompose
 from xpmcap.config import PowerPair
 from xpmcap.errors import ConfigError, SampleBudgetError
 from xpmcap.verify import (CheckReport, det_small, det_trace_check,
@@ -171,14 +171,14 @@ class TestConcurrentSuite:
                                                                seed + i)]
         texts = {_report_bytes(serial)}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(verify, "check_workers", lambda k: workers)
+            monkeypatch.setattr(verify, "cpu_workers", lambda k: workers)
             texts.add(_report_bytes(run_suite("all", 100_000, seed)))
         assert len(texts) == 1
 
     def test_worker_count_is_capped(self):
-        assert verify.check_workers(0) == 1
-        assert verify.check_workers(1) == 1
-        assert 1 <= verify.check_workers(7) <= 2
+        assert cpu_workers(0) == 1
+        assert cpu_workers(1) == 1
+        assert 1 <= cpu_workers(7) <= 2
 
     def _record_starts(self, monkeypatch):
         started = []
@@ -194,7 +194,7 @@ class TestConcurrentSuite:
 
     def test_costliest_checks_start_first(self, monkeypatch):
         started = self._record_starts(monkeypatch)
-        monkeypatch.setattr(verify, "check_workers", lambda k: 2)
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
         names = [r.name for r in run_suite("all", 100_000, 4)]
         sampling = [name for name, _ in started if name]
         assert sampling[:7] == ["conv6"] * 3 + ["conv4"] * 3 + ["moments"]
