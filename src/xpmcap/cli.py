@@ -90,8 +90,8 @@ class RunContext:
         self.args = args
         path = args.config or os.environ.get(ENV_CONFIG)
         self.config = load_config(path) if path else ToolkitConfig()
-        seed = args.seed if args.seed is not None else \
-            self.config.simulation.get("seed", DEFAULT_MASTER_SEED)
+        seed = _flag_or_key(args.seed, self.config.simulation, "seed",
+                            DEFAULT_MASTER_SEED)
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         self.master_seed = seed
@@ -158,22 +158,19 @@ def _load_tensor(ctx: RunContext, path, user: str) -> CoeffTensor | None:
     return tensor
 
 
-def _resolve_g(args, sweep_cfg: dict, coeffs_x: CoeffTensor | None):
-    """The center tap of both receivers: lag reversal, which takes
-    receiver x's window to receiver w's, fixes lag (0,0,0). Each part is
-    its flag, else its config key, else 0; the tensor's tap serves only
-    when neither part is set."""
-    real = args.g_real if args.g_real is not None else \
-        sweep_cfg.get("g_real_per_mw")
-    abs_sq = args.g_abs_sq if args.g_abs_sq is not None else \
-        sweep_cfg.get("g_abs_sq_per_mw2")
-    if real is not None or abs_sq is not None:
-        return EffectiveCoefficient(g_real=(real or 0.0) * _PER_MW,
-                                    g_abs_sq=(abs_sq or 0.0) * _PER_MW2)
-    if coeffs_x is None:
-        raise ConfigError("missing coefficients: provide --g-real/--g-abs-sq, "
-                          "sweep.g_real_per_mw in the config, or --coeffs-x")
-    return EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
+def _flag_or_key(flag, section: dict, key: str, default=None):
+    """A run-shape value: the command line beats the config file."""
+    return flag if flag is not None else section.get(key, default)
+
+
+def _config_parts(section: dict, name: str, scales: dict) -> list[float]:
+    """A coefficient from per-mW config keys, for runs without --coeffs-x:
+    each part is its key, else 0, in SI units; one key at least is set."""
+    if not scales.keys() & section.keys():
+        raise ConfigError("missing coefficients: pass --coeffs-x or set " +
+                          " or ".join(f"{name}.{key}" for key in scales) +
+                          " in the config")
+    return [section.get(key, 0.0) * scale for key, scale in scales.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +216,27 @@ def cmd_sweep(args, ctx: RunContext) -> int:
     coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
     # --coeffs-w is only validated and recorded; --coeffs-x serves both.
     _load_tensor(ctx, args.coeffs_w, "w")
-    g = _resolve_g(args, sweep_cfg, coeffs_x)
-
-    kappa = args.kappa if args.kappa is not None else \
-        sweep_cfg.get("kappa_per_mw2")
-    if coeffs_x is not None:
+    # The tensor gives every coefficient it holds: the center tap, which
+    # lag reversal (receiver x's window -> receiver w's) fixes, and kappa.
+    source = "config" if coeffs_x is None else "tensor"
+    if coeffs_x is None:
+        g = EffectiveCoefficient(*_config_parts(sweep_cfg, "sweep", {
+            "g_real_per_mw": _PER_MW, "g_abs_sq_per_mw2": _PER_MW2}))
+        kappa = sweep_cfg.get("kappa_per_mw2")
+        if kappa is not None:
+            kappa *= _PER_MW2
+    else:
+        g = EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
         kappa = coeffs_x.sum_abs_sq()
-    elif kappa is not None:
-        kappa *= _PER_MW2
-    p2_dbm = args.p2_dbm if args.p2_dbm is not None else \
-        sweep_cfg.get("p2_dbm")
+    p2_dbm = _flag_or_key(args.p2_dbm, sweep_cfg, "p2_dbm")
     bound_sets = sweep(powers, g, ctx.config.noise.sigma_sq,
                        p2_dbm=p2_dbm, kappa=kappa)
 
+    ctx.diagnostics = {
+        "coefficients": source, "kappa": None if kappa is None else source,
+        "p2_dbm": "flag" if args.p2_dbm is not None else
+                  "config" if p2_dbm is not None else None,
+        "g_is_physical": g.is_physical}
     ctx.write(args.out, sweep_csv(powers, bound_sets))
     if args.json:
         ctx.write(args.json, _json_text(sweep_rows(powers, bound_sets)))
@@ -308,29 +313,24 @@ def cmd_region(args, ctx: RunContext) -> int:
 def cmd_simulate(args, ctx: RunContext) -> int:
     sim = ctx.config.simulation
 
-    n = args.n if args.n is not None else sim.get("n", 4096)
-    p1_dbm = args.p1_dbm if args.p1_dbm is not None else sim.get("p1_dbm", 0.0)
-    p2_dbm = args.p2_dbm if args.p2_dbm is not None else sim.get("p2_dbm", 0.0)
+    n = _flag_or_key(args.n, sim, "n", 4096)
+    p1_dbm = _flag_or_key(args.p1_dbm, sim, "p1_dbm", 0.0)
+    p2_dbm = _flag_or_key(args.p2_dbm, sim, "p2_dbm", 0.0)
     model = args.model or sim.get("model", "memoryless")
 
     coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
     # --coeffs-w is only validated and recorded; the batch is receiver x's.
     _load_tensor(ctx, args.coeffs_w, "w")
+    source = "config" if coeffs_x is None else "tensor"
     if model == "memoryless":
-        real = args.g_real if args.g_real is not None else \
-            sim.get("g_real_per_mw")
-        imag = args.g_imag if args.g_imag is not None else \
-            sim.get("g_imag_per_mw")
-        if real is not None or imag is not None:
-            g_x = complex((real or 0.0) * _PER_MW, (imag or 0.0) * _PER_MW)
-        elif coeffs_x is not None:
-            g_x = coeffs_x.get(0, 0, 0)
+        # The full channel over the one-tap window: the tensor's center
+        # tap, else the config's.
+        if coeffs_x is None:
+            g_x = complex(*_config_parts(sim, "simulation", {
+                "g_real_per_mw": _PER_MW, "g_imag_per_mw": _PER_MW}))
         else:
-            raise ConfigError("memoryless simulation needs --g-real/--g-imag, "
-                              "simulation.g_*_per_mw, or --coeffs-x")
+            g_x = coeffs_x.get(0, 0, 0)
         coeffs_x = CoeffTensor(user="x", memory=0, values=[[[g_x]]])
-    elif args.g_real is not None or args.g_imag is not None:
-        raise ConfigError("--g-real/--g-imag are for the memoryless model")
     elif coeffs_x is None:
         raise ConfigError("full-model simulation requires --coeffs-x")
 
@@ -339,7 +339,8 @@ def cmd_simulate(args, ctx: RunContext) -> int:
         sigma_sq=ctx.config.noise.sigma_sq, master_seed=ctx.master_seed,
         coeffs=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
-    ctx.diagnostics = {"rows": n, "csv_workers": csv_workers(n)}
+    ctx.diagnostics = {"rows": n, "csv_workers": csv_workers(n),
+                       "coefficients": source}
     return EXIT_OK
 
 
@@ -397,16 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate bounds along a power sweep")
     p.add_argument("--powers-dbm", type=float, nargs="+", dest="powers_dbm")
-    p.add_argument("--g-real", type=float, dest="g_real",
-                   help="Re of the center tap, 1/mW")
-    p.add_argument("--g-abs-sq", type=float, dest="g_abs_sq",
-                   help="|center tap|^2, 1/mW^2")
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
     p.add_argument("--coeffs-w", dest="coeffs_w",
                    help="tensor JSON, user w; checked and recorded, but "
                         "--coeffs-x serves both receivers")
-    p.add_argument("--kappa", type=float,
-                   help="cubic interference coefficient, 1/mW^2")
     p.add_argument("--p2-dbm", type=float, dest="p2_dbm",
                    help="fix user-2 power (asymmetric sweep)")
     p.add_argument("--out", default="sweep.csv")
@@ -436,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1-dbm", type=float, dest="p1_dbm")
     p.add_argument("--p2-dbm", type=float, dest="p2_dbm")
     p.add_argument("--model", choices=SIMULATION_MODELS)
-    p.add_argument("--g-real", type=float, dest="g_real",
-                   help="Re of the center tap, 1/mW (memoryless)")
-    p.add_argument("--g-imag", type=float, dest="g_imag",
-                   help="Im of the center tap, 1/mW (memoryless)")
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
     p.add_argument("--coeffs-w", dest="coeffs_w",
                    help="tensor JSON, user w; checked and recorded in the "

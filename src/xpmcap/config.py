@@ -247,6 +247,9 @@ class ToolkitConfig:
 _INT_KEYS = {"memory", "n", "seed", "n_samples", "n_symbols"}
 _STR_KEYS = {"model", "kind"}
 _LIST_KEYS = {"powers_dbm"}
+#: Least values, checked here so that the error names the file and the key.
+_MINIMA = {"simulation.seed": 0, "simulation.n": 1,
+           "sweep.kappa_per_mw2": 0, "sweep.g_abs_sq_per_mw2": 0}
 
 
 def _number(name: str, value) -> float:
@@ -257,7 +260,7 @@ def _number(name: str, value) -> float:
 
 
 def _typed(section: str, mapping: dict) -> dict:
-    """The section's values, each checked (and parsed) by its key's type."""
+    """The section's values, checked (and parsed) by type and least value."""
     out = {}
     for key, value in mapping.items():
         name = f"{section}.{key}"
@@ -271,6 +274,9 @@ def _typed(section: str, mapping: dict) -> dict:
             value = [_number(name, v) for v in value]
         else:
             value = _number(name, value)
+        if name in _MINIMA:
+            _require(value >= _MINIMA[name],
+                     f"{name} must be >= {_MINIMA[name]}, got {value}")
         out[key] = value
     return out
 

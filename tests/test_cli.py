@@ -16,7 +16,7 @@ from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
                            read_sweep_csv)
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
-from xpmcap.config import _SECTIONS, PowerPair
+from xpmcap.config import _SECTIONS, PowerPair, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,11 +37,24 @@ grid:
 """
 
 
+# Center-tap config sections (per mW), for runs without a tensor.
+ZERO_G = "sweep: {g_real_per_mw: 0, g_abs_sq_per_mw2: 0}\n"
+FITTED_G = "sweep: {g_real_per_mw: 0.035, g_abs_sq_per_mw2: 5.545e-5}\n"
+IMAG_G = "simulation: {g_real_per_mw: 0, g_imag_per_mw: 0.05}\n"
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(CONFIG, encoding="utf-8")
     return str(path)
+
+
+def config_file(tmp_path, text, name="g.yaml"):
+    """--config with a file that holds text."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return ["--config", str(path)]
 
 
 def run(args):
@@ -148,9 +161,8 @@ class TestCoeffsCommand:
 class TestSweepCommand:
     def test_awgn_anchor_values(self, tmp_path):
         out = tmp_path
-        code = run(["--out-dir", str(out), "--quiet", "sweep",
-                    "--powers-dbm", "-20", "-5", "10.3",
-                    "--g-real", "0", "--g-abs-sq", "0",
+        code = run([*config_file(tmp_path, ZERO_G), "--out-dir", str(out),
+                    "--quiet", "sweep", "--powers-dbm", "-20", "-5", "10.3",
                     "--out", "s.csv"])
         assert code == 0
         lines = (out / "s.csv").read_text().strip().splitlines()
@@ -165,15 +177,14 @@ class TestSweepCommand:
         assert "missing coefficients" in capsys.readouterr().err
 
     def test_no_powers_is_usage_error(self, tmp_path):
-        code = run(["--out-dir", str(tmp_path), "--quiet", "sweep",
-                    "--g-real", "0", "--g-abs-sq", "0"])
+        code = run([*config_file(tmp_path, ZERO_G), "--out-dir",
+                    str(tmp_path), "--quiet", "sweep"])
         assert code == 2
 
     def test_fitted_pair_reproduces_reference_point(self, tmp_path):
         out = tmp_path
-        code = run(["--out-dir", str(out), "--quiet", "sweep",
-                    "--powers-dbm", "5.2",
-                    "--g-real", "0.035", "--g-abs-sq", "5.545e-5",
+        code = run([*config_file(tmp_path, FITTED_G), "--out-dir", str(out),
+                    "--quiet", "sweep", "--powers-dbm", "5.2",
                     "--out", "fit.csv", "--json", "fit.json",
                     "--svg", "fit.svg"])
         assert code == 0
@@ -182,9 +193,8 @@ class TestSweepCommand:
         assert (out / "fit.svg").read_text().startswith("<svg")
 
     def test_rerun_is_bit_identical(self, tmp_path):
-        args = ["--out-dir", str(tmp_path), "--quiet", "sweep",
-                "--powers-dbm", "-5", "0", "5",
-                "--g-real", "0.035", "--g-abs-sq", "5.545e-5",
+        args = [*config_file(tmp_path, FITTED_G), "--out-dir", str(tmp_path),
+                "--quiet", "sweep", "--powers-dbm", "-5", "0", "5",
                 "--out", "rerun.csv"]
         assert run(args) == 0
         first = (tmp_path / "rerun.csv").read_bytes()
@@ -223,38 +233,27 @@ class TestSweepCommand:
         manifest = json.loads((out / "sweep-manifest.json").read_text())
         assert str(out / "tensor_x.json") in manifest["inputs"]
 
-    def test_config_pair_beats_both_tensors(self, tmp_path):
-        # The config's pair serves both receivers; receiver w's tensor
-        # must not replace it while receiver x keeps it.
+    def test_tensor_beats_the_config_pair(self, tmp_path):
+        # Receiver x's tensor serves both receivers; neither the config's
+        # pair nor receiver w's tensor may replace any of its values.
         rng = np.random.default_rng(4)
         for user in ("x", "w"):
             values = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal(
                 (3, 3, 3))
             (tmp_path / f"t{user}.json").write_text(json.dumps(CoeffTensor(
                 user=user, memory=1, values=values).to_json_dict()))
-        base = ["--config", str(REPO / "configs" / "reference.yaml"),
-                "--out-dir", str(tmp_path), "--quiet", "sweep",
-                "--powers-dbm", "-5", "0", "5"]
-        assert run([*base, "--coeffs-x", str(tmp_path / "tx.json"),
-                    "--coeffs-w", str(tmp_path / "tw.json"),
-                    "--out", "tensors.csv"]) == 0
-        assert run([*base, "--out", "config.csv"]) == 0
-        with_tensors = read_sweep_csv(str(tmp_path / "tensors.csv"))
-        config_only = read_sweep_csv(str(tmp_path / "config.csv"))
-        for row, ref in zip(with_tensors, config_only):
+        base = ["--out-dir", str(tmp_path), "--quiet", "sweep",
+                "--powers-dbm", "-5", "0", "5",
+                "--coeffs-x", str(tmp_path / "tx.json")]
+        assert run(["--config", str(REPO / "configs" / "reference.yaml"),
+                    *base, "--coeffs-w", str(tmp_path / "tw.json"),
+                    "--out", "with-config.csv"]) == 0
+        assert run([*base, "--out", "tensor.csv"]) == 0
+        with_config = read_sweep_csv(str(tmp_path / "with-config.csv"))
+        tensor_only = read_sweep_csv(str(tmp_path / "tensor.csv"))
+        assert with_config == tensor_only
+        for row in with_config:
             assert row["u1"] == row["u2"]
-            assert [row[k] for k in ("u1", "u2", "u_sum")] == [
-                ref[k] for k in ("u1", "u2", "u_sum")]
-
-    def _random_tensor(self, path, user, seed, scale=300.0):
-        # 300 /W per tap: at 0 dBm the interference is comparable to the
-        # noise, so ian1 sits well below awgn.
-        rng = np.random.default_rng(seed)
-        values = scale * (rng.standard_normal((3, 3, 3))
-                          + 1j * rng.standard_normal((3, 3, 3)))
-        tensor = CoeffTensor(user=user, memory=1, values=values)
-        path.write_text(json.dumps(tensor.to_json_dict()))
-        return tensor
 
     @pytest.mark.parametrize("with_config", [False, True],
                              ids=["tensor-alone", "with-reference-config"])
@@ -262,7 +261,7 @@ class TestSweepCommand:
         # Receiver w's window is receiver x's lag reversal, so one
         # kappa = sum |c|^2 gives both interference-as-noise rates; the
         # config's kappa_per_mw2 must not replace it for receiver w.
-        tensor = self._random_tensor(tmp_path / "tx.json", "x", 6)
+        tensor = _random_tensor(tmp_path / "tx.json", "x", 6)
         config = ["--config", str(REPO / "configs" / "reference.yaml")]
         assert run([*(config if with_config else []), "--out-dir",
                     str(tmp_path), "--quiet", "sweep",
@@ -277,8 +276,8 @@ class TestSweepCommand:
             assert row["ian2"] == row["ian1"] < row["awgn"]
 
     def test_coeffs_w_is_recorded_but_leaves_sweep_unchanged(self, tmp_path):
-        self._random_tensor(tmp_path / "tx.json", "x", 6)
-        self._random_tensor(tmp_path / "tw.json", "w", 7)
+        _random_tensor(tmp_path / "tx.json", "x", 6)
+        _random_tensor(tmp_path / "tw.json", "w", 7)
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
 
@@ -299,28 +298,107 @@ class TestSweepCommand:
         assert str(tmp_path / "tw.json") in manifest["inputs"]
         assert sweep(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
-    def test_one_flag_keeps_the_config_other_half(self, tmp_path):
-        # --g-real replaces Re g alone; |g|^2 still comes from the config.
-        base = ["--config", str(REPO / "configs" / "reference.yaml"),
-                "--quiet", "sweep"]
-        assert run(["--out-dir", str(tmp_path / "config"), *base]) == 0
-        assert run(["--out-dir", str(tmp_path / "flag"), *base,
-                    "--g-real", "0.034940"]) == 0
-        assert ((tmp_path / "flag" / "sweep.csv").read_bytes()
-                == (tmp_path / "config" / "sweep.csv").read_bytes())
-
     def test_config_p2_dbm_makes_sweep_asymmetric(self, tmp_path):
-        (tmp_path / "p2.yaml").write_text("sweep: {p2_dbm: -10}\n")
+        p2 = config_file(tmp_path, FITTED_G.replace("{", "{p2_dbm: -10, "),
+                         "p2.yaml")
+        fitted = config_file(tmp_path, FITTED_G)
         base = ["--out-dir", str(tmp_path), "--quiet", "sweep",
-                "--powers-dbm", "-5", "0", "5",
-                "--g-real", "0.035", "--g-abs-sq", "5.545e-5"]
-        assert run(["--config", str(tmp_path / "p2.yaml"), *base,
-                    "--out", "config.csv"]) == 0
-        assert run([*base, "--p2-dbm", "-10", "--out", "flag.csv"]) == 0
-        assert run([*base, "--out", "symmetric.csv"]) == 0
+                "--powers-dbm", "-5", "0", "5"]
+        assert run([*p2, *base, "--out", "config.csv"]) == 0
+        assert run([*fitted, *base, "--p2-dbm", "-10",
+                    "--out", "flag.csv"]) == 0
+        assert run([*fitted, *base, "--out", "symmetric.csv"]) == 0
         text = (tmp_path / "config.csv").read_text()
         assert text == (tmp_path / "flag.csv").read_text()
         assert text != (tmp_path / "symmetric.csv").read_text()
+
+
+def _random_tensor(path, user, seed, scale=300.0):
+    # 300 /W per tap: at 0 dBm the interference is comparable to the
+    # noise, so ian1 sits well below awgn.
+    rng = np.random.default_rng(seed)
+    values = scale * (rng.standard_normal((3, 3, 3))
+                      + 1j * rng.standard_normal((3, 3, 3)))
+    tensor = CoeffTensor(user=user, memory=1, values=values)
+    path.write_text(json.dumps(tensor.to_json_dict()))
+    return tensor
+
+
+REFERENCE = REPO / "configs" / "reference.yaml"
+
+
+def _reference_as_flags(command):
+    """configs/reference.yaml's run-shape values as command-line flags."""
+    cfg = load_config(str(REFERENCE))
+    if command == "sweep":
+        return ["sweep", "--powers-dbm",
+                *map(repr, cfg.sweep["powers_dbm"])]
+    sim = cfg.simulation
+    return ["--seed", str(sim["seed"]), "simulate", "--n", str(sim["n"]),
+            "--p1-dbm", repr(sim["p1_dbm"]), "--p2-dbm", repr(sim["p2_dbm"])]
+
+
+class TestOneSourcePerValue:
+    """The command line beats the config file, and a --coeffs-x tensor
+    gives every coefficient it holds: with a tensor, the config's
+    coefficient keys change nothing."""
+
+    @pytest.mark.parametrize("command, extra, data", [
+        ("sweep", ["--json", "sweep.json"], ("sweep.csv", "sweep.json")),
+        ("simulate", ["--model", "memoryless"], ("batch.csv",)),
+        ("simulate", ["--model", "full"], ("batch.csv",))],
+        ids=["sweep", "simulate-memoryless", "simulate-full"])
+    def test_tensor_with_config_equals_tensor_with_flags(
+            self, command, extra, data, tmp_path):
+        _random_tensor(tmp_path / "t.json", "x", 4, scale=1.0)
+        tensor = ["--coeffs-x", str(tmp_path / "t.json"), *extra]
+        assert run(["--config", str(REFERENCE), "--out-dir",
+                    str(tmp_path / "config"), "--quiet", command,
+                    *tensor]) == 0
+        assert run(["--out-dir", str(tmp_path / "flags"), "--quiet",
+                    *_reference_as_flags(command), *tensor]) == 0
+        for name in data:
+            assert ((tmp_path / "config" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes()), name
+        manifest = json.loads(
+            (tmp_path / "config" / f"{command}-manifest.json").read_text())
+        assert manifest["diagnostics"]["coefficients"] == "tensor"
+
+    @pytest.mark.parametrize("one, both, command", [
+        ("sweep: {g_real_per_mw: 0.03494}\n",
+         "sweep: {g_real_per_mw: 0.03494, g_abs_sq_per_mw2: 0}\n",
+         ["sweep", "--powers-dbm", "-5", "0", "5"]),
+        ("simulation: {g_imag_per_mw: 0.05}\n",
+         "simulation: {g_real_per_mw: 0, g_imag_per_mw: 0.05}\n",
+         ["simulate", "--n", "64"])], ids=["sweep", "simulate"])
+    def test_a_part_left_unset_is_zero(self, one, both, command, tmp_path):
+        for name, text in (("one", one), ("both", both)):
+            assert run([*config_file(tmp_path, text, f"{name}.yaml"),
+                        "--out-dir", str(tmp_path / name), "--quiet",
+                        *command]) == 0
+        out = "sweep.csv" if command[0] == "sweep" else "batch.csv"
+        assert ((tmp_path / "one" / out).read_bytes()
+                == (tmp_path / "both" / out).read_bytes())
+
+    @pytest.mark.parametrize("config, extra, expected", [
+        (REFERENCE.read_text(), [],
+         {"coefficients": "config", "kappa": "config", "p2_dbm": None,
+          "g_is_physical": False}),
+        (ZERO_G, ["--p2-dbm", "-3"],
+         {"coefficients": "config", "kappa": None, "p2_dbm": "flag",
+          "g_is_physical": True}),
+        (ZERO_G.replace("{", "{p2_dbm: -3, "), ["--coeffs-x", "t.json"],
+         {"coefficients": "tensor", "kappa": "tensor", "p2_dbm": "config",
+          "g_is_physical": True})], ids=["reference", "flag-p2", "tensor"])
+    def test_sweep_manifest_records_sources(self, config, extra, expected,
+                                            tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _random_tensor(tmp_path / "t.json", "x", 4)
+        assert run([*config_file(tmp_path, config), "--out-dir",
+                    str(tmp_path), "--quiet", "sweep", "--powers-dbm", "0",
+                    *extra]) == 0
+        manifest = json.loads((tmp_path / "sweep-manifest.json").read_text())
+        assert manifest["diagnostics"] == expected
 
 
 class TestRegionCommand:
@@ -362,10 +440,9 @@ class TestRegionCommand:
         assert code == 2
 
     def test_from_sweep_row(self, tmp_path):
-        assert run(["--out-dir", str(tmp_path), "--quiet", "sweep",
-                    "--powers-dbm", "-2.9", "0",
-                    "--g-real", "0.035", "--g-abs-sq", "5.545e-5",
-                    "--out", "s.csv"]) == 0
+        assert run([*config_file(tmp_path, FITTED_G), "--out-dir",
+                    str(tmp_path), "--quiet", "sweep",
+                    "--powers-dbm", "-2.9", "0", "--out", "s.csv"]) == 0
         code = run(["--out-dir", str(tmp_path), "--quiet", "region",
                     "--from-sweep", str(tmp_path / "s.csv"),
                     "--at-dbm", "-2.9", "--out", "fs.json", "--svg", "fs.svg"])
@@ -381,10 +458,9 @@ class TestRegionCommand:
         assert "error" in capsys.readouterr().err
 
     def test_from_sweep_missing_row(self, tmp_path):
-        assert run(["--out-dir", str(tmp_path), "--quiet", "sweep",
-                    "--powers-dbm", "0",
-                    "--g-real", "0", "--g-abs-sq", "0",
-                    "--out", "s.csv"]) == 0
+        assert run([*config_file(tmp_path, ZERO_G), "--out-dir",
+                    str(tmp_path), "--quiet", "sweep",
+                    "--powers-dbm", "0", "--out", "s.csv"]) == 0
         code = run(["--out-dir", str(tmp_path), "--quiet", "region",
                     "--from-sweep", str(tmp_path / "s.csv"),
                     "--at-dbm", "7.7", "--out", "x.json"])
@@ -392,12 +468,11 @@ class TestRegionCommand:
 
 
 class TestSimulateCommand:
-    def test_memoryless_batch(self, tmp_path, config_path):
-        code = run(["--config", config_path, "--out-dir", str(tmp_path),
-                    "--seed", "7", "--quiet", "simulate", "--n", "64",
-                    "--p1-dbm", "0", "--p2-dbm", "0",
-                    "--model", "memoryless", "--g-real", "0",
-                    "--g-imag", "0.05", "--out", "b.csv"])
+    def test_memoryless_batch(self, tmp_path):
+        code = run([*config_file(tmp_path, CONFIG + IMAG_G), "--out-dir",
+                    str(tmp_path), "--seed", "7", "--quiet", "simulate",
+                    "--n", "64", "--p1-dbm", "0", "--p2-dbm", "0",
+                    "--model", "memoryless", "--out", "b.csv"])
         assert code == 0
         lines = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert lines[0] == "k,x_re,x_im,w_re,w_im,y_re,y_im"
@@ -447,39 +522,30 @@ class TestSimulateCommand:
         assert {paths["x"], paths["w"]} <= set(manifest["inputs"])
         assert simulate(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
-    def test_one_flag_keeps_the_config_other_part(self, tmp_path):
-        # --g-real replaces Re g alone; Im g still comes from the config.
-        base = ["--config", str(REPO / "configs" / "reference.yaml"),
-                "--quiet", "simulate", "--g-real", "0.01"]
-        assert run(["--out-dir", str(tmp_path / "one"), *base]) == 0
-        assert run(["--out-dir", str(tmp_path / "both"), *base,
-                    "--g-imag", "0.05"]) == 0
-        assert ((tmp_path / "one" / "batch.csv").read_bytes()
-                == (tmp_path / "both" / "batch.csv").read_bytes())
-
     @pytest.mark.parametrize("n, cpus, workers", [
         (64, 2, 1), (20000, 1, 1), (20000, 2, 2)])
     def test_manifest_diagnostics(self, n, cpus, workers, tmp_path,
-                                  config_path, monkeypatch):
+                                  monkeypatch):
         from xpmcap import channel
 
         monkeypatch.setattr(channel, "cpu_workers", lambda k: min(k, cpus))
-        assert run(["--config", config_path, "--out-dir", str(tmp_path),
-                    "--quiet", "simulate", "--n", str(n), "--model",
-                    "memoryless", "--g-imag", "0.05"]) == 0
+        assert run([*config_file(tmp_path, CONFIG + IMAG_G), "--out-dir",
+                    str(tmp_path), "--quiet", "simulate", "--n", str(n),
+                    "--model", "memoryless"]) == 0
         manifest = tmp_path / "simulate-manifest.json"
         assert json.loads(manifest.read_text())["diagnostics"] == {
-            "rows": n, "csv_workers": workers}
+            "rows": n, "csv_workers": workers, "coefficients": "config"}
 
-    def test_split_batch_prints_its_line_once(self, tmp_path, config_path):
+    def test_split_batch_prints_its_line_once(self, tmp_path):
         # stdout is a pipe, so block-buffered: a child that flushed it or
         # returned into the CLI would print the line twice.
         path = os.pathsep.join(
             p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "xpmcap.cli", "--config", config_path,
+            [sys.executable, "-m", "xpmcap.cli",
+             *config_file(tmp_path, CONFIG + IMAG_G),
              "--out-dir", str(tmp_path / "out"), "simulate", "--n", "40000",
-             "--model", "memoryless", "--g-imag", "0.05"],
+             "--model", "memoryless"],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
@@ -492,7 +558,7 @@ class TestSimulateCommand:
             range(40000))
 
     def test_failed_batch_write_leaves_no_temp_file(self, tmp_path,
-                                                    config_path, monkeypatch):
+                                                    monkeypatch):
         import xpmcap.cli as climod
 
         def failing_writer(batch, path):
@@ -502,9 +568,9 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(climod, "write_batch_csv", failing_writer)
         out = tmp_path / "fail"
-        code = run(["--config", config_path, "--out-dir", str(out), "--quiet",
-                    "simulate", "--n", "16", "--model", "memoryless",
-                    "--g-real", "0", "--g-imag", "0.05", "--out", "b.csv"])
+        code = run([*config_file(tmp_path, CONFIG + IMAG_G), "--out-dir",
+                    str(out), "--quiet", "simulate", "--n", "16",
+                    "--model", "memoryless", "--out", "b.csv"])
         assert code == 2
         assert sorted(p.name for p in out.iterdir()) == []
 
@@ -611,15 +677,18 @@ def _tensor_text(**entry):
     return json.dumps(doc)
 
 
-ZERO_G = ["--g-real", "0", "--g-abs-sq", "0"]
+# The center tap from a config file, for cases that need one to reach
+# the fault they test.
+G_FILES = {"g.yaml": ZERO_G + IMAG_G}
+G_CONFIG = ["--config", "@g.yaml"]
 
 # name: (input files, arguments; "@f" names input file f)
 MALFORMED = {
     "negative-seed": (
-        {}, ["--seed", "-1", "simulate", "--g-imag", "0.05"]),
+        G_FILES, [*G_CONFIG, "--seed", "-1", "simulate"]),
     "simulate-negative-n": (
-        {}, ["simulate", "--n", "-5", "--model", "memoryless",
-             "--g-imag", "0.05"]),
+        G_FILES, [*G_CONFIG, "simulate", "--n", "-5", "--model",
+                  "memoryless"]),
     "sweep-csv-non-numeric-field": (
         {"s.csv": SWEEP_HEADER + "0,abc,0.1,0.2,0.1,0.1,0.1\n"},
         ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
@@ -658,21 +727,39 @@ MALFORMED = {
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
     "simulate-coeffs-w-holds-receiver-x": (
         {"t.json": _tensor_text(re=1.0)},
-        ["simulate", "--n", "4", "--g-imag", "0.05", "--coeffs-w",
-         "@t.json"]),
+        ["simulate", "--n", "4", "--coeffs-w", "@t.json"]),
     "sweep-power-not-a-number": (
-        {}, ["sweep", "--powers-dbm", "abc", *ZERO_G]),
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "abc"]),
     "sweep-removed-receiver-w-flag": (
-        {}, ["sweep", "--powers-dbm", "0", *ZERO_G, "--g-w-real", "1"]),
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--g-w-real",
+                  "1"]),
+    # The config or a tensor gives the coefficients; no flag does.
+    "sweep-removed-kappa-flag": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--kappa", "1"]),
+    "simulate-removed-center-tap-flag": (
+        G_FILES, [*G_CONFIG, "simulate", "--n", "4", "--g-real", "0.01"]),
     "config-n-not-an-integer": (
-        {"c.yaml": "simulation: {n: abc}\n"},
-        ["--config", "@c.yaml", "simulate", "--g-imag", "0.05"]),
+        {"c.yaml": "simulation: {n: abc, g_imag_per_mw: 0.05}\n"},
+        ["--config", "@c.yaml", "simulate"]),
     "config-power-not-a-number": (
-        {"c.yaml": "sweep: {powers_dbm: [abc]}\n"},
-        ["--config", "@c.yaml", "sweep", *ZERO_G]),
+        {"c.yaml": ZERO_G.replace("{", "{powers_dbm: [abc], ")},
+        ["--config", "@c.yaml", "sweep"]),
     "config-powers-not-a-list": (
-        {"c.yaml": "sweep: {powers_dbm: 5}\n"},
-        ["--config", "@c.yaml", "sweep", *ZERO_G]),
+        {"c.yaml": ZERO_G.replace("{", "{powers_dbm: 5, ")},
+        ["--config", "@c.yaml", "sweep"]),
+    # Range errors the commands would report later without the file.
+    "config-negative-seed": (
+        {"c.yaml": IMAG_G.replace("{", "{seed: -1, ")},
+        ["--config", "@c.yaml", "simulate"]),
+    "config-simulation-n-negative": (
+        {"c.yaml": IMAG_G.replace("{", "{n: -3, ")},
+        ["--config", "@c.yaml", "simulate"]),
+    "config-kappa-negative": (
+        {"c.yaml": ZERO_G.replace("{", "{kappa_per_mw2: -1, ")},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "config-g-abs-sq-negative": (
+        {"c.yaml": "sweep: {g_abs_sq_per_mw2: -1}\n"},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "config-grid-size-not-an-integer": (
         {"c.yaml": "grid: {n_samples: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
@@ -696,14 +783,14 @@ MALFORMED = {
         {"c.yaml": "pulse: {rolloff: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
     "config-section-not-a-mapping": (
-        {"c.yaml": "link: 0\n"},
-        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+        {"c.yaml": "link: 0\n" + ZERO_G},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "config-sweep-symmetric-is-unknown": (
-        {"c.yaml": "sweep: {symmetric: true}\n"},
-        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+        {"c.yaml": ZERO_G.replace("{", "{symmetric: true, ")},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "config-sweep-receiver-w-key-is-unknown": (
-        {"c.yaml": "sweep: {g_w_real_per_mw: 1}\n"},
-        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0", *ZERO_G]),
+        {"c.yaml": ZERO_G.replace("{", "{g_w_real_per_mw: 1, ")},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "tensor-file-missing": (
         {}, ["sweep", "--powers-dbm", "0", "--coeffs-x", "@missing.json"]),
     "tensor-file-not-json": (
@@ -731,7 +818,8 @@ MALFORMED = {
          "t.json": _tensor_text(re=1.0)},
         ["--config", "@c.yaml", "simulate", "--n", "4", "--coeffs-x",
          "@t.json"]),
-    # The full model's window is the tensor; a center tap has no place.
+    # The full model's window is the tensor; the removed center-tap
+    # flags are unrecognised with it too.
     "simulate-full-with-center-tap-flags": (
         {"t.json": _tensor_text(re=1.0)},
         ["simulate", "--model", "full", "--n", "4", "--coeffs-x", "@t.json",
@@ -946,11 +1034,11 @@ class TestEntryPoint:
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
 
-    def test_env_var_supplies_config(self, tmp_path, config_path, monkeypatch):
+    def test_env_var_supplies_config(self, tmp_path, monkeypatch):
+        _, config_path = config_file(tmp_path, CONFIG + ZERO_G)
         monkeypatch.setenv("XPMCAP_CONFIG", config_path)
         code = run(["--out-dir", str(tmp_path), "--quiet", "sweep",
-                    "--powers-dbm", "0", "--g-real", "0", "--g-abs-sq", "0",
-                    "--out", "env.csv"])
+                    "--powers-dbm", "0", "--out", "env.csv"])
         assert code == 0
         manifest = json.loads((tmp_path / "sweep-manifest.json").read_text())
         assert manifest["config_path"] == config_path
