@@ -9,9 +9,8 @@ from .bounds import (BoundSet, EffectiveCoefficient, awgn_capacity,
                      fit_effective_coefficient, ian_rate,
                      interference_variance, interference_variance_mc,
                      outer_bound_sum, outer_bound_u1, outer_bound_u2, sweep)
-from .channel import (SampleBatch, full_channel, memoryless_channel,
-                      real_imag_decompose, sample_cscg, simulate_batch,
-                      spawn_seeds)
+from .channel import (SampleBatch, full_channel, real_imag_decompose,
+                      sample_cscg, simulate_batch, spawn_seeds)
 from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import (LinkParams, NoiseParams, PowerPair, ase_noise_variance,
                      dbm_to_watts, effective_length, load_config)
@@ -31,8 +30,8 @@ __all__ = [
     "fit_cubic_interference", "fit_effective_coefficient", "ian_rate",
     "interference_variance", "interference_variance_mc", "outer_bound_sum",
     "outer_bound_u1", "outer_bound_u2", "sweep",
-    "SampleBatch", "full_channel", "memoryless_channel",
-    "real_imag_decompose", "sample_cscg", "simulate_batch", "spawn_seeds",
+    "SampleBatch", "full_channel", "real_imag_decompose", "sample_cscg",
+    "simulate_batch", "spawn_seeds",
     "CoeffTensor", "coefficient_tensor", "receiver_w_tensor",
     "LinkParams", "NoiseParams", "PowerPair", "ase_noise_variance",
     "dbm_to_watts", "effective_length", "load_config",

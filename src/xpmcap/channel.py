@@ -1,7 +1,7 @@
 """Discrete-time channel simulators and input ensembles.
 
-Two models are provided: the full-memory trilinear interference model and
-its single-tap (memoryless) approximation. All randomness flows through
+The full-memory trilinear interference model; its memory-0 window [[[g]]]
+is the single-tap (memoryless) approximation. All randomness flows through
 numpy Generators seeded explicitly; independent streams are derived from
 a master seed with numpy's SeedSequence.spawn, so batches are
 reproducible and safely parallelizable.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import CoeffTensor
 from .errors import ConfigError
+from .workers import cpu_workers, forked
 
 BATCH_CSV_HEADER = ("k", "x_re", "x_im", "w_re", "w_im", "y_re", "y_im")
 
@@ -33,14 +33,6 @@ _CSV_SPLIT_ROWS = 16384
 _CHUNK = 2048
 #: Samples per block where long arrays are filled in place.
 BLOCK = 1 << 16
-
-
-def cpu_workers(tasks: int) -> int:
-    """Threads or processes for independent tasks, 1 meaning inline: two
-    at most, and no more than the CPUs this process may run on."""
-    return max(1, min(2, tasks, len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1))
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -77,23 +69,6 @@ def sample_cscg(n: int, power: float, seed) -> np.ndarray:
     return _cscg(np.random.default_rng(seed), n, power / 2.0)
 
 
-def memoryless_channel(x: np.ndarray, w: np.ndarray, g: complex,
-                       sigma_sq: float, seed=None) -> np.ndarray:
-    """Single-tap model: y = x + g |w|^2 x + noise.
-
-    Noise is CSCG with variance sigma_sq per quadrature; sigma_sq = 0
-    makes the map deterministic.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if x.shape != w.shape:
-        raise ConfigError("input sequences must have equal length")
-    y = x + (g * (w * np.conj(w))) * x
-    if sigma_sq > 0:
-        y = y + _cscg(np.random.default_rng(seed), x.size, sigma_sq)
-    return y
-
-
 def full_channel(x: np.ndarray, w: np.ndarray, coeffs: CoeffTensor,
                  sigma_sq: float, seed=None) -> np.ndarray:
     """Full-memory model over the coefficient window, cyclic block edges.
@@ -102,8 +77,8 @@ def full_channel(x: np.ndarray, w: np.ndarray, coeffs: CoeffTensor,
 
     Lagged indices wrap around the block, which preserves stationarity of
     the interference for moment estimation. interference_terms adds the
-    centre tap first, as memoryless_channel does, so a window whose only
-    nonzero entry is c[0,0,0] reproduces memoryless_channel bit for bit.
+    centre tap first, so a window whose only nonzero entry is c[0,0,0]
+    gives the single-tap y = x + c |w|^2 x bit for bit.
     """
     y = x + interference_terms(x, w, coeffs)
     if sigma_sq > 0:
@@ -123,8 +98,8 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     """Trilinear interference sum of the full-memory model (no noise,
     no identity term).
 
-    The centre tap goes first, as memoryless_channel's (c * (w conj(w))) x,
-    so a window with no other tap is bitwise memoryless_channel. The other
+    The centre tap goes first, as the single-tap (c * (w conj(w))) x, so a
+    window with no other tap is bitwise the memoryless model. The other
     taps follow in cyclic _CHUNK-symbol chunks with an M-symbol halo, each
     one matmul of the tensor (centre zeroed) by the chunk's pair products.
     """
@@ -187,7 +162,7 @@ def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
     """Draw CSCG inputs and push them through receiver x's full_channel.
 
     The memoryless model is the memory-0 window [[[g]]], for which
-    full_channel is memoryless_channel bit for bit. Child streams (x, w,
+    full_channel is the single-tap map bit for bit. Child streams (x, w,
     noise_y) are spawned from the master seed, in that order.
     """
     seeds = spawn_seeds(master_seed, 3)
@@ -222,10 +197,9 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
     CRLF-terminated rows with each float written as its repr, so parsing
     a field with float() gives back the exact value. When csv_workers(n)
     is 2, a forked child formats rows [n//2, n) into an unnamed file
-    beside path while this process writes the rows before, then appends
-    the child's file in 1 MiB pieces: the same bytes, one block of rows
-    per process. The child only formats and writes its own file, and
-    leaves through os._exit.
+    beside path (workers.forked) while this process writes the rows
+    before, then appends the child's file in 1 MiB pieces: the same
+    bytes, one block of rows per process.
     """
     n = batch.n
     mid = n // 2 if csv_workers(n) == 2 else n
@@ -234,22 +208,8 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
         if mid == n:
             _write_rows(fh, batch, 0, n)
             return
-        with tempfile.TemporaryFile(
-                dir=os.path.dirname(os.path.abspath(path))) as tail:
-            if (pid := os.fork()) == 0:
-                code = 1
-                try:
-                    _write_rows(tail, batch, mid, n)
-                    tail.flush()  # its own writes; fh's buffer stays unflushed
-                    code = 0
-                finally:
-                    os._exit(code)
-            try:
-                _write_rows(fh, batch, 0, mid)
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status:
-                raise OSError(f"{path}: the process formatting rows "
-                              f"{mid}..{n - 1} failed ({status=})")
-            tail.seek(0)
+        with forked(lambda tail: _write_rows(tail, batch, mid, n),
+                    lambda: _write_rows(fh, batch, 0, mid),
+                    f"{path}: the process formatting rows {mid}..{n - 1}",
+                    os.path.dirname(os.path.abspath(path))) as (_, tail):
             shutil.copyfileobj(tail, fh, 1 << 20)

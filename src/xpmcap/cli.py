@@ -26,8 +26,7 @@ import time
 from . import __version__
 from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
                      sweep_rows)
-from .channel import (cpu_workers, csv_workers, simulate_batch,
-                      write_batch_csv)
+from .channel import csv_workers, simulate_batch, write_batch_csv
 from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import SIMULATION_MODELS, ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
@@ -36,6 +35,7 @@ from .pulses import PulseShape, TimeFreqGrid
 from .regions import build_region, dominant_face_midpoint, excess_area
 from .svgout import render_curves, render_regions
 from .verify import run_suite
+from .workers import cpu_workers
 
 ENV_CONFIG = "XPMCAP_CONFIG"
 DEFAULT_MASTER_SEED = 12345
@@ -197,7 +197,8 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
                   _json_text(tensor.to_json_dict()))
     # The quadrature's layout is run telemetry: the manifest, not the file.
     ctx.diagnostics = {k: report.pop(k) for k in
-                       ("pad_factor", "levels", "nodes_evaluated")}
+                       ("pad_factor", "levels", "nodes_evaluated",
+                        "quad_workers")}
     ctx.diagnostics["residual"] = report["residual"]
     # One quadrature serves both receivers, so both share its report.
     ctx.write("tensor_convergence.json",

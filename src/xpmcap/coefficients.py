@@ -16,7 +16,11 @@ Gauss-Legendre panels and the time integral a trapezoid sum on the
 sampling grid; one two-level comparison checks both, the coarse level
 with half the panels on a grid with half the samples per symbol. A lag
 shift is a circular roll by whole samples per symbol, and only the
-Hermitian half m <= p of the interferer pair products is built.
+Hermitian half m <= p of the interferer pair products is built. Each
+Gauss-Legendre panel of each level sums into its own array and a level
+adds its panels in panel order, so the tensor has the same bits whether
+one process or two (a forked child, when blas_workers() allows) compute
+the panels.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
 delays are applied on a grid _pad_factor times wider (same dt), where the
@@ -38,6 +42,7 @@ import numpy as np
 from .config import LinkParams
 from .errors import ConfigError, GridError, QuadratureError
 from .pulses import PulseShape, TimeFreqGrid
+from .workers import blas_workers, forked
 
 USERS = ("x", "w")
 
@@ -160,12 +165,13 @@ class CoeffTensor:
 
 
 def _gauss_legendre_nodes(length_km: float, panels: int, nodes: int):
-    """Nodes and weights of composite Gauss-Legendre on [0, length_km]."""
+    """Nodes and weights of composite Gauss-Legendre on [0, length_km],
+    one row per panel."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(0.0, length_km, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (half * x + mid).ravel(), (half * w).ravel()
+    return half * x + mid, half * w
 
 
 def _pad_factor(link: LinkParams, grid: TimeFreqGrid) -> int:
@@ -213,52 +219,97 @@ def _roll_into(out, rows, shifts) -> None:
         dst[k:], dst[:k] = src[:len(src) - k], src[len(src) - k:]
 
 
-def _window_sum(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid,
-                panels: int, z_nodes: int) -> np.ndarray:
-    """Raw quadrature of the overlap kernel over the whole lag window.
-
-    Returns an array of shape (2M+1, 2M+1, 2M+1) holding
-    2j gamma * sum_k w_k e^(-alpha z_k) * dt * sum_t (overlap at z_k)
-    for receiver x: c[l,m,p] = sum_t a_l b_mp with a_l = g* roll(g, l s)
-    and b_mp = roll(u_(p-m), m s), u_d = gw roll(gw, d s)*, for s samples
-    per symbol. Only m <= p is built; b_pm = b_mp* gives the rest.
-    """
+def _level(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
+    """A level's padded grid, whole samples per symbol and pulse spectrum."""
     T = link.symbol_period
     pgrid = grid.scaled(_pad_factor(link, grid))
     step = T / pgrid.dt
     if abs(step - round(step)) > 1e-9 * step:
         raise GridError(f"{step:.6g} samples per symbol is not a whole number")
-    step = round(step)
-    spec0 = np.fft.fft(pulse.samples(pgrid, T))
-    w = pgrid.omega
-    w_sq = w * w
+    return pgrid, round(step), np.fft.fft(pulse.samples(pgrid, T))
 
+
+def _panel_sums(link: LinkParams, level, zs, wq) -> list:
+    """Per panel (row of zs and wq), the (2M+1)^3 window of sum_k wq_k
+    e^(-alpha z_k) sum_t a_l b_mp over its nodes z_k. For receiver x,
+    a_l = g* roll(g, l s) and b_mp = roll(u_(p-m), m s), u_d = gw
+    roll(gw, d s)*, for s samples per symbol. Only m <= p is built;
+    b_pm = b_mp* gives the rest. One set of work arrays serves every panel.
+    """
+    pgrid, step, spec0 = level
+    w = pgrid.omega
     side = 2 * link.memory + 1
     shifts = step * np.arange(-link.memory, link.memory + 1)
-    # The Hermitian half m <= p, row-major: pair k is lags (mi[k], pi[k]).
     mi, pi = np.triu_indices(side)
-
-    zs, wq = _gauss_legendre_nodes(link.length_km, panels, z_nodes)
-    weights = wq * np.exp(-link.alpha_np_per_km * zs)
-
-    acc = np.zeros((2 * side, len(mi)), dtype=np.complex128)
     a, u, b = (np.empty((k, pgrid.n_samples), dtype=np.complex128)
                for k in (2 * side, side, len(mi)))
-    for z, wz in zip(zs, weights):
-        disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * w_sq)
-        g = np.fft.ifft(disp)
-        gw = np.fft.ifft(disp * np.exp(-1j * w * link.walkoff_delay_s(z)))
-        _roll_into(a[:side], [g] * side, shifts)
-        a[:side] *= np.conj(g)
-        np.conjugate(a[:side], out=a[side:])
-        _roll_into(u, [np.conj(gw)] * side, step * np.arange(side))
-        u *= gw
-        _roll_into(b, [u[d] for d in pi - mi], shifts[mi])
-        acc += wz * (a @ b.T)
-    values = np.empty((side, side, side), dtype=np.complex128)
-    values[:, pi, mi] = acc[side:].conj()
-    values[:, mi, pi] = acc[:side]
-    return (2j * link.gamma * pgrid.dt) * values
+    sums = []
+    for panel_z, panel_w in zip(zs, wq * np.exp(-link.alpha_np_per_km * zs)):
+        acc = np.zeros((2 * side, len(mi)), dtype=np.complex128)
+        for z, wz in zip(panel_z, panel_w):
+            disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * (w * w))
+            g = np.fft.ifft(disp)
+            gw = np.fft.ifft(disp * np.exp(-1j * w * link.walkoff_delay_s(z)))
+            _roll_into(a[:side], [g] * side, shifts)
+            a[:side] *= np.conj(g)
+            np.conjugate(a[:side], out=a[side:])
+            _roll_into(u, [np.conj(gw)] * side, step * np.arange(side))
+            u *= gw
+            _roll_into(b, [u[d] for d in pi - mi], shifts[mi])
+            acc += wz * (a @ b.T)
+        values = np.empty((side, side, side), dtype=np.complex128)
+        values[:, pi, mi] = acc[side:].conj()
+        values[:, mi, pi] = acc[:side]
+        sums.append(values)
+    return sums
+
+
+def _split(tasks: list, cost) -> tuple[list, list]:
+    """Tasks for this process and a second one: largest cost first, each
+    to the less-loaded process (ties to this one)."""
+    shares = ([], [])
+    for task in sorted(tasks, key=cost, reverse=True):
+        min(shares, key=lambda share: sum(map(cost, share))).append(task)
+    return shares
+
+
+def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
+                 z_nodes: int):
+    """Raw quadrature of the overlap kernel over the lag window at each
+    (grid, panels) level, finest last: 2j gamma dt * sum_k w_k e^(-alpha
+    z_k) sum_t (overlap at z_k). Returns (processes, [values per level]).
+    With blas_workers() at 2 and two finest-level panels or more, a forked
+    child computes its _split share of the (level, panel) tasks by padded
+    samples, so each process gets a finest-level panel."""
+    setups = [_level(link, pulse, grid) for grid, _ in levels]
+    nodes = [_gauss_legendre_nodes(link.length_km, panels, z_nodes)
+             for _, panels in levels]
+    tasks = [(i, k) for i, (_, panels) in enumerate(levels)
+             for k in range(panels)]
+
+    def run(share):  # share sorted by level: sums come in its order
+        sums = []
+        for i, (zs, wq) in enumerate(nodes):
+            ks = [k for j, k in share if j == i]
+            sums += _panel_sums(link, setups[i], zs[ks], wq[ks])
+        return sums
+
+    if (workers := blas_workers() if levels[-1][1] >= 2 else 1) == 1:
+        sums = dict(zip(tasks, run(tasks)))
+    else:
+        mine, theirs = map(sorted, _split(
+            tasks, lambda t: setups[t[0]][0].n_samples))
+        with forked(lambda fh: fh.write(np.stack(run(theirs)).tobytes()),
+                    lambda: run(mine), "the process computing quadrature "
+                    f"panels (level, panel) {', '.join(map(str, theirs))}"
+                    ) as (ours, fh):
+            raw = np.frombuffer(fh.read(), dtype=np.complex128)
+        sums = dict(zip(mine + theirs, ours + list(
+            raw.reshape(len(theirs), *ours[0].shape))))
+    # Each level adds its panels in panel order, whoever computed them.
+    return workers, [
+        (2j * link.gamma * pgrid.dt) * sum(sums[i, k] for k in range(panels))
+        for i, ((pgrid, _, _), (_, panels)) in enumerate(zip(setups, levels))]
 
 
 def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
@@ -278,14 +329,15 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
     """
     report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
               "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL, "pad_factor": 1,
-              "levels": [], "nodes_evaluated": 0}
+              "levels": [], "nodes_evaluated": 0, "quad_workers": 1}
     if link.length_km == 0.0 or link.gamma == 0.0:
         return np.zeros((2 * link.memory + 1,) * 3, complex), report
     base_panels = _initial_panels(link, pulse)
     half_grid = TimeFreqGrid(grid.n_samples // 2, grid.t_span)
-    coarse = _window_sum(link, pulse, half_grid, base_panels, DEFAULT_Z_NODES)
     panels = 2 * base_panels
-    fine = _window_sum(link, pulse, grid, panels, DEFAULT_Z_NODES)
+    workers, (coarse, fine) = _window_sums(
+        link, pulse, [(half_grid, base_panels), (grid, panels)],
+        DEFAULT_Z_NODES)
     scale = float(np.max(np.abs(fine)))
     change = float(np.max(np.abs(fine - coarse)))
     residual = 0.0 if scale == 0.0 else change / scale
@@ -299,6 +351,7 @@ def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
     pad = _pad_factor(link, grid)  # set by t_span alone: one for both levels
     report.update(
         panels=panels, refinements=1, residual=residual, pad_factor=pad,
+        quad_workers=workers,
         nodes_evaluated=(base_panels + panels) * DEFAULT_Z_NODES,
         levels=[{"padded_n": pad * g.n_samples, "panels": p,
                  "samples_per_symbol": round(link.symbol_period / g.dt)}
@@ -325,7 +378,7 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape,
                        grid: TimeFreqGrid):
     """Receiver x's full (2M+1)^3 coefficient window and the report of its
     two-level quadrature (z_nodes, panels, refinements, residual, rtol;
-    pad_factor, levels, nodes_evaluated).
+    pad_factor, levels, nodes_evaluated, quad_workers).
 
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.

@@ -254,9 +254,11 @@ _MINIMA = {"simulation.seed": 0, "simulation.n": 1,
 
 def _number(name: str, value) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a number: {exc}") from exc
+    _require(math.isfinite(number), f"{name} must be finite")
+    return number
 
 
 def _typed(section: str, mapping: dict) -> dict:

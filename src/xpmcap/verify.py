@@ -17,10 +17,11 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (BLOCK, cpu_workers, normal_blocks, real_imag_decompose,
-                      sample_cscg, spawn_seeds)
+from .channel import (BLOCK, normal_blocks, real_imag_decompose, sample_cscg,
+                      spawn_seeds)
 from .config import PowerPair
 from .errors import ConfigError, SampleBudgetError
+from .workers import cpu_workers
 
 MIN_SAMPLES = 100_000
 _N_BATCHES = 16

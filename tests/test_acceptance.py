@@ -146,7 +146,7 @@ def test_criterion_6_covariance_oracle_suite():
 
 
 def test_criterion_7_simulator_equivalence():
-    from xpmcap.channel import memoryless_channel
+    from test_channel import memoryless_channel
     rng = np.random.default_rng(1001)
     n, M = 16, 2
     side = 2 * M + 1

@@ -9,11 +9,25 @@ from hypothesis import given, settings, strategies as st
 from xpmcap import channel as xch
 from xpmcap.channel import (_CHUNK, _CSV_BLOCK_ROWS, _CSV_SPLIT_ROWS,
                             BATCH_CSV_HEADER, SampleBatch, full_channel,
-                            interference_terms, memoryless_channel,
-                            real_imag_decompose, sample_cscg, simulate_batch,
-                            spawn_seeds, write_batch_csv)
+                            interference_terms, real_imag_decompose,
+                            sample_cscg, simulate_batch, spawn_seeds,
+                            write_batch_csv)
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.errors import ConfigError
+
+
+def memoryless_channel(x, w, g, sigma_sq, seed=None):
+    """Single-tap model y = x + g |w|^2 x + CSCG noise of variance
+    sigma_sq per quadrature: the bitwise oracle for full_channel on a
+    window whose only tap is the centre one."""
+    x = np.asarray(x, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    if x.shape != w.shape:
+        raise ConfigError("input sequences must have equal length")
+    y = x + (g * (w * np.conj(w))) * x
+    if sigma_sq > 0:
+        y = y + xch._cscg(np.random.default_rng(seed), x.size, sigma_sq)
+    return y
 
 
 def random_tensor(memory, rng, scale=1.0):

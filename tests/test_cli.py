@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import xpmcap
+from xpmcap import coefficients
 from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
                            read_sweep_csv)
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.config import _SECTIONS, PowerPair, load_config
+from xpmcap.workers import blas_workers, cpu_workers
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -127,7 +129,8 @@ class TestCoeffsCommand:
         diagnostics = json.loads(
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert set(diagnostics) == {"pad_factor", "levels", "nodes_evaluated",
-                                    "residual"}
+                                    "residual", "quad_workers"}
+        assert diagnostics["quad_workers"] == blas_workers()
         assert diagnostics["residual"] == report["residual"]
         coarse, fine = diagnostics["levels"]
         assert fine["panels"] == report["panels"] == 2 * coarse["panels"]
@@ -138,6 +141,43 @@ class TestCoeffsCommand:
                         "samples_per_symbol": 32, "panels": fine["panels"]}
         assert coarse["padded_n"] == fine["padded_n"] // 2
         assert coarse["samples_per_symbol"] == 16
+
+    def test_two_processes_write_the_same_bytes(self, tmp_path, config_path,
+                                                monkeypatch):
+        texts = set()
+        for run_no, workers in enumerate((1, 2, 2)):
+            monkeypatch.setattr(coefficients, "blas_workers", lambda: workers)
+            out = tmp_path / f"run{run_no}"
+            assert run(["--config", config_path, "--out-dir", str(out),
+                        "--quiet", "coeffs"]) == 0
+            texts.add(tuple((out / f"tensor_{name}.json").read_bytes()
+                            for name in ("x", "w", "convergence")))
+            diagnostics = json.loads(
+                (out / "coeffs-manifest.json").read_text())["diagnostics"]
+            assert diagnostics["quad_workers"] == workers
+        assert len(texts) == 1
+
+    def test_failed_quadrature_child_writes_nothing(self, tmp_path,
+                                                    config_path, monkeypatch,
+                                                    capsys):
+        parent, panel_sums = os.getpid(), coefficients._panel_sums
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("panel failed")
+            return panel_sums(*args)
+
+        monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
+        monkeypatch.setattr(coefficients, "_panel_sums", failing)
+        out = tmp_path / "out"
+        assert run(["--config", config_path, "--out-dir", str(out), "--quiet",
+                    "coeffs"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "quadrature panels (level, panel) (1, 1) failed" in err
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_memory_zero_gives_single_entry(self, tmp_path, config_path):
         out = tmp_path / "m0"
@@ -609,8 +649,6 @@ class TestVerifyCommand:
                 assert "margin_se" not in line
 
     def test_manifest_diagnostics(self, tmp_path):
-        from xpmcap.channel import cpu_workers
-
         code = run(["--out-dir", str(tmp_path), "--seed", "3", "--quiet",
                     "verify", "--suite", "all", "--samples", "100000",
                     "--out", "all.json"])
@@ -757,6 +795,18 @@ MALFORMED = {
     "config-kappa-negative": (
         {"c.yaml": ZERO_G.replace("{", "{kappa_per_mw2: -1, ")},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "config-sweep-g-real-nan": (
+        {"c.yaml": "sweep: {g_real_per_mw: .nan, g_abs_sq_per_mw2: 0}\n"},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "config-sweep-p2-nan": (
+        {"c.yaml": ZERO_G.replace("{", "{p2_dbm: .nan, ")},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "config-simulation-p1-inf": (
+        {"c.yaml": IMAG_G.replace("{", "{p1_dbm: .inf, ")},
+        ["--config", "@c.yaml", "simulate", "--n", "4"]),
+    "config-simulation-g-imag-inf": (
+        {"c.yaml": "simulation: {g_real_per_mw: 0, g_imag_per_mw: -.inf}\n"},
+        ["--config", "@c.yaml", "simulate", "--n", "4"]),
     "config-g-abs-sq-negative": (
         {"c.yaml": "sweep: {g_abs_sq_per_mw2: -1}\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
@@ -838,6 +888,13 @@ NAMES_INPUT_FILE = {
                         "simulate-coeffs-w-", "config-"))}
 
 
+# Non-finite config numbers, refused at load under their section.key.
+NOT_FINITE = {"config-sweep-g-real-nan": "sweep.g_real_per_mw",
+              "config-sweep-p2-nan": "sweep.p2_dbm",
+              "config-simulation-p1-inf": "simulation.p1_dbm",
+              "config-simulation-g-imag-inf": "simulation.g_imag_per_mw"}
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_usage_error_with_one_line(self, case, tmp_path, capsys):
@@ -850,6 +907,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if case in NOT_FINITE:
+            assert f"{NOT_FINITE[case]} must be finite" in err, err
         if case in NAMES_INPUT_FILE:
             at_fault = (".yaml",) if case.startswith("config-") else \
                 (".json", ".csv", ".yaml")
@@ -927,7 +986,7 @@ class TestBenchmarkSteps:
     """perfbench/steps.py replays the CLI with the names it imported
     wrapped in spans; deleting or renaming one of those names fails here."""
 
-    def _step(self, tmp_path, *argv):
+    def _step(self, tmp_path, *argv, env=()):
         path = os.pathsep.join(
             p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH"))
             if p)
@@ -935,7 +994,7 @@ class TestBenchmarkSteps:
             [sys.executable, str(REPO / "perfbench" / "steps.py"),
              "--spans", str(tmp_path / "spans.json"), *argv],
             capture_output=True, text=True, cwd=REPO,
-            env={**os.environ, "PYTHONPATH": path})
+            env={**os.environ, "PYTHONPATH": path, **dict(env)})
 
     def test_traced_cli_step(self, tmp_path):
         proc = self._step(tmp_path, "cli", "--quiet", "--out-dir",
@@ -960,11 +1019,17 @@ class TestBenchmarkSteps:
 
     def test_traced_coeffs_step(self, tmp_path, config_path):
         # perfbench divides its per-layer coefficient metrics by the
-        # number of pulses.samples calls: one per quadrature level.
+        # number of pulses.samples calls: one per quadrature level, both
+        # in this process when perfbench's pinned BLAS lets a child run.
+        pinned = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
         proc = self._step(tmp_path, "cli", "--config", config_path,
                           "--quiet", "--out-dir", str(tmp_path), "coeffs",
-                          "--memory", "1")
+                          "--memory", "1", env=pinned)
         assert proc.returncode == 0, proc.stderr
+        diagnostics = json.loads((tmp_path / "coeffs-manifest.json")
+                                 .read_text())["diagnostics"]
+        assert diagnostics["quad_workers"] == cpu_workers(2)
         spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
         names = [s["name"] for s in spans]
         assert {"coefficients.coefficient_tensor",

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
                                  receiver_w_tensor, _gauss_legendre_nodes,
-                                 _initial_panels, _pad_factor, _window_sum)
+                                 _initial_panels, _pad_factor, _split,
+                                 _window_sums)
 from xpmcap.config import LinkParams, effective_length
 from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape, TimeFreqGrid
@@ -21,6 +22,11 @@ T = SHORT.symbol_period
 GRID = TimeFreqGrid(1024, 32 * T)
 SINC = PulseShape()
 GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
+
+
+def window_sum(link, pulse, grid, panels, z_nodes):
+    """The engine's raw window at one (grid, panels) level."""
+    return _window_sums(link, pulse, [(grid, panels)], z_nodes)[1][0]
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +129,8 @@ class TestTensor:
 class TestQuadrature:
     def test_z_node_doubling_converged(self):
         panels = _initial_panels(SHORT, SINC)
-        a = _window_sum(SHORT, SINC, GRID, panels, 64)
-        b = _window_sum(SHORT, SINC, GRID, panels, 128)
+        a = window_sum(SHORT, SINC, GRID, panels, 64)
+        b = window_sum(SHORT, SINC, GRID, panels, 128)
         assert abs(b - a).max() / abs(b).max() < 1e-6
 
     def test_non_convergent_quadrature_reports_residual(self, monkeypatch):
@@ -156,6 +162,33 @@ class TestQuadrature:
         assert _initial_panels(link, narrow) == 4 * sinc
 
 
+class TestTwoProcesses:
+    def test_values_do_not_depend_on_process_count(self, monkeypatch):
+        runs = []
+        for workers in (1, 2, 2):
+            monkeypatch.setattr(coefficients, "blas_workers", lambda: workers)
+            tensor, report = coefficient_tensor(SHORT, GAUSS, GRID)
+            assert report["panels"] >= 2
+            assert report["quad_workers"] == workers
+            runs.append(tensor.values)
+        assert all(np.array_equal(v, runs[0]) for v in runs[1:])
+
+    def test_reference_split_by_padded_samples(self):
+        # configs/reference.yaml: coarse 2 panels at 2048 samples, fine 4
+        # at 4096; each process gets two fine panels and one coarse.
+        tasks = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
+        mine, theirs = _split(tasks, lambda t: (2048, 4096)[t[0]])
+        assert mine == [(1, 0), (1, 2), (0, 0)]
+        assert theirs == [(1, 1), (1, 3), (0, 1)]
+
+    def test_one_panel_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
+        monkeypatch.setattr(coefficients, "forked", None)
+        workers, (values,) = _window_sums(SHORT, SINC, [(GRID, 1)], 64)
+        assert workers == 1
+        assert np.array_equal(values, window_sum(SHORT, SINC, GRID, 1, 64))
+
+
 def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
     """Reference kernel over the whole window: every lag shift a phase ramp
     with its own inverse FFT, and all (2M+1)^2 pair products formed."""
@@ -167,7 +200,8 @@ def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
     ramp_l = np.stack([np.exp(-1j * w * (l * T)) for l in ls])
     ramp_m = np.stack([np.exp(-1j * w * (m * T)) for m in ms])
     ramp_p = np.stack([np.exp(-1j * w * (p * T)) for p in ps])
-    zs, wq = _gauss_legendre_nodes(link.length_km, panels, z_nodes)
+    zs, wq = (v.ravel() for v in _gauss_legendre_nodes(link.length_km,
+                                                        panels, z_nodes))
     out = np.zeros((len(ls), len(ms) * len(ps)), dtype=np.complex128)
     for z, wz in zip(zs, wq * np.exp(-link.alpha_np_per_km * zs)):
         disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * w * w)
@@ -183,20 +217,21 @@ def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
 
 
 class TestKernelOracle:
-    """_window_sum against the phase-ramp reference kernel above."""
+    """The engine's per-panel sums against the phase-ramp reference kernel
+    above."""
 
     @pytest.mark.parametrize("pulse", [SINC, GAUSS],
                              ids=["window-sinc", "window-gauss"])
     def test_matches_phase_ramp_kernel(self, pulse):
         panels = _initial_panels(SHORT, pulse)
-        fast = _window_sum(SHORT, pulse, GRID, panels, 64)
+        fast = window_sum(SHORT, pulse, GRID, panels, 64)
         slow = _ramp_window_sum(SHORT, pulse, GRID, panels, 64)
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
     def test_fractional_samples_per_symbol_rejected(self):
         grid = TimeFreqGrid(1024, 30.5 * T)
         with pytest.raises(GridError):
-            _window_sum(SHORT, SINC, grid, 1, 64)
+            window_sum(SHORT, SINC, grid, 1, 64)
 
 
 @pytest.fixture(scope="module")
