@@ -14,9 +14,10 @@ whole (2M+1)^3 window in one quadrature; receiver w's window is its lag
 reversal (receiver_w_tensor). The distance integral uses composite
 Gauss-Legendre panels and the time integral a trapezoid sum on the
 sampling grid; one two-level comparison checks both, the coarse level
-with half the panels on a grid with half the samples per symbol. A lag
-shift is a circular roll by whole samples per symbol, and only the
-Hermitian half m <= p of the interferer pair products is built. Each
+with half the panels on a grid with half the samples per symbol. A node
+mirrors its phase factors from half the frequency bins, views each lag
+shift in a periodically extended buffer and runs one real matmul of
+planar rows over the interferer pairs m <= p (b_pm = b_mp*). Each
 Gauss-Legendre panel of each level sums into its own array and a level
 adds its panels in panel order, so the tensor has the same bits whether
 one process or two (a forked child, when blas_workers() allows) compute
@@ -38,6 +39,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import LinkParams
 from .errors import ConfigError, GridError, QuadratureError
@@ -212,13 +214,6 @@ def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
     return panels
 
 
-def _roll_into(out, rows, shifts) -> None:
-    """out[k] = np.roll(rows[k], shifts[k]) for each k, without temporaries."""
-    for dst, src, k in zip(out, rows, shifts):
-        k %= len(src)
-        dst[k:], dst[:k] = src[:len(src) - k], src[len(src) - k:]
-
-
 def _level(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
     """A level's padded grid, whole samples per symbol and pulse spectrum."""
     T = link.symbol_period
@@ -229,39 +224,64 @@ def _level(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
     return pgrid, round(step), np.fft.fft(pulse.samples(pgrid, T))
 
 
-def _panel_sums(link: LinkParams, level, zs, wq) -> list:
-    """Per panel (row of zs and wq), the (2M+1)^3 window of sum_k wq_k
-    e^(-alpha z_k) sum_t a_l b_mp over its nodes z_k. For receiver x,
+def _phases(link: LinkParams, omega: np.ndarray, z: float):
+    """e^(j beta2 z omega^2 / 2) and e^(-j omega tau(z)) from bins 0..n/2:
+    omega[n-k] == -omega[k] exactly, so bin n-k repeats bin k (conjugated
+    for the walk-off factor) and both equal np.exp over every bin."""
+    w = omega[:len(omega) // 2 + 1]
+    disp = np.exp(0.5j * link.beta2_s2_per_km * z * (w * w))
+    walk = np.exp(-1j * w * link.walkoff_delay_s(z))
+    return (np.concatenate([disp, disp[-2:0:-1]]),
+            np.concatenate([walk, walk[-2:0:-1].conj()]))
+
+
+def _panel_sums(link: LinkParams, level, zs, wq):
+    """Yields per panel (row of zs and wq) the (2M+1)^3 window of sum_k
+    wq_k e^(-alpha z_k) sum_t a_l b_mp over its nodes z_k. For receiver x,
     a_l = g* roll(g, l s) and b_mp = roll(u_(p-m), m s), u_d = gw
-    roll(gw, d s)*, for s samples per symbol. Only m <= p is built;
-    b_pm = b_mp* gives the rest. One set of work arrays serves every panel.
+    roll(gw, d s)*, for s samples per symbol. Each roll is a row of a
+    sliding-window view into a periodically extended buffer. Per node one
+    real matmul of [Re a; Im a] against [Re b; Im b], m <= p, gives the
+    blocks RR, RI, IR, II; per panel they fill the window, sum_t a_l b_mp
+    = (RR - II) + j(RI + IR) and, as b_pm = b_mp*, sum_t a_l b_pm = (RR +
+    II) + j(IR - RI). One set of work arrays serves every panel.
     """
     pgrid, step, spec0 = level
-    w = pgrid.omega
-    side = 2 * link.memory + 1
-    shifts = step * np.arange(-link.memory, link.memory + 1)
-    mi, pi = np.triu_indices(side)
-    a, u, b = (np.empty((k, pgrid.n_samples), dtype=np.complex128)
-               for k in (2 * side, side, len(mi)))
-    sums = []
+    n, M = pgrid.n_samples, link.memory
+    side, o, npair = 2 * M + 1, M * step, (M + 1) * (2 * M + 1)
+    # ext[i] = x[(i - 3o) mod n], x = g then gw*: roll(x, k s) starts at
+    # (3M - k) s. uh[d, j] = u_d[(j - o) mod n]: roll(u_d, m s) at (M - m) s.
+    ext, ext_at = np.empty(n + 4 * o, complex), np.arange(-3 * o, n + o)
+    uh = np.empty((side, n + 2 * o), dtype=np.complex128)
+    a, b = np.empty((2 * side, n)), np.empty((2, npair, n))
+    g_rows = sliding_window_view(ext, n)[::step][2 * M:][::-1]
+    gw_rows = sliding_window_view(ext, n + 2 * o)[::step][::-1]
+    pairs, blocks = [], []  # b's rows: by d = p - m, then m descending
+    for d in range(side):
+        rows = b[:, len(pairs):len(pairs) + side - d]
+        pairs += [(m, m + d) for m in range(side - 1 - d, -1, -1)]
+        blocks += [(dst, sliding_window_view(src, n)[::step][d:])
+                   for dst, src in zip(rows, (uh[d].real, uh[d].imag))]
+    mi, pi = np.array(pairs).T
     for panel_z, panel_w in zip(zs, wq * np.exp(-link.alpha_np_per_km * zs)):
-        acc = np.zeros((2 * side, len(mi)), dtype=np.complex128)
+        acc = np.zeros((2 * side, 2 * npair))
         for z, wz in zip(panel_z, panel_w):
-            disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * (w * w))
-            g = np.fft.ifft(disp)
-            gw = np.fft.ifft(disp * np.exp(-1j * w * link.walkoff_delay_s(z)))
-            _roll_into(a[:side], [g] * side, shifts)
-            a[:side] *= np.conj(g)
-            np.conjugate(a[:side], out=a[side:])
-            _roll_into(u, [np.conj(gw)] * side, step * np.arange(side))
-            u *= gw
-            _roll_into(b, [u[d] for d in pi - mi], shifts[mi])
-            acc += wz * (a @ b.T)
+            disp_phase, walk_phase = _phases(link, pgrid.omega, z)
+            disp = spec0 * disp_phase
+            g, gw = np.fft.ifft(disp), np.fft.ifft(disp * walk_phase)
+            np.take(g, ext_at, out=ext, mode="wrap")
+            np.multiply(g_rows, np.conj(g), out=uh[:, :n])  # uh: free till u_d
+            a[:side], a[side:] = uh[:, :n].real, uh[:, :n].imag
+            np.take(np.conj(gw), ext_at, out=ext, mode="wrap")
+            np.multiply(gw_rows, np.conj(ext[2 * o:]), out=uh)
+            for dst, src in blocks:
+                dst[...] = src
+            acc += wz * (a @ b.reshape(2 * npair, n).T)
+        (rr, ri), (ir, ii) = acc.reshape(2, side, 2, npair).swapaxes(1, 2)
         values = np.empty((side, side, side), dtype=np.complex128)
-        values[:, pi, mi] = acc[side:].conj()
-        values[:, mi, pi] = acc[:side]
-        sums.append(values)
-    return sums
+        values[:, pi, mi] = (rr + ii) + 1j * (ir - ri)
+        values[:, mi, pi] = (rr - ii) + 1j * (ri + ir)
+        yield values
 
 
 def _split(tasks: list, cost) -> tuple[list, list]:

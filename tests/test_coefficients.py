@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
                                  receiver_w_tensor, _gauss_legendre_nodes,
-                                 _initial_panels, _pad_factor, _split,
-                                 _window_sums)
-from xpmcap.config import LinkParams, effective_length
+                                 _initial_panels, _level, _pad_factor,
+                                 _panel_sums, _phases, _split, _window_sums)
+from xpmcap.config import LinkParams, effective_length, load_config
 from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape, TimeFreqGrid
 
@@ -232,6 +233,91 @@ class TestKernelOracle:
         grid = TimeFreqGrid(1024, 30.5 * T)
         with pytest.raises(GridError):
             window_sum(SHORT, SINC, grid, 1, 64)
+
+
+def _complex_panel_sums(link, level, zs, wq):
+    """The quadrature node in complex arithmetic: rolled copies of a_l and
+    b_mp, and one complex matmul of [a; conj(a)] against b per node."""
+    pgrid, step, spec0 = level
+    w = pgrid.omega
+    side = 2 * link.memory + 1
+    shifts = step * np.arange(-link.memory, link.memory + 1)
+    mi, pi = np.triu_indices(side)
+    sums = []
+    for panel_z, panel_w in zip(zs, wq * np.exp(-link.alpha_np_per_km * zs)):
+        acc = np.zeros((2 * side, len(mi)), dtype=np.complex128)
+        for z, wz in zip(panel_z, panel_w):
+            disp = spec0 * np.exp(0.5j * link.beta2_s2_per_km * z * (w * w))
+            g = np.fft.ifft(disp)
+            gw = np.fft.ifft(disp * np.exp(-1j * w * link.walkoff_delay_s(z)))
+            a = np.stack([np.roll(g, k) for k in shifts]) * np.conj(g)
+            a = np.concatenate([a, np.conj(a)])
+            u = np.stack([np.roll(np.conj(gw), step * d)
+                          for d in range(side)]) * gw
+            b = np.stack([np.roll(u[p - m], shifts[m])
+                          for m, p in zip(mi, pi)])
+            acc += wz * (a @ b.T)
+        values = np.empty((side, side, side), dtype=np.complex128)
+        values[:, pi, mi] = acc[side:].conj()
+        values[:, mi, pi] = acc[:side]
+        sums.append(values)
+    return sums
+
+
+class TestRealArithmeticOracle:
+    """The engine's per-panel sums against the complex node above: the
+    same products, summed in another order."""
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    @pytest.mark.parametrize("pulse", [SINC, GAUSS], ids=["sinc", "gauss"])
+    def test_matches_complex_node(self, pulse, memory):
+        link = dataclasses.replace(SHORT, memory=memory)
+        level = _level(link, pulse, GRID)
+        zs, wq = _gauss_legendre_nodes(
+            link.length_km, _initial_panels(link, pulse), 64)
+        fast = list(_panel_sums(link, level, zs, wq))
+        slow = _complex_panel_sums(link, level, zs, wq)
+        assert len(fast) == len(slow) == len(zs)
+        for f, s in zip(fast, slow):
+            assert np.abs(f - s).max() <= 1e-14 * np.abs(s).max()
+
+
+def _phase_cases():
+    """(link, pulse, grid, panels): configs/reference.yaml's coarse and
+    fine levels, and one Gaussian-pulse link."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1]
+                          / "configs" / "reference.yaml"))
+    pulse = PulseShape(**cfg.pulse)
+    grid = TimeFreqGrid.for_link(cfg.link, **cfg.grid)
+    panels = _initial_panels(cfg.link, pulse)
+    link = LinkParams(length_km=100.0, memory=2)
+    gauss = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
+    return [(cfg.link, pulse,
+             TimeFreqGrid(grid.n_samples // 2, grid.t_span), panels),
+            (cfg.link, pulse, grid, 2 * panels),
+            (link, gauss, TimeFreqGrid.for_link(link),
+             _initial_panels(link, gauss))]
+
+
+class TestMirroredPhases:
+    """_phases evaluates bins 0..n/2 and mirrors the rest, which is exact
+    only while the padded grid's omega is odd bit for bit."""
+
+    @pytest.mark.parametrize("case", _phase_cases(),
+                             ids=["reference-coarse", "reference-fine",
+                                  "gaussian"])
+    def test_mirror_equals_full_exponentials(self, case):
+        link, pulse, grid, panels = case
+        w = _level(link, pulse, grid)[0].omega
+        n = len(w)
+        k = np.arange(1, n // 2)
+        assert np.array_equal(w[n - k], -w[k])
+        for z in _gauss_legendre_nodes(link.length_km, panels, 64)[0].ravel():
+            disp, walk = _phases(link, w, z)
+            assert np.array_equal(
+                disp, np.exp(0.5j * link.beta2_s2_per_km * z * (w * w)))
+            assert np.array_equal(
+                walk, np.exp(-1j * w * link.walkoff_delay_s(z)))
 
 
 @pytest.fixture(scope="module")
