@@ -181,13 +181,8 @@ def _config_parts(section: dict, name: str, scales: dict) -> list[float]:
 def cmd_coeffs(args, ctx: RunContext) -> int:
     cfg = ctx.config
     link = cfg.link
-    overrides = {}
     if args.memory is not None:
-        overrides["memory"] = args.memory
-    if args.length_km is not None:
-        overrides["length_km"] = args.length_km
-    if overrides:
-        link = dataclasses.replace(link, **overrides)
+        link = dataclasses.replace(link, memory=args.memory)
         # The manifest records the link the tensors were computed on.
         ctx.config = dataclasses.replace(cfg, link=link)
     tx, report = coefficient_tensor(link, PulseShape(**cfg.pulse),
@@ -393,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="compute per-user coefficient tensors")
     p.add_argument("--memory", type=int, help="override link memory window")
-    p.add_argument("--length-km", type=float, dest="length_km",
-                   help="override span length")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("sweep", help="evaluate bounds along a power sweep")

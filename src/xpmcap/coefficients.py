@@ -20,8 +20,8 @@ shift in a periodically extended buffer and runs one real matmul of
 planar rows over the interferer pairs m <= p (b_pm = b_mp*). Each
 Gauss-Legendre panel of each level sums into its own array and a level
 adds its panels in panel order, so the tensor has the same bits whether
-one process or two (a forked child, when blas_workers() allows) compute
-the panels.
+one process or two (a forked child takes the odd-numbered panels, when
+blas_workers() allows) compute the panels.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
 delays are applied on a grid _pad_factor times wider (same dt), where the
@@ -284,99 +284,39 @@ def _panel_sums(link: LinkParams, level, zs, wq):
         yield values
 
 
-def _split(tasks: list, cost) -> tuple[list, list]:
-    """Tasks for this process and a second one: largest cost first, each
-    to the less-loaded process (ties to this one)."""
-    shares = ([], [])
-    for task in sorted(tasks, key=cost, reverse=True):
-        min(shares, key=lambda share: sum(map(cost, share))).append(task)
-    return shares
-
-
 def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
                  z_nodes: int):
     """Raw quadrature of the overlap kernel over the lag window at each
     (grid, panels) level, finest last: 2j gamma dt * sum_k w_k e^(-alpha
     z_k) sum_t (overlap at z_k). Returns (processes, [values per level]).
     With blas_workers() at 2 and two finest-level panels or more, a forked
-    child computes its _split share of the (level, panel) tasks by padded
-    samples, so each process gets a finest-level panel."""
+    child computes the odd-numbered panels of every level and this process
+    the even-numbered ones. Panel counts are powers of two, so each
+    process gets half of every level that has two panels or more."""
     setups = [_level(link, pulse, grid) for grid, _ in levels]
     nodes = [_gauss_legendre_nodes(link.length_km, panels, z_nodes)
              for _, panels in levels]
-    tasks = [(i, k) for i, (_, panels) in enumerate(levels)
-             for k in range(panels)]
 
-    def run(share):  # share sorted by level: sums come in its order
-        sums = []
-        for i, (zs, wq) in enumerate(nodes):
-            ks = [k for j, k in share if j == i]
-            sums += _panel_sums(link, setups[i], zs[ks], wq[ks])
-        return sums
+    def run(first, step):  # per level, panels first, first + step, ...
+        return [list(_panel_sums(link, setup, zs[first::step],
+                                 wq[first::step]))
+                for setup, (zs, wq) in zip(setups, nodes)]
 
     if (workers := blas_workers() if levels[-1][1] >= 2 else 1) == 1:
-        sums = dict(zip(tasks, run(tasks)))
+        sums = run(0, 1)
     else:
-        mine, theirs = map(sorted, _split(
-            tasks, lambda t: setups[t[0]][0].n_samples))
-        with forked(lambda fh: fh.write(np.stack(run(theirs)).tobytes()),
-                    lambda: run(mine), "the process computing quadrature "
-                    f"panels (level, panel) {', '.join(map(str, theirs))}"
-                    ) as (ours, fh):
+        with forked(
+                lambda fh: fh.write(np.stack(sum(run(1, 2), [])).tobytes()),
+                lambda: run(0, 2), "the process computing the odd-numbered "
+                "quadrature panels of each level") as (even, fh):
             raw = np.frombuffer(fh.read(), dtype=np.complex128)
-        sums = dict(zip(mine + theirs, ours + list(
-            raw.reshape(len(theirs), *ours[0].shape))))
+        odd = iter(raw.reshape(-1, *even[-1][0].shape))
+        sums = [[level[k // 2] if k % 2 == 0 else next(odd)
+                 for k in range(panels)]
+                for level, (_, panels) in zip(even, levels)]
     # Each level adds its panels in panel order, whoever computed them.
-    return workers, [
-        (2j * link.gamma * pgrid.dt) * sum(sums[i, k] for k in range(panels))
-        for i, ((pgrid, _, _), (_, panels)) in enumerate(zip(setups, levels))]
-
-
-def _integrate_window(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
-    """Two-level quadrature of the window: the panels of _initial_panels
-    on a grid with half the samples per symbol, against twice the panels
-    on the full grid (DEFAULT_Z_NODES nodes each). Returns (values at the
-    fine level, report); raises QuadratureError when the two differ by
-    more than DEFAULT_QUAD_RTOL relative (max-norm), so the one residual
-    bounds the time and the distance discretisation together.
-
-    Dispersion and walk-off are all-pass, so the four-pulse overlap keeps
-    a one-sided band of at most 2(1+beta)/T for roll-off beta, and the
-    trapezoid sum of a periodic, band-limited integrand is exact once the
-    sample rate exceeds that band (Trefethen & Weideman, SIAM Rev. 56(3),
-    2014): both levels run near that limit, and only leakage from the
-    truncated window is left.
-    """
-    report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
-              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL, "pad_factor": 1,
-              "levels": [], "nodes_evaluated": 0, "quad_workers": 1}
-    if link.length_km == 0.0 or link.gamma == 0.0:
-        return np.zeros((2 * link.memory + 1,) * 3, complex), report
-    base_panels = _initial_panels(link, pulse)
-    half_grid = TimeFreqGrid(grid.n_samples // 2, grid.t_span)
-    panels = 2 * base_panels
-    workers, (coarse, fine) = _window_sums(
-        link, pulse, [(half_grid, base_panels), (grid, panels)],
-        DEFAULT_Z_NODES)
-    scale = float(np.max(np.abs(fine)))
-    change = float(np.max(np.abs(fine - coarse)))
-    residual = 0.0 if scale == 0.0 else change / scale
-    if not residual <= DEFAULT_QUAD_RTOL:  # a NaN residual fails too
-        sps = link.symbol_period / grid.dt
-        raise QuadratureError(
-            f"quadrature residual {residual:.3e} above tolerance "
-            f"{DEFAULT_QUAD_RTOL:.1e} between {sps / 2:g} samples per "
-            f"symbol at {base_panels} panels and {sps:g} samples per symbol "
-            f"at {panels} panels", residual)
-    pad = _pad_factor(link, grid)  # set by t_span alone: one for both levels
-    report.update(
-        panels=panels, refinements=1, residual=residual, pad_factor=pad,
-        quad_workers=workers,
-        nodes_evaluated=(base_panels + panels) * DEFAULT_Z_NODES,
-        levels=[{"padded_n": pad * g.n_samples, "panels": p,
-                 "samples_per_symbol": round(link.symbol_period / g.dt)}
-                for g, p in ((half_grid, base_panels), (grid, panels))])
-    return fine, report
+    return workers, [(2j * link.gamma * pgrid.dt) * sum(level)
+                     for (pgrid, _, _), level in zip(setups, sums)]
 
 
 def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
@@ -400,10 +340,53 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape,
     two-level quadrature (z_nodes, panels, refinements, residual, rtol;
     pad_factor, levels, nodes_evaluated, quad_workers).
 
+    The panels of _initial_panels on a grid with half the samples per
+    symbol are compared with twice the panels on the full grid
+    (DEFAULT_Z_NODES nodes each; _window_sums splits the panels of both
+    levels by parity over two processes when it may fork), and the fine
+    level is returned. Raises QuadratureError when the two differ by more
+    than DEFAULT_QUAD_RTOL relative (max-norm), so the one residual bounds
+    the time and the distance discretisation together.
+
+    Dispersion and walk-off are all-pass, so the four-pulse overlap keeps
+    a one-sided band of at most 2(1+beta)/T for roll-off beta, and the
+    trapezoid sum of a periodic, band-limited integrand is exact once the
+    sample rate exceeds that band (Trefethen & Weideman, SIAM Rev. 56(3),
+    2014): both levels run near that limit, and only leakage from the
+    truncated window is left.
+
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.
     """
     grid.check_covers(link)
-    values, report = _integrate_window(link, pulse, grid)
-    return CoeffTensor(user="x", memory=link.memory, values=values,
+    report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
+              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL, "pad_factor": 1,
+              "levels": [], "nodes_evaluated": 0, "quad_workers": 1}
+    fine = np.zeros((2 * link.memory + 1,) * 3, complex)
+    if link.length_km != 0.0 and link.gamma != 0.0:
+        base_panels = _initial_panels(link, pulse)
+        half_grid = TimeFreqGrid(grid.n_samples // 2, grid.t_span)
+        panels = 2 * base_panels
+        workers, (coarse, fine) = _window_sums(
+            link, pulse, [(half_grid, base_panels), (grid, panels)],
+            DEFAULT_Z_NODES)
+        scale = float(np.max(np.abs(fine)))
+        change = float(np.max(np.abs(fine - coarse)))
+        residual = 0.0 if scale == 0.0 else change / scale
+        if not residual <= DEFAULT_QUAD_RTOL:  # a NaN residual fails too
+            sps = link.symbol_period / grid.dt
+            raise QuadratureError(
+                f"quadrature residual {residual:.3e} above tolerance "
+                f"{DEFAULT_QUAD_RTOL:.1e} between {sps / 2:g} samples per "
+                f"symbol at {base_panels} panels and {sps:g} samples per "
+                f"symbol at {panels} panels", residual)
+        pad = _pad_factor(link, grid)  # set by t_span: one for both levels
+        report.update(
+            panels=panels, refinements=1, residual=residual, pad_factor=pad,
+            quad_workers=workers,
+            nodes_evaluated=(base_panels + panels) * DEFAULT_Z_NODES,
+            levels=[{"padded_n": pad * g.n_samples, "panels": p,
+                     "samples_per_symbol": round(link.symbol_period / g.dt)}
+                    for g, p in ((half_grid, base_panels), (grid, panels))])
+    return CoeffTensor(user="x", memory=link.memory, values=fine,
                        link=link.to_dict()), report

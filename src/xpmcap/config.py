@@ -24,7 +24,8 @@ DEFAULT_SIGMA_SQ_W = 1.0e-3
 #: Default WDM carrier separation (Hz); conventional 50 GHz grid at 32 Gbaud.
 DEFAULT_CHANNEL_SPACING_HZ = 50.0e9
 
-#: Default reference carrier frequency (Hz), c/1550 nm.
+#: Carrier frequency of the amplified-spontaneous-emission formula (Hz),
+#: c/1550 nm.
 DEFAULT_CENTER_FREQ_HZ = 299792458.0 / 1550e-9
 
 #: Default coefficient time grid: 64 symbol periods at 16 samples per symbol.
@@ -171,25 +172,23 @@ def effective_length(alpha_db_per_km: float, length_km: float) -> float:
     return -math.expm1(-alpha_np * length_km) / alpha_np
 
 
-def ase_noise_variance(link: LinkParams, nsp: float = 1.0,
-                       center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ
-                       ) -> NoiseParams:
+def ase_noise_variance(link: LinkParams, nsp: float = 1.0) -> NoiseParams:
     """Amplified-spontaneous-emission noise of a single lumped amplifier.
 
     The amplifier exactly compensates the span loss G = e^(alpha L), so the
     total noise power over the symbol-rate bandwidth B is
-    2*sigma^2 = 2 nsp h f (G - 1) B, and sigma^2 is the per-quadrature half.
+    2*sigma^2 = 2 nsp h f (G - 1) B at the carrier f =
+    DEFAULT_CENTER_FREQ_HZ, and sigma^2 is the per-quadrature half.
     A measured variance needs no formula: use NoiseParams(sigma_sq=...).
     """
     _require(_finite(nsp) and nsp >= 1, "nsp must be >= 1")
-    _require(_finite(center_freq_hz) and center_freq_hz > 0,
-             "center frequency must be > 0")
     exponent = link.alpha_np_per_km * link.length_km
     if exponent > 700.0:  # e^x overflows binary64 near 709
         raise NumericalError(
             f"amplifier gain e^{exponent:.1f} overflows; span too long for "
             "the lumped-amplification model")
-    total = 2.0 * nsp * PLANCK_H * center_freq_hz * math.expm1(exponent) * link.baud_rate
+    total = (2.0 * nsp * PLANCK_H * DEFAULT_CENTER_FREQ_HZ
+             * math.expm1(exponent) * link.baud_rate)
     return NoiseParams(sigma_sq=total / 2.0, nsp=nsp)
 
 
@@ -197,25 +196,22 @@ def ase_noise_variance(link: LinkParams, nsp: float = 1.0,
 # Configuration file handling (YAML: nested sections of scalar keys)
 # ---------------------------------------------------------------------------
 
-_LINK_KEYS = {"gamma", "alpha_db_per_km", "beta2_ps2_per_km", "length_km",
-              "baud_rate", "channel_spacing_hz", "memory"}
-_NOISE_KEYS = {"sigma_sq_w", "nsp", "center_freq_hz"}
-_SWEEP_KEYS = {"powers_dbm", "p2_dbm", "g_real_per_mw", "g_abs_sq_per_mw2",
-               "kappa_per_mw2"}
-_SIMULATION_KEYS = {"n", "p1_dbm", "p2_dbm", "model", "seed",
-                    "g_real_per_mw", "g_imag_per_mw"}
-SIMULATION_MODELS = ("memoryless", "full")
-_PULSE_KEYS = {"kind", "rolloff", "width_s"}
-_GRID_KEYS = {"n_samples", "n_symbols"}
-
+#: Each section's keys and the type of their values. A float key is parsed
+#: with float(), which also reads YAML 1.1's 32.0e9 (a string to PyYAML).
 _SECTIONS = {
-    "link": _LINK_KEYS,
-    "noise": _NOISE_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "simulation": _SIMULATION_KEYS,
-    "pulse": _PULSE_KEYS,
-    "grid": _GRID_KEYS,
+    "link": {"gamma": float, "alpha_db_per_km": float,
+             "beta2_ps2_per_km": float, "length_km": float,
+             "baud_rate": float, "channel_spacing_hz": float, "memory": int},
+    "noise": {"sigma_sq_w": float, "nsp": float},
+    "sweep": {"powers_dbm": list, "p2_dbm": float, "g_real_per_mw": float,
+              "g_abs_sq_per_mw2": float, "kappa_per_mw2": float},
+    "simulation": {"n": int, "p1_dbm": float, "p2_dbm": float, "model": str,
+                   "seed": int, "g_real_per_mw": float,
+                   "g_imag_per_mw": float},
+    "pulse": {"kind": str, "rolloff": float, "width_s": float},
+    "grid": {"n_samples": int, "n_symbols": int},
 }
+SIMULATION_MODELS = ("memoryless", "full")
 
 
 @dataclass
@@ -242,11 +238,6 @@ class ToolkitConfig:
         }
 
 
-#: Keys whose values are not plain numbers; every other key is parsed
-#: with float(), which also reads YAML 1.1's 32.0e9 (a string to PyYAML).
-_INT_KEYS = {"memory", "n", "seed", "n_samples", "n_symbols"}
-_STR_KEYS = {"model", "kind"}
-_LIST_KEYS = {"powers_dbm"}
 #: Least values, checked here so that the error names the file and the key.
 _MINIMA = {"simulation.seed": 0, "simulation.n": 1,
            "sweep.kappa_per_mw2": 0, "sweep.g_abs_sq_per_mw2": 0}
@@ -265,13 +256,13 @@ def _typed(section: str, mapping: dict) -> dict:
     """The section's values, checked (and parsed) by type and least value."""
     out = {}
     for key, value in mapping.items():
-        name = f"{section}.{key}"
-        if key in _INT_KEYS:
+        name, kind = f"{section}.{key}", _SECTIONS[section][key]
+        if kind is int:
             _require(isinstance(value, int) and not isinstance(value, bool),
                      f"{name} must be an integer")
-        elif key in _STR_KEYS:
+        elif kind is str:
             _require(isinstance(value, str), f"{name} must be a string")
-        elif key in _LIST_KEYS:
+        elif kind is list:
             _require(isinstance(value, list), f"{name} must be a list")
             value = [_number(name, v) for v in value]
         else:
@@ -290,7 +281,7 @@ def _section(raw: dict, name: str) -> dict:
         return {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
-    unknown = set(mapping) - _SECTIONS[name]
+    unknown = mapping.keys() - _SECTIONS[name].keys()
     if unknown:
         raise ConfigError(
             f"unknown key(s) in section '{name}': {', '.join(sorted(unknown))}")
@@ -300,8 +291,9 @@ def _section(raw: dict, name: str) -> dict:
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
     """Build a validated ToolkitConfig from a parsed mapping.
 
-    Unknown sections, keys or models, wrongly typed values and a grid pair
-    check_grid refuses are hard errors; each names source_path if given.
+    Unknown sections, keys or models, wrongly typed values, a grid pair
+    check_grid refuses and a pulse PulseShape refuses are hard errors;
+    each names source_path if given.
     """
     try:
         return _build_config(raw, source_path)
@@ -312,6 +304,8 @@ def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig
 
 
 def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
+    from .pulses import PulseShape  # pulses imports this module
+
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -325,6 +319,7 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
     grid = sections["grid"]
     check_grid(grid.get("n_samples", DEFAULT_GRID_SAMPLES),
                grid.get("n_symbols", DEFAULT_GRID_SYMBOLS))
+    PulseShape(**sections["pulse"])  # checks kind, rolloff and width_s
 
     link = LinkParams(**sections["link"])
 
@@ -333,10 +328,7 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
         noise = NoiseParams(sigma_sq=noise_raw["sigma_sq_w"],
                             nsp=noise_raw.get("nsp"))
     elif "nsp" in noise_raw:
-        noise = ase_noise_variance(
-            link, nsp=noise_raw["nsp"],
-            center_freq_hz=noise_raw.get("center_freq_hz",
-                                         DEFAULT_CENTER_FREQ_HZ))
+        noise = ase_noise_variance(link, nsp=noise_raw["nsp"])
     else:
         noise = NoiseParams()
 

@@ -174,7 +174,7 @@ class TestCoeffsCommand:
                     "coeffs"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "quadrature panels (level, panel) (1, 1) failed" in err
+        assert "odd-numbered quadrature panels of each level failed" in err
         assert list(out.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -188,10 +188,11 @@ class TestCoeffsCommand:
         manifest = json.loads((out / "coeffs-manifest.json").read_text())
         assert manifest["config"]["link"]["memory"] == 0
 
-    def test_zero_length_gives_zero_tensor(self, tmp_path, config_path):
+    def test_zero_length_gives_zero_tensor(self, tmp_path):
         out = tmp_path / "l0"
-        assert run(["--config", config_path, "--out-dir", str(out), "--quiet",
-                    "coeffs", "--length-km", "0"]) == 0
+        zero_length = CONFIG.replace("length_km: 50.0", "length_km: 0")
+        assert run([*config_file(tmp_path, zero_length), "--out-dir",
+                    str(out), "--quiet", "coeffs"]) == 0
         tx = json.loads((out / "tensor_x.json").read_text())
         assert all(e["re"] == 0.0 and e["im"] == 0.0 for e in tx["entries"])
         manifest = json.loads((out / "coeffs-manifest.json").read_text())
@@ -832,6 +833,20 @@ MALFORMED = {
     "config-rolloff-not-a-number": (
         {"c.yaml": "pulse: {rolloff: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
+    # A pulse the engine would refuse is refused at load, also by the
+    # commands that never build it.
+    "config-pulse-rolloff-out-of-range": (
+        {"c.yaml": "pulse: {kind: root-raised-cosine, rolloff: 3}\n" +
+         ZERO_G},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "config-pulse-gaussian-without-width": (
+        {"c.yaml": "pulse: {kind: gaussian}\n"},
+        ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    "config-noise-center-freq-is-unknown": (
+        {"c.yaml": "noise: {nsp: 1.5, center_freq_hz: 1.9e14}\n" + ZERO_G},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "coeffs-removed-length-km-flag": (
+        {}, ["coeffs", "--length-km", "0"]),
     "config-section-not-a-mapping": (
         {"c.yaml": "link: 0\n" + ZERO_G},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),

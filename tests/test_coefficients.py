@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
                                  receiver_w_tensor, _gauss_legendre_nodes,
                                  _initial_panels, _level, _pad_factor,
-                                 _panel_sums, _phases, _split, _window_sums)
+                                 _panel_sums, _phases, _window_sums)
 from xpmcap.config import LinkParams, effective_length, load_config
 from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape, TimeFreqGrid
@@ -174,13 +175,30 @@ class TestTwoProcesses:
             runs.append(tensor.values)
         assert all(np.array_equal(v, runs[0]) for v in runs[1:])
 
-    def test_reference_split_by_padded_samples(self):
-        # configs/reference.yaml: coarse 2 panels at 2048 samples, fine 4
-        # at 4096; each process gets two fine panels and one coarse.
-        tasks = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
-        mine, theirs = _split(tasks, lambda t: (2048, 4096)[t[0]])
-        assert mine == [(1, 0), (1, 2), (0, 0)]
-        assert theirs == [(1, 1), (1, 3), (0, 1)]
+    def test_parent_runs_even_panels(self, monkeypatch):
+        # as on configs/reference.yaml: 2 coarse and 4 fine panels; this
+        # process runs the even-numbered panels of each level, the forked
+        # child the odd-numbered ones
+        parent, panel_sums, calls = os.getpid(), coefficients._panel_sums, []
+
+        def recording(link, level, zs, wq):
+            if os.getpid() == parent:
+                calls.append(zs)
+            return panel_sums(link, level, zs, wq)
+
+        monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
+        monkeypatch.setattr(coefficients, "_panel_sums", recording)
+        levels = [(TimeFreqGrid(512, GRID.t_span), 2), (GRID, 4)]
+        workers, sums = _window_sums(SHORT, SINC, levels, 8)
+        assert workers == 2
+        # one call per level: panels (0, 0), then (1, 0) and (1, 2)
+        for zs, (_, panels), ks in zip(calls, levels, ([0], [0, 2]),
+                                       strict=True):
+            assert np.array_equal(zs, _gauss_legendre_nodes(
+                SHORT.length_km, panels, 8)[0][ks])
+        monkeypatch.setattr(coefficients, "blas_workers", lambda: 1)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            sums, _window_sums(SHORT, SINC, levels, 8)[1]))
 
     def test_one_panel_runs_inline(self, monkeypatch):
         monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
