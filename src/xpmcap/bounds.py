@@ -287,18 +287,18 @@ def sweep_csv(powers_dbm, bound_sets) -> str:
 def read_sweep_csv(path: str) -> list[dict]:
     """Parse a sweep CSV back into row dicts of floats."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != SWEEP_CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected sweep CSV header: {header}")
-        rows = []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != len(header):
-                raise ConfigError(f"{where}: {len(row)} fields, expected "
-                                  f"{len(header)}")
-            try:
+        reader, rows = csv.reader(fh), []
+        try:
+            header = tuple(next(reader, ()))
+            if header != SWEEP_CSV_HEADER:
+                raise ConfigError(f"unexpected sweep CSV header: {header}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ConfigError(f"{len(row)} fields, expected "
+                                      f"{len(header)}")
                 rows.append(dict(zip(header, map(float, row))))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-        return rows
+        except UnicodeDecodeError as exc:  # decoded by the block: no line
+            raise ConfigError(f"{path}: {exc}") from exc
+        except (ConfigError, ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
+    return rows

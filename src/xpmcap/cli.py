@@ -37,7 +37,6 @@ from .svgout import render_curves, render_regions
 from .verify import run_suite
 from .workers import cpu_workers
 
-ENV_CONFIG = "XPMCAP_CONFIG"
 DEFAULT_MASTER_SEED = 12345
 
 EXIT_OK = 0
@@ -88,8 +87,8 @@ class RunContext:
 
     def __init__(self, args):
         self.args = args
-        path = args.config or os.environ.get(ENV_CONFIG)
-        self.config = load_config(path) if path else ToolkitConfig()
+        self.config = (load_config(args.config) if args.config
+                       else ToolkitConfig())
         seed = _flag_or_key(args.seed, self.config.simulation, "seed",
                             DEFAULT_MASTER_SEED)
         if seed < 0:
@@ -376,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xpmcap",
         description="Rate bounds, cross-phase perturbation coefficients and "
                     "rate-region geometry for a two-user fiber link.")
-    parser.add_argument("--config", help=f"config file (YAML); defaults to "
-                                         f"${ENV_CONFIG} when set")
+    parser.add_argument("--config", help="config file (YAML)")
     parser.add_argument("--seed", type=int, help="master seed for stochastic "
                                                  "commands")
     parser.add_argument("--out-dir", default=".", help="output directory")

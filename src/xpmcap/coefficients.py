@@ -18,10 +18,10 @@ with half the panels on a grid with half the samples per symbol. A node
 mirrors its phase factors from half the frequency bins, views each lag
 shift in a periodically extended buffer and runs one real matmul of
 planar rows over the interferer pairs m <= p (b_pm = b_mp*). Each
-Gauss-Legendre panel of each level sums into its own array and a level
-adds its panels in panel order, so the tensor has the same bits whether
-one process or two (a forked child takes the odd-numbered panels, when
-blas_workers() allows) compute the panels.
+level is its even half (Gauss-Legendre panels 0, 2, ...) plus its odd
+half (panels 1, 3, ...), each half one sum over its nodes, so the tensor
+has the same bits whether one process or two (a forked child takes the
+odd halves, when blas_workers() allows) compute them.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
 delays are applied on a grid _pad_factor times wider (same dt), where the
@@ -157,7 +157,8 @@ class CoeffTensor:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return cls.from_json_dict(json.load(fh))
-            except (ConfigError, ValueError) as exc:  # ValueError: bad JSON
+            except (ConfigError, ValueError, RecursionError) as exc:
+                # ValueError: bad JSON or text; RecursionError: deep nesting
                 raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -236,15 +237,15 @@ def _phases(link: LinkParams, omega: np.ndarray, z: float):
 
 
 def _panel_sums(link: LinkParams, level, zs, wq):
-    """Yields per panel (row of zs and wq) the (2M+1)^3 window of sum_k
-    wq_k e^(-alpha z_k) sum_t a_l b_mp over its nodes z_k. For receiver x,
-    a_l = g* roll(g, l s) and b_mp = roll(u_(p-m), m s), u_d = gw
-    roll(gw, d s)*, for s samples per symbol. Each roll is a row of a
-    sliding-window view into a periodically extended buffer. Per node one
-    real matmul of [Re a; Im a] against [Re b; Im b], m <= p, gives the
-    blocks RR, RI, IR, II; per panel they fill the window, sum_t a_l b_mp
-    = (RR - II) + j(RI + IR) and, as b_pm = b_mp*, sum_t a_l b_pm = (RR +
-    II) + j(IR - RI). One set of work arrays serves every panel.
+    """The (2M+1)^3 window of sum_k wq_k e^(-alpha z_k) sum_t a_l b_mp over
+    every node z_k of the given panels (rows of zs and wq), in row order;
+    zeros for no panels. For receiver x, a_l = g* roll(g, l s) and b_mp =
+    roll(u_(p-m), m s), u_d = gw roll(gw, d s)*, for s samples per symbol.
+    Each roll is a row of a sliding-window view into a periodically
+    extended buffer. Per node one real matmul of [Re a; Im a] against
+    [Re b; Im b], m <= p, adds to the blocks RR, RI, IR, II; once summed
+    they fill the window, sum_t a_l b_mp = (RR - II) + j(RI + IR) and, as
+    b_pm = b_mp*, sum_t a_l b_pm = (RR + II) + j(IR - RI).
     """
     pgrid, step, spec0 = level
     n, M = pgrid.n_samples, link.memory
@@ -263,25 +264,24 @@ def _panel_sums(link: LinkParams, level, zs, wq):
         blocks += [(dst, sliding_window_view(src, n)[::step][d:])
                    for dst, src in zip(rows, (uh[d].real, uh[d].imag))]
     mi, pi = np.array(pairs).T
-    for panel_z, panel_w in zip(zs, wq * np.exp(-link.alpha_np_per_km * zs)):
-        acc = np.zeros((2 * side, 2 * npair))
-        for z, wz in zip(panel_z, panel_w):
-            disp_phase, walk_phase = _phases(link, pgrid.omega, z)
-            disp = spec0 * disp_phase
-            g, gw = np.fft.ifft(disp), np.fft.ifft(disp * walk_phase)
-            np.take(g, ext_at, out=ext, mode="wrap")
-            np.multiply(g_rows, np.conj(g), out=uh[:, :n])  # uh: free till u_d
-            a[:side], a[side:] = uh[:, :n].real, uh[:, :n].imag
-            np.take(np.conj(gw), ext_at, out=ext, mode="wrap")
-            np.multiply(gw_rows, np.conj(ext[2 * o:]), out=uh)
-            for dst, src in blocks:
-                dst[...] = src
-            acc += wz * (a @ b.reshape(2 * npair, n).T)
-        (rr, ri), (ir, ii) = acc.reshape(2, side, 2, npair).swapaxes(1, 2)
-        values = np.empty((side, side, side), dtype=np.complex128)
-        values[:, pi, mi] = (rr + ii) + 1j * (ir - ri)
-        values[:, mi, pi] = (rr - ii) + 1j * (ri + ir)
-        yield values
+    acc = np.zeros((2 * side, 2 * npair))
+    for z, wz in zip(zs.flat, (wq * np.exp(-link.alpha_np_per_km * zs)).flat):
+        disp_phase, walk_phase = _phases(link, pgrid.omega, z)
+        disp = spec0 * disp_phase
+        g, gw = np.fft.ifft(disp), np.fft.ifft(disp * walk_phase)
+        np.take(g, ext_at, out=ext, mode="wrap")
+        np.multiply(g_rows, np.conj(g), out=uh[:, :n])  # uh: free till u_d
+        a[:side], a[side:] = uh[:, :n].real, uh[:, :n].imag
+        np.take(np.conj(gw), ext_at, out=ext, mode="wrap")
+        np.multiply(gw_rows, np.conj(ext[2 * o:]), out=uh)
+        for dst, src in blocks:
+            dst[...] = src
+        acc += wz * (a @ b.reshape(2 * npair, n).T)
+    (rr, ri), (ir, ii) = acc.reshape(2, side, 2, npair).swapaxes(1, 2)
+    values = np.empty((side, side, side), dtype=np.complex128)
+    values[:, pi, mi] = (rr + ii) + 1j * (ir - ri)
+    values[:, mi, pi] = (rr - ii) + 1j * (ri + ir)
+    return values
 
 
 def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
@@ -289,34 +289,30 @@ def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
     """Raw quadrature of the overlap kernel over the lag window at each
     (grid, panels) level, finest last: 2j gamma dt * sum_k w_k e^(-alpha
     z_k) sum_t (overlap at z_k). Returns (processes, [values per level]).
-    With blas_workers() at 2 and two finest-level panels or more, a forked
-    child computes the odd-numbered panels of every level and this process
-    the even-numbered ones. Panel counts are powers of two, so each
-    process gets half of every level that has two panels or more."""
+    Each level is its even half (panels 0, 2, ...) plus its odd half
+    (panels 1, 3, ...). With blas_workers() at 2 and two finest-level
+    panels or more, a forked child computes the odd halves and this
+    process the even ones; else this process computes both. Panel counts
+    are powers of two, so each process gets half of every level that has
+    two panels or more."""
     setups = [_level(link, pulse, grid) for grid, _ in levels]
     nodes = [_gauss_legendre_nodes(link.length_km, panels, z_nodes)
              for _, panels in levels]
 
-    def run(first, step):  # per level, panels first, first + step, ...
-        return [list(_panel_sums(link, setup, zs[first::step],
-                                 wq[first::step]))
+    def half(parity):  # per level, the panels parity, parity + 2, ...
+        return [_panel_sums(link, setup, zs[parity::2], wq[parity::2])
                 for setup, (zs, wq) in zip(setups, nodes)]
 
     if (workers := blas_workers() if levels[-1][1] >= 2 else 1) == 1:
-        sums = run(0, 1)
+        even, odd = half(0), half(1)
     else:
-        with forked(
-                lambda fh: fh.write(np.stack(sum(run(1, 2), [])).tobytes()),
-                lambda: run(0, 2), "the process computing the odd-numbered "
-                "quadrature panels of each level") as (even, fh):
+        with forked(lambda fh: fh.write(np.stack(half(1)).tobytes()),
+                    lambda: half(0), "the process computing the odd-numbered "
+                    "quadrature panels of each level") as (even, fh):
             raw = np.frombuffer(fh.read(), dtype=np.complex128)
-        odd = iter(raw.reshape(-1, *even[-1][0].shape))
-        sums = [[level[k // 2] if k % 2 == 0 else next(odd)
-                 for k in range(panels)]
-                for level, (_, panels) in zip(even, levels)]
-    # Each level adds its panels in panel order, whoever computed them.
-    return workers, [(2j * link.gamma * pgrid.dt) * sum(level)
-                     for (pgrid, _, _), level in zip(setups, sums)]
+        odd = raw.reshape(len(levels), *even[0].shape)
+    return workers, [(2j * link.gamma * pgrid.dt) * (e + o)
+                     for (pgrid, _, _), e, o in zip(setups, even, odd)]
 
 
 def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
@@ -342,8 +338,8 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape,
 
     The panels of _initial_panels on a grid with half the samples per
     symbol are compared with twice the panels on the full grid
-    (DEFAULT_Z_NODES nodes each; _window_sums splits the panels of both
-    levels by parity over two processes when it may fork), and the fine
+    (DEFAULT_Z_NODES nodes each; _window_sums may fork to compute each
+    level's two halves, by panel parity, in two processes), and the fine
     level is returned. Raises QuadratureError when the two differ by more
     than DEFAULT_QUAD_RTOL relative (max-norm), so the one residual bounds
     the time and the distance discretisation together.

@@ -244,6 +244,7 @@ _MINIMA = {"simulation.seed": 0, "simulation.n": 1,
 
 
 def _number(name: str, value) -> float:
+    _require(not isinstance(value, bool), f"{name} must be a number")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -281,11 +282,13 @@ def _section(raw: dict, name: str) -> dict:
         return {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
-    unknown = mapping.keys() - _SECTIONS[name].keys()
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in section '{name}': {', '.join(sorted(unknown))}")
+    _refuse_unknown(f"key(s) in section '{name}'", mapping, _SECTIONS[name])
     return _typed(name, mapping)
+
+
+def _refuse_unknown(what: str, given: dict, known: dict) -> None:
+    unknown = sorted(map(str, given.keys() - known.keys()))  # YAML: any key
+    _require(not unknown, f"unknown {what}: {', '.join(unknown)}")
 
 
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
@@ -310,9 +313,7 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping of sections")
-    unknown = set(raw) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
+    _refuse_unknown("section(s)", raw, _SECTIONS)
     sections = {name: _section(raw, name) for name in _SECTIONS}
     model = sections["simulation"].get("model", "memoryless")
     _require(model in SIMULATION_MODELS, f"unknown simulation.model {model!r}")
@@ -350,7 +351,7 @@ def load_config(path: str) -> ToolkitConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc

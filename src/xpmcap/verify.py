@@ -66,36 +66,23 @@ def _report(name, n, estimate, bound, stderr, seed, kind) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _det2(a) -> float:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def _det3(a) -> float:
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-
-def _det4(a) -> float:
-    total = 0.0
-    for j in range(4):
-        minor = [[a[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-        total += (-1.0) ** j * a[0][j] * _det3(minor)
-    return total
-
-
 def det_small(a: np.ndarray) -> float:
-    """Determinant by direct cofactor expansion for sizes up to 4."""
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(_det2(a))
-    if n == 3:
-        return float(_det3(a))
-    if n == 4:
-        return float(_det4(a))
-    return float(np.linalg.det(a))
+    """Determinant by cofactor expansion along the first row for sizes up
+    to 4, np.linalg.det above."""
+    if a.shape[0] > 4:
+        return float(np.linalg.det(a))
+    rows = a.tolist()
+
+    def cofactor(r, cols):  # det of rows r, r + 1, ... over columns cols
+        if len(cols) == 1:
+            return rows[r][cols[0]]
+        total = rows[r][cols[0]] * cofactor(r + 1, cols[1:])
+        for j in range(1, len(cols)):
+            term = rows[r][cols[j]] * cofactor(r + 1, cols[:j] + cols[j + 1:])
+            total = total - term if j % 2 else total + term
+        return total
+
+    return float(cofactor(0, tuple(range(a.shape[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,13 @@ MALFORMED = {
     "sweep-csv-bad-header": (
         {"s.csv": "p,q\n"},
         ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    "sweep-csv-not-utf-8": (
+        {"s.csv": SWEEP_HEADER.encode() + b"0,0.1,0.2,0.25,0.1,0.1,\xff\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    # csv refuses a field longer than its 131072-character limit.
+    "sweep-csv-field-too-large": (
+        {"s.csv": SWEEP_HEADER + "0," + "1" * 200_000 + ",0,0,0,0,0\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
     # One source for the bound triple: a sweep row or the three flags.
     "region-triple-and-from-sweep": (
         {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,0.1,0.1\n"},
@@ -847,6 +854,26 @@ MALFORMED = {
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "coeffs-removed-length-km-flag": (
         {}, ["coeffs", "--length-km", "0"]),
+    # YAML keys may be of any type; only names are known.
+    "config-key-not-a-string": (
+        {"c.yaml": "link: {1: 2}\n"},
+        ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    "config-section-name-not-a-string": (
+        {"c.yaml": "1: {}\n"},
+        ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    "config-keys-of-mixed-types": (
+        {"c.yaml": "link: {1: 2, foo: 3}\n"},
+        ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    "config-not-utf-8": (
+        {"c.yaml": b"link: {length_km: 80}\n# \xff\n"},
+        ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    # A YAML boolean is no number.
+    "config-g-real-a-bool": (
+        {"c.yaml": "sweep: {g_real_per_mw: true, g_abs_sq_per_mw2: 0}\n"},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    "config-power-a-bool": (
+        {"c.yaml": ZERO_G.replace("{", "{powers_dbm: [yes, 0], ")},
+        ["--config", "@c.yaml", "sweep"]),
     "config-section-not-a-mapping": (
         {"c.yaml": "link: 0\n" + ZERO_G},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
@@ -860,6 +887,10 @@ MALFORMED = {
         {}, ["sweep", "--powers-dbm", "0", "--coeffs-x", "@missing.json"]),
     "tensor-file-not-json": (
         {"t.json": "not json\n"},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    # json.load raises RecursionError on arrays nested this deep.
+    "tensor-nested-too-deep": (
+        {"t.json": "[" * 100_000 + "]" * 100_000},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
     # 200001^3 lags: the entry count must be checked before any allocation.
     "tensor-memory-without-entries": (
@@ -915,7 +946,10 @@ class TestMalformedInputs:
     def test_usage_error_with_one_line(self, case, tmp_path, capsys):
         files, args = MALFORMED[case]
         for name, text in files.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
+            if isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
+            else:
+                (tmp_path / name).write_text(text, encoding="utf-8")
         args = [str(tmp_path / a[1:]) if a.startswith("@") else a
                 for a in args]
         code = run(["--out-dir", str(tmp_path / "out"), "--quiet", *args])
@@ -1114,11 +1148,12 @@ class TestEntryPoint:
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
 
-    def test_env_var_supplies_config(self, tmp_path, monkeypatch):
+    def test_env_var_selects_no_config(self, tmp_path, monkeypatch):
+        # --config is the one way to name a config file
         _, config_path = config_file(tmp_path, CONFIG + ZERO_G)
         monkeypatch.setenv("XPMCAP_CONFIG", config_path)
-        code = run(["--out-dir", str(tmp_path), "--quiet", "sweep",
-                    "--powers-dbm", "0", "--out", "env.csv"])
+        code = run(["--out-dir", str(tmp_path), "--quiet", "region",
+                    "--u1", "1", "--u2", "1", "--usum", "1.5"])
         assert code == 0
-        manifest = json.loads((tmp_path / "sweep-manifest.json").read_text())
-        assert manifest["config_path"] == config_path
+        manifest = json.loads((tmp_path / "region-manifest.json").read_text())
+        assert manifest["config_path"] is None

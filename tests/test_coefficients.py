@@ -236,7 +236,7 @@ def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
 
 
 class TestKernelOracle:
-    """The engine's per-panel sums against the phase-ramp reference kernel
+    """The engine's level sums against the phase-ramp reference kernel
     above."""
 
     @pytest.mark.parametrize("pulse", [SINC, GAUSS],
@@ -283,21 +283,21 @@ def _complex_panel_sums(link, level, zs, wq):
 
 
 class TestRealArithmeticOracle:
-    """The engine's per-panel sums against the complex node above: the
-    same products, summed in another order."""
+    """The engine's sum over each half of the panels against the complex
+    node above: the same products, summed in another order."""
 
     @pytest.mark.parametrize("memory", [1, 2])
     @pytest.mark.parametrize("pulse", [SINC, GAUSS], ids=["sinc", "gauss"])
     def test_matches_complex_node(self, pulse, memory):
         link = dataclasses.replace(SHORT, memory=memory)
         level = _level(link, pulse, GRID)
+        # four panels or more, so that each half holds two or more
         zs, wq = _gauss_legendre_nodes(
-            link.length_km, _initial_panels(link, pulse), 64)
-        fast = list(_panel_sums(link, level, zs, wq))
-        slow = _complex_panel_sums(link, level, zs, wq)
-        assert len(fast) == len(slow) == len(zs)
-        for f, s in zip(fast, slow):
-            assert np.abs(f - s).max() <= 1e-14 * np.abs(s).max()
+            link.length_km, 4 * _initial_panels(link, pulse), 64)
+        for half in (slice(0, None, 2), slice(1, None, 2)):
+            fast = _panel_sums(link, level, zs[half], wq[half])
+            slow = sum(_complex_panel_sums(link, level, zs[half], wq[half]))
+            assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
 
 
 def _phase_cases():
@@ -346,6 +346,30 @@ def gauss_window():
     pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
     tx, _ = coefficient_tensor(link, pulse, TimeFreqGrid.for_link(link))
     return tx
+
+
+class TestWindowTruncation:
+    """Every Im c[0,m,m] is positive, and for the Nyquist sinc, whose
+    shifted copies sum |gw(t - mT)|^2 to 1/T, the sum over all m is 2 gamma
+    L_eff / T. A wider window holds a larger share of that limit."""
+
+    def test_phase_share_rises_with_memory(self):
+        cfg = load_config(str(Path(__file__).resolve().parents[1]
+                              / "configs" / "reference.yaml"))
+        assert cfg.pulse["kind"] == "nyquist-sinc"
+        link = cfg.link
+        limit = 2 * link.gamma * effective_length(
+            link.alpha_db_per_km, link.length_km) / link.symbol_period
+        shares = []
+        for memory in (1, 3, 5):
+            link = dataclasses.replace(cfg.link, memory=memory)
+            tensor, _ = coefficient_tensor(
+                link, PulseShape(**cfg.pulse),
+                TimeFreqGrid.for_link(link, **cfg.grid))
+            assert np.all(np.diagonal(tensor.values[memory]).imag > 0)
+            shares.append(tensor.coherent_gains()[memory].imag / limit)
+        assert 0 < shares[0] < shares[1] < shares[2] < 1, shares
+        assert shares[2] == pytest.approx(0.670, abs=0.005)
 
 
 class TestGaussianDispersionOracle:

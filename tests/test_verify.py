@@ -18,7 +18,39 @@ MW = 1e-3
 N = 200_000
 
 
+def _det2(a):
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+def _det3(a):
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
+def _det4(a):
+    total = 0.0
+    for j in range(4):
+        minor = [[a[r][c] for c in range(4) if c != j] for r in range(1, 4)]
+        total += (-1.0) ** j * a[0][j] * _det3(minor)
+    return total
+
+
+# The unrolled cofactor expansions: det_small must match them bit for bit.
+UNROLLED = {1: lambda a: a[0][0], 2: _det2, 3: _det3, 4: _det4}
+
+
 class TestDetSmall:
+    def test_matches_unrolled_expansions_bitwise(self):
+        rng = np.random.default_rng(11)
+        for i in range(4000):
+            size = 1 + i % 4
+            a = rng.standard_normal((size, size))
+            if i % 8 >= 4:
+                a = a @ a.T  # half of them PSD, as the checks see
+            want = np.float64(UNROLLED[size](a.tolist()))
+            assert np.float64(det_small(a)).tobytes() == want.tobytes()
+
     def test_matches_numpy(self):
         rng = np.random.default_rng(3)
         for size in (1, 2, 3, 4):
