@@ -50,10 +50,11 @@ def normal_blocks(rng: np.random.Generator, n: int):
 
 def _cscg(rng: np.random.Generator, n: int, var_per_dim: float) -> np.ndarray:
     out = np.empty(n, np.complex128)
-    for part in (out.real, out.imag):
-        for sl, z in normal_blocks(rng, n):
-            part[sl] = z
-    out *= np.sqrt(var_per_dim)
+    for sl, z in normal_blocks(rng, n):
+        out.real[sl] = z
+    for sl, z in normal_blocks(rng, n):
+        out.imag[sl] = z
+        out[sl] *= np.sqrt(var_per_dim)  # per block, while still in cache
     return out
 
 
@@ -124,21 +125,23 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     return acc
 
 
-def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex):
+def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex, out=None):
     """Quadrature form of the single-tap map, before noise.
 
     Returns (y_r, y_i) with
         y_r = (1 + |w|^2 Re g) Re x - |w|^2 Im g Im x,
         y_i = (1 + |w|^2 Re g) Im x + |w|^2 Im g Re x,
-    whose recombination y_r + j y_i equals (1 + g |w|^2) x.
+    whose recombination y_r + j y_i equals (1 + g |w|^2) x, written into
+    the real arrays out=(y_r, y_i) when given.
     """
     x = np.asarray(x, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     q = w.real * w.real + w.imag * w.imag
     a = 1.0 + q * g.real
     b = q * g.imag
-    y_r = a * x.real - b * x.imag
-    y_i = a * x.imag + b * x.real
+    y_r, y_i = out or (None, None)
+    y_r = np.subtract(np.multiply(a, x.real, out=y_r), b * x.imag, out=y_r)
+    y_i = np.add(np.multiply(a, x.imag, out=y_i), b * x.real, out=y_i)
     return y_r, y_i
 
 

@@ -35,7 +35,7 @@ from .pulses import PulseShape, TimeFreqGrid
 from .regions import build_region, dominant_face_midpoint, excess_area
 from .svgout import render_curves, render_regions
 from .verify import run_suite
-from .workers import cpu_workers
+from .workers import blas_threads, cpu_workers
 
 DEFAULT_MASTER_SEED = 12345
 
@@ -56,6 +56,8 @@ def _atomic_write(path: str, fill) -> None:
                                suffix=os.path.basename(path))
     os.close(fd)
     try:
+        os.umask(umask := os.umask(0))  # the only way to read it
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give it
         fill(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -190,10 +192,10 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
         ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
     # The quadrature's layout is run telemetry: the manifest, not the file.
-    ctx.diagnostics = {k: report.pop(k) for k in
-                       ("pad_factor", "levels", "nodes_evaluated",
-                        "quad_workers")}
-    ctx.diagnostics["residual"] = report["residual"]
+    ctx.diagnostics = {k: report.pop(k) for k in ("pad_factor", "levels",
+                       "nodes_evaluated", "quad_workers")}
+    ctx.diagnostics.update(residual=report["residual"],
+                           blas_threads=blas_threads())
     # One quadrature serves both receivers, so both share its report.
     ctx.write("tensor_convergence.json",
               _json_text({"x": report, "w": report}))

@@ -66,23 +66,22 @@ def _report(name, n, estimate, bound, stderr, seed, kind) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def det_small(a: np.ndarray) -> float:
-    """Determinant by cofactor expansion along the first row for sizes up
-    to 4, np.linalg.det above."""
-    if a.shape[0] > 4:
-        return float(np.linalg.det(a))
-    rows = a.tolist()
+def det_small(a: np.ndarray):
+    """Determinants of a stack (..., k, k), each by cofactor expansion along
+    the first row for k up to 4, np.linalg.det above."""
+    if a.shape[-1] > 4:
+        return np.linalg.det(a)
 
     def cofactor(r, cols):  # det of rows r, r + 1, ... over columns cols
         if len(cols) == 1:
-            return rows[r][cols[0]]
-        total = rows[r][cols[0]] * cofactor(r + 1, cols[1:])
-        for j in range(1, len(cols)):
-            term = rows[r][cols[j]] * cofactor(r + 1, cols[:j] + cols[j + 1:])
+            return a[..., r, cols[0]]
+        total = a[..., r, cols[0]] * cofactor(r + 1, cols[1:])
+        for j, c in enumerate(cols[1:], 1):
+            term = a[..., r, c] * cofactor(r + 1, cols[:j] + cols[j + 1:])
             total = total - term if j % 2 else total + term
         return total
 
-    return float(cofactor(0, tuple(range(a.shape[0]))))
+    return cofactor(0, tuple(range(a.shape[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +90,25 @@ def det_small(a: np.ndarray) -> float:
 
 
 def det_trace_check(matrix: np.ndarray, name: str = "det-trace") -> CheckReport:
-    """Verify det(A) <= (trace(A)/n)^n for a symmetric PSD matrix.
+    """Verify det(A) <= (trace(A)/n)^n for a symmetric PSD matrix or each
+    of a stack (..., n, n) of them, reporting the one of least margin.
 
     Deterministic arithmetic check; no sampling involved.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
         raise ConfigError("input must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
+    n = a.shape[-1]
+    a = a.reshape(-1, n, n)
+    tol = 1e-9 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    if np.any(np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > tol):
         raise ConfigError("input must be symmetric")
-    if float(np.min(np.linalg.eigvalsh(a))) < -1e-9 * scale:
+    if np.any(np.linalg.eigvalsh(a).min(axis=1) < -tol):
         raise ConfigError("input must be positive semidefinite")
-    n = a.shape[0]
-    det = det_small(a)
-    bound = (float(np.trace(a)) / n) ** n
-    return _report(name, 0, det, bound, 0.0, None, "exact")
+    det, traces = det_small(a), np.trace(a, axis1=1, axis2=2).tolist()
+    bound = np.array([(t / n) ** n for t in traces])  # not numpy's SIMD pow
+    i = int(np.argmax(det - bound))
+    return _report(name, 0, det[i], bound[i], 0.0, None, "exact")
 
 
 def _batched_cov_det(rows: np.ndarray) -> tuple[float, float]:
@@ -124,17 +126,17 @@ def _batched_cov_det(rows: np.ndarray) -> tuple[float, float]:
 
 def _noisy_rows(maps, rng: np.random.Generator, scale: float) -> np.ndarray:
     """Rows y_r, y_i of real_imag_decompose(x, w, g) per (x, w, g) in maps,
-    plus scale * rng.standard_normal(n) per row, built BLOCK at a time."""
+    plus scale * rng.standard_normal(n) per row, each block built in place."""
     n = maps[0][0].size
     rows = np.empty((2 * len(maps), n))
     for pair, (x, w, g) in zip(rows.reshape(len(maps), 2, n), maps):
         for s in range(0, n, BLOCK):
             sl = slice(s, s + BLOCK)
-            pair[0, sl], pair[1, sl] = real_imag_decompose(
-                x[sl], w[sl] if np.ndim(w) else w, g)
+            real_imag_decompose(x[sl], w[sl] if np.ndim(w) else w, g,
+                                out=(pair[0, sl], pair[1, sl]))
     for row in rows:
         for sl, z in normal_blocks(rng, n):
-            row[sl] += scale * z
+            row[sl] += np.multiply(scale, z, out=z)
     return rows
 
 
@@ -156,8 +158,10 @@ def single_user_covariance_check(g: complex, w: complex, p1: float,
     if not 0.0 <= power_split <= 1.0:
         raise ConfigError("power_split must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    x = (math.sqrt(power_split * p1) * rng.standard_normal(n)
-         + 1j * math.sqrt((1.0 - power_split) * p1) * rng.standard_normal(n))
+    x = np.empty(n, np.complex128)
+    for part, share in ((x.real, power_split), (x.imag, 1.0 - power_split)):
+        for sl, z in normal_blocks(rng, n):
+            np.multiply(math.sqrt(share * p1), z, out=part[sl])
     rows = _noisy_rows([(x, w, g)], rng, math.sqrt(sigma_sq))
     del x
     det, stderr = _batched_cov_det(rows)
@@ -272,10 +276,12 @@ def run_suite(suite: str, n: int, master_seed: int) -> list[CheckReport]:
 def _run_dettrace(n: int, seed: int) -> list:
     def random_psd(count: int = 1000) -> CheckReport:
         rng = np.random.default_rng(seed)
-        worst = -math.inf
+        by_size: dict[int, list] = {}
         for _ in range(count):
-            r = det_trace_check(random_psd_matrix(rng, rng.integers(2, 5)))
-            worst = max(worst, r.estimate - r.bound)
+            size = int(rng.integers(2, 5))
+            by_size.setdefault(size, []).append(random_psd_matrix(rng, size))
+        worst = max(r.estimate - r.bound for r in
+                    map(det_trace_check, map(np.array, by_size.values())))
         return _report(f"dettrace-random-psd[{count}]", count, worst, 0.0,
                        0.0, seed, "exact")
     return [partial(det_trace_check, np.eye(2), name="dettrace-identity-2x2"),

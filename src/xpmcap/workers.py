@@ -18,13 +18,17 @@ def cpu_workers(tasks: int) -> int:
                       else os.cpu_count() or 1))
 
 
+def blas_threads() -> str | None:
+    """The value of the first of _BLAS_VARS set, else None."""
+    return next((os.environ[v] for v in _BLAS_VARS if v in os.environ), None)
+
+
 def blas_workers() -> int:
     """Processes for BLAS-bound work: cpu_workers(2) when os.fork exists
-    and the environment pins BLAS to one thread (the first of _BLAS_VARS
-    set is 1, and so is MKL_NUM_THREADS if set), else 1. Two unpinned
-    BLAS pools spin against each other and run slower than one."""
-    first = next((os.environ[v] for v in _BLAS_VARS if v in os.environ), None)
-    pinned = first == "1" and os.environ.get("MKL_NUM_THREADS", "1") == "1"
+    and BLAS is pinned to one thread (blas_threads() is "1", and so is
+    MKL_NUM_THREADS if set), else 1: two unpinned pools run slower."""
+    pinned = (blas_threads() == "1"
+              and os.environ.get("MKL_NUM_THREADS", "1") == "1")
     return cpu_workers(2) if pinned and hasattr(os, "fork") else 1
 
 

@@ -244,6 +244,21 @@ class TestRealImagDecompose:
         y_r, _ = real_imag_decompose(x, w, 0.7j)
         assert y_r[0] == 2.5
 
+    @pytest.mark.parametrize("n", [1, 1000, 65536])
+    @pytest.mark.parametrize("scalar_w", [False, True])
+    def test_out_fills_the_given_arrays_bitwise(self, n, scalar_w):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = (0.3 - 0.8j if scalar_w
+             else rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        g = 30.0 + 40.0j
+        want = real_imag_decompose(x, w, g)
+        rows = np.full((2, n), np.nan)
+        y_r, y_i = rows
+        got = real_imag_decompose(x, w, g, out=(y_r, y_i))
+        assert got[0] is y_r and got[1] is y_i
+        assert rows.tobytes() == np.vstack(want).tobytes()
+
     @settings(max_examples=200)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_recombination_identity(self, seed):

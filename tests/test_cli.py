@@ -18,7 +18,7 @@ from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.config import _SECTIONS, PowerPair, load_config
-from xpmcap.workers import blas_workers, cpu_workers
+from xpmcap.workers import blas_threads, blas_workers, cpu_workers
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -129,8 +129,9 @@ class TestCoeffsCommand:
         diagnostics = json.loads(
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert set(diagnostics) == {"pad_factor", "levels", "nodes_evaluated",
-                                    "residual", "quad_workers"}
+                                    "residual", "quad_workers", "blas_threads"}
         assert diagnostics["quad_workers"] == blas_workers()
+        assert diagnostics["blas_threads"] == blas_threads()
         assert diagnostics["residual"] == report["residual"]
         coarse, fine = diagnostics["levels"]
         assert fine["panels"] == report["panels"] == 2 * coarse["panels"]
@@ -506,6 +507,46 @@ class TestRegionCommand:
                     "--from-sweep", str(tmp_path / "s.csv"),
                     "--at-dbm", "7.7", "--out", "x.json"])
         assert code == 2
+
+
+class TestOutputModes:
+    """Outputs get the mode a plain open() gives: 0o666 less the umask."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_every_output_follows_the_umask(self, umask, mode, tmp_path,
+                                            config_path):
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            for args in (
+                    ["--config", config_path, "coeffs"],
+                    ["sweep", "--powers-dbm", "-2", "0",
+                     "--coeffs-x", str(out / "tensor_x.json"),
+                     "--json", "sweep.json", "--svg", "sweep.svg"],
+                    ["region", "--from-sweep", str(out / "sweep.csv"),
+                     "--at-dbm", "0", "--svg", "region.svg"],
+                    [*config_file(tmp_path, CONFIG + IMAG_G), "simulate",
+                     "--n", "64", "--model", "memoryless"],
+                    ["verify", "--suite", "moments", "--samples", "100000"]):
+                assert run(["--out-dir", str(out), "--quiet", *args]) == 0
+        finally:
+            os.umask(old)
+        names = sorted(p.name for p in out.iterdir())
+        assert len(names) == 15, names
+        assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} \
+            == dict.fromkeys(names, mode)
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        from xpmcap.cli import _atomic_write
+
+        def fill(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(str(tmp_path / "out.csv"), fill)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateCommand:

@@ -51,6 +51,17 @@ class TestDetSmall:
             want = np.float64(UNROLLED[size](a.tolist()))
             assert np.float64(det_small(a)).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(60,), (3, 5), ()])
+    def test_stacks_equal_each_member_alone_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for size in (1, 2, 3, 4):
+            stack = rng.standard_normal(shape + (size, size))
+            want = np.array([UNROLLED[size](m.tolist())
+                             for m in stack.reshape(-1, size, size)])
+            got = np.asarray(det_small(stack))
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
     def test_matches_numpy(self):
         rng = np.random.default_rng(3)
         for size in (1, 2, 3, 4):
@@ -80,6 +91,43 @@ class TestDetTrace:
         for _ in range(1000):
             a = random_psd_matrix(rng, int(rng.integers(2, 5)))
             assert det_trace_check(a).verdict == "pass"
+
+    def test_stack_reports_its_least_margin_member(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_psd_matrix(rng, 3) for _ in range(40)])
+        alone = [det_trace_check(a) for a in stack]
+        worst = max(alone, key=lambda r: r.estimate - r.bound)
+        assert det_trace_check(stack, name="det-trace") == worst
+        assert det_trace_check(stack[None, :]) == worst
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, -1.0]),
+                                     np.array([[1.0, 2.0], [0.0, 1.0]])])
+    def test_one_bad_member_rejects_the_stack(self, bad):
+        stack = np.array([np.eye(2), 2 * np.eye(2), bad, np.eye(2)])
+        with pytest.raises(ConfigError):
+            det_trace_check(stack)
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)),
+                                   np.ones((4, 2, 3)), np.ones((0, 2, 2))])
+    def test_non_square_or_empty_rejected(self, a):
+        with pytest.raises(ConfigError, match="square"):
+            det_trace_check(a)
+
+    @pytest.mark.parametrize("seed", [12345, 1, 99])
+    def test_random_psd_report_equals_per_matrix_loop(self, seed):
+        # The per-matrix loop the stacked check replaced, spelled out with
+        # the unrolled determinants: the oracle for the report's bytes.
+        rng = np.random.default_rng(seed)
+        worst = -math.inf
+        for _ in range(1000):
+            a = random_psd_matrix(rng, rng.integers(2, 5))
+            n = a.shape[0]
+            det = float(UNROLLED[n](a.tolist()))
+            worst = max(worst, det - (float(np.trace(a)) / n) ** n)
+        want = verify._report("dettrace-random-psd[1000]", 1000, worst, 0.0,
+                              0.0, seed, "exact")
+        got = verify._run_dettrace(N, seed)[2]()
+        assert _report_bytes([got]) == _report_bytes([want])
 
     def test_non_psd_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,6 +175,56 @@ class TestSingleUserCovariance:
         a = single_user_covariance_check(50.0j, 1.0, MW, MW, N, seed=11)
         b = single_user_covariance_check(50.0j, 1.0, MW, MW, N, seed=11)
         assert a == b
+
+
+def _old_conv4_signal(rng, n, p1, split):
+    """The whole-array signal the block-built one replaced: the oracle."""
+    return (math.sqrt(split * p1) * rng.standard_normal(n)
+            + 1j * math.sqrt((1.0 - split) * p1) * rng.standard_normal(n))
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestConv4Signal:
+    """The signal, drawn block by block into one array, against the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 65536, 200_003])
+    @pytest.mark.parametrize("split", [0.3, 0.5, 0.8])
+    def test_equals_whole_array_form_bitwise(self, n, split, monkeypatch):
+        seen = []
+
+        def capture(maps, rng, scale):
+            seen.append(maps[0][0].copy())
+            raise _Stop
+
+        monkeypatch.setattr(verify, "MIN_SAMPLES", 1)
+        monkeypatch.setattr(verify, "_noisy_rows", capture)
+        with pytest.raises(_Stop):
+            single_user_covariance_check(50.0j, 0.1, 2 * MW, MW, n, seed=n,
+                                         power_split=split)
+        want = _old_conv4_signal(np.random.default_rng(n), n, 2 * MW, split)
+        assert seen[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("split", [0.0, 1.0])
+    def test_report_at_degenerate_split_equals_oracle(self, split,
+                                                      monkeypatch):
+        # Only the sign of a zero part can differ; the rows add noise to it.
+        args = (20.0 + 35.0j, math.sqrt(MW), 2 * MW, 0.5 * MW, N)
+        got = single_user_covariance_check(*args, seed=3, power_split=split)
+        rows = verify._noisy_rows
+
+        def with_oracle_signal(maps, rng, scale):
+            (x, w, g), = maps
+            old = _old_conv4_signal(np.random.default_rng(3), x.size, 2 * MW,
+                                    split)
+            assert np.array_equal(x, old)
+            return rows([(old, w, g)], rng, scale)
+
+        monkeypatch.setattr(verify, "_noisy_rows", with_oracle_signal)
+        want = single_user_covariance_check(*args, seed=3, power_split=split)
+        assert _report_bytes([got]) == _report_bytes([want])
 
 
 class TestJointCovariance:

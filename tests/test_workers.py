@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from xpmcap.workers import blas_workers
+from xpmcap.workers import blas_threads, blas_workers
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
              "MKL_NUM_THREADS")
@@ -32,6 +32,21 @@ class TestBlasWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         assert blas_workers() == expected
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, None),
+        ({"MKL_NUM_THREADS": "1"}, None),
+        ({"OMP_NUM_THREADS": "4"}, "4"),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "2"),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "3"}, "1"),
+    ])
+    def test_blas_threads_is_the_first_variable_set(self, env, expected,
+                                                    monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert blas_threads() == expected
 
     def test_one_cpu_or_no_fork_runs_inline(self, monkeypatch):
         for var in BLAS_VARS:
