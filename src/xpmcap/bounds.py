@@ -253,8 +253,12 @@ def sweep(powers_dbm, g: EffectiveCoefficient, sigma_sq: float,
     for p_dbm in powers_dbm:
         p1 = dbm_to_watts(p_dbm)
         p2 = p1 if p2_dbm is None else dbm_to_watts(p2_dbm)
-        out.append(evaluate_bounds(PowerPair(p1, p2), g, sigma_sq,
-                                   k * p1 * p2 ** 2, k * p2 * p1 ** 2))
+        try:
+            out.append(evaluate_bounds(PowerPair(p1, p2), g, sigma_sq,
+                                       k * p1 * p2 ** 2, k * p2 * p1 ** 2))
+        except OverflowError:
+            raise ConfigError(f"the bounds overflow at P1 = {p1:.6g} W, "
+                              f"P2 = {p2:.6g} W") from None
     return out
 
 
@@ -296,7 +300,12 @@ def read_sweep_csv(path: str) -> list[dict]:
                 if len(row) != len(header):
                     raise ConfigError(f"{len(row)} fields, expected "
                                       f"{len(header)}")
-                rows.append(dict(zip(header, map(float, row))))
+                values = dict(zip(header, map(float, row)))
+                for name, value in values.items():
+                    if not math.isfinite(value):
+                        raise ConfigError(f"{name} must be finite, "
+                                          f"got {value}")
+                rows.append(values)
         except UnicodeDecodeError as exc:  # decoded by the block: no line
             raise ConfigError(f"{path}: {exc}") from exc
         except (ConfigError, ValueError, csv.Error) as exc:

@@ -8,8 +8,8 @@ wall time, master seed and diagnostics) after it returns. Outputs are
 written atomically (write-then-rename).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error or an unreadable input or unwritable output, 3 numerical failure.
-Exit codes 2 and 3 print one line on stderr.
+error, an unreadable input or unwritable output, or out of memory,
+3 numerical failure. Exit codes 2 and 3 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -276,6 +277,9 @@ def cmd_region(args, ctx: RunContext) -> int:
             raise ConfigError("provide either --u1/--u2/--usum or "
                               "--from-sweep with --at-dbm")
         u1, u2, u_sum = args.u1, args.u2, args.usum
+    for name, value in (("awgn", awgn), ("ian1", ian1), ("ian2", ian2)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     region = build_region(u1, u2, u_sum)
     doc = region.to_json_dict()
@@ -445,9 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = "xpmcap"
     try:
         args = build_parser().parse_args(argv)
         args.argv = argv  # the manifest records what was parsed
+        command += f" {args.command}"
         ctx = RunContext(args)
         code = args.func(args, ctx)
         ctx.finish()
@@ -457,6 +463,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"error: {command}: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 if __name__ == "__main__":

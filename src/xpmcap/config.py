@@ -154,7 +154,10 @@ def dbm_to_watts(p_dbm: float) -> float:
     """Convert dBm to W."""
     if not _finite(p_dbm):
         raise ConfigError("power in dBm must be finite")
-    return 10.0 ** (p_dbm / 10.0) * 1e-3
+    try:
+        return 10.0 ** (p_dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise ConfigError(f"power {p_dbm} dBm overflows in watts") from None
 
 
 def effective_length(alpha_db_per_km: float, length_km: float) -> float:

@@ -741,6 +741,20 @@ class TestVerifyCommand:
         manifest = json.loads((tmp_path / "verify-manifest.json").read_text())
         assert list(manifest["outputs"]) == [str(tmp_path / "f.json")]
 
+    def test_out_of_memory_is_usage_error(self, tmp_path, monkeypatch,
+                                          capsys):
+        import xpmcap.cli as climod
+
+        def huge_suite(suite, n, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(climod, "run_suite", huge_suite)
+        code = run(["--out-dir", str(tmp_path), "--quiet", "verify",
+                    "--suite", "conv4", "--samples", "100000000000000"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: xpmcap verify: out of memory\n"
+
     def test_sample_budget_is_usage_error(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--quiet", "verify",
                     "--suite", "moments", "--samples", "10",
@@ -785,6 +799,10 @@ MALFORMED = {
     "sweep-csv-field-too-large": (
         {"s.csv": SWEEP_HEADER + "0," + "1" * 200_000 + ",0,0,0,0,0\n"},
         ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
+    "sweep-csv-field-not-finite": (
+        {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,inf,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0", "--svg",
+         "y.svg"]),
     # One source for the bound triple: a sweep row or the three flags.
     "region-triple-and-from-sweep": (
         {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,0.1,0.1\n"},
@@ -817,6 +835,16 @@ MALFORMED = {
         ["simulate", "--n", "4", "--coeffs-w", "@t.json"]),
     "sweep-power-not-a-number": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "abc"]),
+    # Finite powers whose watts, or whose bounds, overflow a float.
+    "sweep-power-overflows": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "4000"]),
+    "sweep-p2-overflows": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--p2-dbm",
+                  "4000"]),
+    "sweep-bounds-overflow": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "2100"]),
+    "simulate-p1-overflows": (
+        G_FILES, [*G_CONFIG, "simulate", "--n", "8", "--p1-dbm", "4000"]),
     "sweep-removed-receiver-w-flag": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--g-w-real",
                   "1"]),
@@ -878,6 +906,10 @@ MALFORMED = {
         {}, ["region", "--u1", "nan", "--u2", "1", "--usum", "1"]),
     "region-usum-negative": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "-1"]),
+    # Overlays are checked with or without --svg, under their own names.
+    "region-awgn-nan": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--awgn",
+             "nan"]),
     "config-rolloff-not-a-number": (
         {"c.yaml": "pulse: {rolloff: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
@@ -975,11 +1007,15 @@ NAMES_INPUT_FILE = {
                         "simulate-coeffs-w-", "config-"))}
 
 
-# Non-finite config numbers, refused at load under their section.key.
+# Non-finite numbers, refused under their names: a config number at
+# load under its section.key, a sweep CSV field or a region overlay
+# under its column.
 NOT_FINITE = {"config-sweep-g-real-nan": "sweep.g_real_per_mw",
               "config-sweep-p2-nan": "sweep.p2_dbm",
               "config-simulation-p1-inf": "simulation.p1_dbm",
-              "config-simulation-g-imag-inf": "simulation.g_imag_per_mw"}
+              "config-simulation-g-imag-inf": "simulation.g_imag_per_mw",
+              "sweep-csv-field-not-finite": "ian1",
+              "region-awgn-nan": "awgn"}
 
 
 class TestMalformedInputs:
@@ -1185,8 +1221,11 @@ class TestBenchmarkSteps:
 
 class TestEntryPoint:
     def test_console_script_version(self):
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "xpmcap.cli",
-                               "--version"], capture_output=True, text=True)
+                               "--version"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
 
     def test_env_var_selects_no_config(self, tmp_path, monkeypatch):

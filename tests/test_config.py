@@ -23,6 +23,10 @@ class TestUnitConversions:
         with pytest.raises(ConfigError):
             dbm_to_watts(float("inf"))
 
+    def test_rejects_overflow_naming_the_power(self):
+        with pytest.raises(ConfigError, match="4000.0 dBm"):
+            dbm_to_watts(4000.0)
+
 
 class TestEffectiveLength:
     def test_lossless_limit(self):
