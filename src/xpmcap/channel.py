@@ -22,9 +22,10 @@ from .workers import cpu_workers, forked
 
 BATCH_CSV_HEADER = ("k", "x_re", "x_im", "w_re", "w_im", "y_re", "y_im")
 
-#: Rows formatted at a time by write_batch_csv; bounds the Python floats
-#: held at once (six per row) for long batches.
-_CSV_BLOCK_ROWS = 65536
+#: Rows formatted at a time by write_batch_csv: their Python floats (six
+#: per row), row strings and encoded text, about 0.5 MB, are the writer's
+#: whole working set, whatever the batch length.
+_CSV_BLOCK_ROWS = 4096
 #: Fewest rows write_batch_csv splits over two processes; a fork costs
 #: more than it saves on 4096 rows.
 _CSV_SPLIT_ROWS = 16384
@@ -102,7 +103,8 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     The centre tap goes first, as the single-tap (c * (w conj(w))) x, so a
     window with no other tap is bitwise the memoryless model. The other
     taps follow in cyclic _CHUNK-symbol chunks with an M-symbol halo, each
-    one matmul of the tensor (centre zeroed) by the chunk's pair products.
+    one matmul of the tensor (centre zeroed) by the chunk's pair products,
+    which every chunk writes into the same buffer.
     """
     x, w = np.asarray(x, complex), np.asarray(w, complex)
     if x.shape != w.shape:
@@ -116,10 +118,13 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     acc = (coeffs.values[M, M, M] * (w * np.conj(w))) * x
     rest = coeffs.values.copy()
     rest[M, M, M] = 0
+    buf = np.empty(side * side * min(_CHUNK, n), complex)
     for s in range(0, n, _CHUNK):
         e = min(s + _CHUNK, n)
         lw = _lag_stack(w, s, e, M)
-        pairs = (lw[:, None] * np.conj(lw)[None]).reshape(side * side, -1)
+        pairs = buf[:side * side * (e - s)].reshape(side * side, e - s)
+        np.multiply(lw[:, None], np.conj(lw)[None],
+                    out=pairs.reshape(side, side, e - s))
         acc[s:e] += np.einsum("lk,lk->k", rest.reshape(side, -1) @ pairs,
                               _lag_stack(x, s, e, M))
     return acc
@@ -202,7 +207,7 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
     is 2, a forked child formats rows [n//2, n) into an unnamed file
     beside path (workers.forked) while this process writes the rows
     before, then appends the child's file in 1 MiB pieces: the same
-    bytes, one block of rows per process.
+    bytes, one half of the rows per process.
     """
     n = batch.n
     mid = n // 2 if csv_workers(n) == 2 else n

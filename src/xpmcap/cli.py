@@ -4,8 +4,8 @@ Commands: coeffs, sweep, region, simulate, verify. `main` runs each
 command inside one RunContext, which loads the configuration, resolves
 the master seed and creates --out-dir before the command runs, and writes
 the run manifest (effective configuration, input and output digests,
-wall time, master seed and diagnostics) after it returns. Outputs are
-written atomically (write-then-rename).
+wall time, peak memory, master seed and diagnostics) after it returns.
+Outputs are written atomically (write-then-rename).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, an unreadable input or unwritable output, or out of memory,
@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -80,6 +81,15 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """The larger peak resident set of this process and of its reaped
+    children (the forked CSV and quadrature halves), in MiB."""
+    peak = max(resource.getrusage(who).ru_maxrss for who in
+               (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    # ru_maxrss is in KiB, but in bytes on macOS
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
@@ -137,6 +147,7 @@ class RunContext:
             "inputs": self.inputs,
             "outputs": {p: _sha256_file(p) for p in self.outputs},
             "wall_time_s": time.monotonic() - self.t0,
+            "peak_rss_mb": _peak_rss_mb(),
             "diagnostics": self.diagnostics,
         }
         text = _json_text(manifest)

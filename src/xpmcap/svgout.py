@@ -15,9 +15,10 @@ _ML, _MR, _MT, _MB = 62, 16, 16, 46
 def _limits(values, pad: float = 0.05):
     lo, hi = min(values), max(values)
     # A span at rounding level would give ticks finer than the values'
-    # ulp: draw it as one unit.
+    # ulp: draw it as one unit, or from |lo| ~ 1e16, where a unit rounds
+    # away, as 1e-12 of |lo|.
     if not hi - lo > 1e-12 * max(abs(lo), abs(hi)):
-        hi = lo + 1.0
+        hi = lo + 1.0 if lo + 1.0 > lo else lo + 1e-12 * abs(lo)
     span = hi - lo
     return lo - pad * span, hi + pad * span
 
@@ -27,12 +28,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
-    ticks, t = [], math.ceil(lo / step) * step
-    while t <= hi + 1e-12 * step:
+    ticks, t, last = [], math.ceil(lo / step) * step, None
+    while t != last and t <= hi + 1e-12 * step:  # t + step may round to t
         t0 = 0.0 if abs(t) < 1e-12 * step else t
         if lo <= t0 <= hi:
             ticks.append(t0)
-        t += step
+        last, t = t, t + step
     return ticks
 
 

@@ -230,6 +230,45 @@ class TestFullChannel:
         # at most 4 complex128 arrays of length n, not one per lag
         assert peaks[1] - peaks[0] <= 4 * 16 * 10 ** 5
 
+    @pytest.mark.parametrize("memory", [0, 2, 5])
+    def test_equals_a_fresh_pair_array_per_chunk_bitwise(self, memory):
+        # The oracle allocates each chunk's pair products anew; the
+        # simulator writes them into one buffer.
+        M, side = memory, 2 * memory + 1
+        coeffs = random_tensor(M, np.random.default_rng(40 + M))
+        rest = coeffs.values.copy()
+        rest[M, M, M] = 0
+        for n in (side, _CHUNK, 2 * _CHUNK + 5):
+            x = sample_cscg(n, 1e-3, 41 + n)
+            w = sample_cscg(n, 2e-3, 43 + n)
+            want = (coeffs.values[M, M, M] * (w * np.conj(w))) * x
+            for s in range(0, n, _CHUNK):
+                e = min(s + _CHUNK, n)
+                lw = xch._lag_stack(w, s, e, M)
+                pairs = (lw[:, None] * np.conj(lw)[None]).reshape(side * side,
+                                                                  -1)
+                want[s:e] += np.einsum("lk,lk->k",
+                                       rest.reshape(side, -1) @ pairs,
+                                       xch._lag_stack(x, s, e, M))
+            got = interference_terms(x, w, coeffs)
+            assert got.tobytes() == want.tobytes(), (M, n)
+
+    def test_peak_memory_holds_one_chunk_of_pair_products(self):
+        n, M = 10 ** 5, 5
+        side = 2 * M + 1
+        coeffs = random_tensor(M, np.random.default_rng(3))
+        x = sample_cscg(n, 1e-3, 1)
+        w = sample_cscg(n, 1e-3, 2)
+        tracemalloc.start()
+        try:
+            interference_terms(x, w, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, plus one chunk's pair products and a quarter of
+        # that for the chunk's smaller temporaries
+        assert peak <= 16 * n + 1.25 * 16 * side * side * _CHUNK
+
 
 class TestRealImagDecompose:
     def test_direct_arithmetic(self):
@@ -341,18 +380,14 @@ class TestBatchIO:
 
 
 def reference_csv(batch, path):
-    """The single-process writer the split writer must match byte for byte."""
+    """Row by row, the bytes write_batch_csv must give whatever its block
+    size and process count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(BATCH_CSV_HEADER) + "\r\n")
-        for start in range(0, batch.n, _CSV_BLOCK_ROWS):
-            block = slice(start, min(start + _CSV_BLOCK_ROWS, batch.n))
-            cols = [part[block].tolist()
-                    for v in (batch.x, batch.w, batch.y)
-                    for part in (v.real, v.imag)]
-            fh.write("".join(
-                f"{k},{xr!r},{xi!r},{wr!r},{wi!r},{yr!r},{yi!r}\r\n"
-                for k, xr, xi, wr, wi, yr, yi
-                in zip(range(block.start, block.stop), *cols)))
+        for k in range(batch.n):
+            fields = [float(part[k]) for v in (batch.x, batch.w, batch.y)
+                      for part in (v.real, v.imag)]
+            fh.write(f"{k}," + ",".join(map(repr, fields)) + "\r\n")
 
 
 def odd_batch(n, seed=0):
@@ -368,7 +403,7 @@ def odd_batch(n, seed=0):
 class TestSplitWriter:
     @pytest.mark.parametrize("n", [1, _CSV_SPLIT_ROWS - 1, _CSV_SPLIT_ROWS,
                                    _CSV_SPLIT_ROWS + 3,
-                                   2 * _CSV_BLOCK_ROWS + 3])
+                                   32 * _CSV_BLOCK_ROWS + 3])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bytes_equal_the_single_process_writer(self, n, cpus, tmp_path,
                                                    monkeypatch):
@@ -386,6 +421,33 @@ class TestSplitWriter:
         assert len(forks) == split
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "batch.csv", "ref.csv"]
+
+    @pytest.mark.parametrize("n", [1, 15, _CSV_SPLIT_ROWS + 3])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_bytes_do_not_depend_on_the_block_size(self, n, cpus, block_rows,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setattr(xch, "cpu_workers", lambda k: min(k, cpus))
+        monkeypatch.setattr(xch, "_CSV_BLOCK_ROWS", block_rows)
+        batch = odd_batch(n)
+        reference_csv(batch, tmp_path / "ref.csv")
+        write_batch_csv(batch, str(tmp_path / "batch.csv"))
+        assert ((tmp_path / "batch.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_peak_memory_does_not_grow_with_the_batch(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(xch, "cpu_workers", lambda k: 1)
+        peaks = []
+        for n in (20000, 80000):
+            batch = odd_batch(n)
+            tracemalloc.start()
+            try:
+                write_batch_csv(batch, str(tmp_path / "batch.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.5 * 2 ** 20, peaks
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_half_leaves_no_file_or_child(self, failing, tmp_path,

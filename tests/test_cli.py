@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -617,6 +618,18 @@ class TestSimulateCommand:
         manifest = tmp_path / "simulate-manifest.json"
         assert json.loads(manifest.read_text())["diagnostics"] == {
             "rows": n, "csv_workers": workers, "coefficients": "config"}
+
+    def test_manifest_records_peak_memory(self, tmp_path):
+        # ru_maxrss only grows, so the manifest's peak is at least this
+        # process's peak before the command ran.
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert run([*config_file(tmp_path, CONFIG + IMAG_G), "--out-dir",
+                    str(tmp_path), "--quiet", "simulate", "--n", "20000",
+                    "--model", "memoryless"]) == 0
+        manifest = json.loads(
+            (tmp_path / "simulate-manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mb"], float)
+        assert manifest["peak_rss_mb"] >= before > 0
 
     def test_split_batch_prints_its_line_once(self, tmp_path):
         # stdout is a pipe, so block-buffered: a child that flushed it or

@@ -1,8 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 from xpmcap.regions import build_region
 from xpmcap.svgout import _limits, _nice_ticks, render_curves, render_regions
@@ -111,3 +114,34 @@ class TestTicks:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         _root((tmp_path / "s.svg").read_text(encoding="utf-8"))
+
+    def test_degenerate_axis_far_from_zero(self):
+        # From |v| ~ 1e16 one unit rounds away, so the span is 1e-12 |v|;
+        # below, it stays one unit.
+        for v in (1e16, 1e17, -1e17, 1e300):
+            for xs, ys in (([v, v], [1.0, 1.0]), ([1.0, 1.0], [v, v])):
+                root = _root(render_curves([("c", "red", None, xs, ys)],
+                                           "x", "y"))
+                assert len(_all(root, "polyline")) == 1
+            lo, hi = _limits([v, v])
+            assert hi - lo == pytest.approx(1.1e-12 * abs(v),
+                                            abs=4 * math.ulp(v))
+            assert 2 <= len(_nice_ticks(lo, hi)) <= 12
+        for v in (0.0, -3.0, 1e12, 1e15):
+            lo, hi = _limits([v, v])
+            assert hi - lo == pytest.approx(1.1, abs=4 * math.ulp(v) + 1e-15)
+
+    def test_tick_step_below_the_values_ulp_returns(self):
+        # Near 4e15 one unit survives, but its 0.2 tick step rounds away.
+        code = ("from xpmcap.svgout import render_curves\n"
+                "for v in (4e15, 9e15):\n"
+                "    render_curves([('c', 'r', None, [v, v], [1, 1])], 'x', "
+                "'y')\n"
+                "    render_curves([('c', 'r', None, [1, 1], [v, v])], 'x', "
+                "'y')\n")
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
