@@ -30,7 +30,7 @@ from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
                      sweep_rows)
 from .channel import csv_workers, simulate_batch, write_batch_csv
 from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
-from .config import SIMULATION_MODELS, ToolkitConfig, load_config, dbm_to_watts
+from .config import ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      ToolkitError)
 from .pulses import PulseShape, TimeFreqGrid
@@ -102,11 +102,9 @@ class RunContext:
         self.args = args
         self.config = (load_config(args.config) if args.config
                        else ToolkitConfig())
-        seed = _flag_or_key(args.seed, self.config.simulation, "seed",
-                            DEFAULT_MASTER_SEED)
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        self.master_seed = seed
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
+        self.master_seed = args.seed
         self.t0 = time.monotonic()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
@@ -171,11 +169,6 @@ def _load_tensor(ctx: RunContext, path, user: str) -> CoeffTensor | None:
     return tensor
 
 
-def _flag_or_key(flag, section: dict, key: str, default=None):
-    """A run-shape value: the command line beats the config file."""
-    return flag if flag is not None else section.get(key, default)
-
-
 def _config_parts(section: dict, name: str, scales: dict) -> list[float]:
     """A coefficient from per-mW config keys, for runs without --coeffs-x:
     each part is its key, else 0, in SI units; one key at least is set."""
@@ -237,14 +230,12 @@ def cmd_sweep(args, ctx: RunContext) -> int:
     else:
         g = EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
         kappa = coeffs_x.sum_abs_sq()
-    p2_dbm = _flag_or_key(args.p2_dbm, sweep_cfg, "p2_dbm")
     bound_sets = sweep(powers, g, ctx.config.noise.sigma_sq,
-                       p2_dbm=p2_dbm, kappa=kappa)
+                       p2_dbm=args.p2_dbm, kappa=kappa)
 
     ctx.diagnostics = {
         "coefficients": source, "kappa": None if kappa is None else source,
-        "p2_dbm": "flag" if args.p2_dbm is not None else
-                  "config" if p2_dbm is not None else None,
+        "p2_dbm": None if args.p2_dbm is None else "flag",
         "g_is_physical": g.is_physical}
     ctx.write(args.out, sweep_csv(powers, bound_sets))
     if args.json:
@@ -287,6 +278,8 @@ def cmd_region(args, ctx: RunContext) -> int:
         if None in (args.u1, args.u2, args.usum):
             raise ConfigError("provide either --u1/--u2/--usum or "
                               "--from-sweep with --at-dbm")
+        if args.at_dbm is not None:
+            raise ConfigError("--at-dbm requires --from-sweep")
         u1, u2, u_sum = args.u1, args.u2, args.usum
     for name, value in (("awgn", awgn), ("ian1", ian1), ("ian2", ian2)):
         if value is not None and not (math.isfinite(value) and value >= 0):
@@ -323,23 +316,17 @@ def cmd_region(args, ctx: RunContext) -> int:
 
 
 def cmd_simulate(args, ctx: RunContext) -> int:
-    sim = ctx.config.simulation
-
-    n = _flag_or_key(args.n, sim, "n", 4096)
-    p1_dbm = _flag_or_key(args.p1_dbm, sim, "p1_dbm", 0.0)
-    p2_dbm = _flag_or_key(args.p2_dbm, sim, "p2_dbm", 0.0)
-    model = args.model or sim.get("model", "memoryless")
-
     coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
     # --coeffs-w is only validated and recorded; the batch is receiver x's.
     _load_tensor(ctx, args.coeffs_w, "w")
     source = "config" if coeffs_x is None else "tensor"
-    if model == "memoryless":
+    if args.model == "memoryless":
         # The full channel over the one-tap window: the tensor's center
         # tap, else the config's.
         if coeffs_x is None:
-            g_x = complex(*_config_parts(sim, "simulation", {
-                "g_real_per_mw": _PER_MW, "g_imag_per_mw": _PER_MW}))
+            g_x = complex(*_config_parts(
+                ctx.config.simulation, "simulation",
+                {"g_real_per_mw": _PER_MW, "g_imag_per_mw": _PER_MW}))
         else:
             g_x = coeffs_x.get(0, 0, 0)
         coeffs_x = CoeffTensor(user="x", memory=0, values=[[[g_x]]])
@@ -347,11 +334,11 @@ def cmd_simulate(args, ctx: RunContext) -> int:
         raise ConfigError("full-model simulation requires --coeffs-x")
 
     batch = simulate_batch(
-        n=n, p1=dbm_to_watts(p1_dbm), p2=dbm_to_watts(p2_dbm),
+        n=args.n, p1=dbm_to_watts(args.p1_dbm), p2=dbm_to_watts(args.p2_dbm),
         sigma_sq=ctx.config.noise.sigma_sq, master_seed=ctx.master_seed,
         coeffs=coeffs_x)
     ctx.write_with(args.out, lambda tmp: write_batch_csv(batch, tmp))
-    ctx.diagnostics = {"rows": n, "csv_workers": csv_workers(n),
+    ctx.diagnostics = {"rows": args.n, "csv_workers": csv_workers(args.n),
                        "coefficients": source}
     return EXIT_OK
 
@@ -393,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rate bounds, cross-phase perturbation coefficients and "
                     "rate-region geometry for a two-user fiber link.")
     parser.add_argument("--config", help="config file (YAML)")
-    parser.add_argument("--seed", type=int, help="master seed for stochastic "
-                                                 "commands")
+    parser.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
+                        help="master seed for stochastic commands")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
@@ -436,10 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate receiver x's view of a "
                                         "block and export CSV")
-    p.add_argument("--n", type=int, help="block length")
-    p.add_argument("--p1-dbm", type=float, dest="p1_dbm")
-    p.add_argument("--p2-dbm", type=float, dest="p2_dbm")
-    p.add_argument("--model", choices=SIMULATION_MODELS)
+    p.add_argument("--n", type=int, default=4096, help="block length")
+    p.add_argument("--p1-dbm", type=float, default=0.0, dest="p1_dbm")
+    p.add_argument("--p2-dbm", type=float, default=0.0, dest="p2_dbm")
+    p.add_argument("--model", default="memoryless",
+                   choices=("memoryless", "full"))
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
     p.add_argument("--coeffs-w", dest="coeffs_w",
                    help="tensor JSON, user w; checked and recorded in the "

@@ -206,15 +206,12 @@ _SECTIONS = {
              "beta2_ps2_per_km": float, "length_km": float,
              "baud_rate": float, "channel_spacing_hz": float, "memory": int},
     "noise": {"sigma_sq_w": float, "nsp": float},
-    "sweep": {"powers_dbm": list, "p2_dbm": float, "g_real_per_mw": float,
+    "sweep": {"powers_dbm": list, "g_real_per_mw": float,
               "g_abs_sq_per_mw2": float, "kappa_per_mw2": float},
-    "simulation": {"n": int, "p1_dbm": float, "p2_dbm": float, "model": str,
-                   "seed": int, "g_real_per_mw": float,
-                   "g_imag_per_mw": float},
+    "simulation": {"g_real_per_mw": float, "g_imag_per_mw": float},
     "pulse": {"kind": str, "rolloff": float, "width_s": float},
     "grid": {"n_samples": int, "n_symbols": int},
 }
-SIMULATION_MODELS = ("memoryless", "full")
 
 
 @dataclass
@@ -242,8 +239,7 @@ class ToolkitConfig:
 
 
 #: Least values, checked here so that the error names the file and the key.
-_MINIMA = {"simulation.seed": 0, "simulation.n": 1,
-           "sweep.kappa_per_mw2": 0, "sweep.g_abs_sq_per_mw2": 0}
+_MINIMA = {"sweep.kappa_per_mw2": 0, "sweep.g_abs_sq_per_mw2": 0}
 
 
 def _number(name: str, value) -> float:
@@ -297,7 +293,7 @@ def _refuse_unknown(what: str, given: dict, known: dict) -> None:
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
     """Build a validated ToolkitConfig from a parsed mapping.
 
-    Unknown sections, keys or models, wrongly typed values, a grid pair
+    Unknown sections or keys, wrongly typed values, a grid pair
     check_grid refuses and a pulse PulseShape refuses are hard errors;
     each names source_path if given.
     """
@@ -318,8 +314,6 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
         raise ConfigError("configuration root must be a mapping of sections")
     _refuse_unknown("section(s)", raw, _SECTIONS)
     sections = {name: _section(raw, name) for name in _SECTIONS}
-    model = sections["simulation"].get("model", "memoryless")
-    _require(model in SIMULATION_MODELS, f"unknown simulation.model {model!r}")
     grid = sections["grid"]
     check_grid(grid.get("n_samples", DEFAULT_GRID_SAMPLES),
                grid.get("n_symbols", DEFAULT_GRID_SYMBOLS))

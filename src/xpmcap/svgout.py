@@ -37,8 +37,16 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _labelled_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """_nice_ticks with their labels: 6 significant digits, or the fewest
+    (up to 17, which tell any two floats apart) that tell the ticks apart
+    on an axis spanning less than about 1e-5 of its magnitude."""
+    ticks = _nice_ticks(lo, hi)
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return list(zip(ticks, labels))
 
 
 def _figure(xs, ys, xlabel: str, ylabel: str, marks) -> str:
@@ -60,18 +68,18 @@ def _figure(xs, ys, xlabel: str, ylabel: str, marks) -> str:
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
         f'fill="none" stroke="black"/>']
-    for t in _nice_ticks(xlo, xhi):
+    for t, label in _labelled_ticks(xlo, xhi):
         parts += [
             f'<line x1="{px(t):.2f}" y1="{y0}" x2="{px(t):.2f}" '
             f'y2="{y0 + 4}" stroke="black"/>',
             f'<text x="{px(t):.2f}" y="{y0 + 18}" text-anchor="middle">'
-            f'{_fmt(t)}</text>']
-    for t in _nice_ticks(ylo, yhi):
+            f'{label}</text>']
+    for t, label in _labelled_ticks(ylo, yhi):
         parts += [
             f'<line x1="{x0 - 4}" y1="{py(t):.2f}" x2="{x0}" '
             f'y2="{py(t):.2f}" stroke="black"/>',
             f'<text x="{x0 - 7}" y="{py(t) + 4:.2f}" text-anchor="end">'
-            f'{_fmt(t)}</text>']
+            f'{label}</text>']
     mid = f"{(y1 + y0) / 2:.0f}"
     parts += [
         f'<text x="{(x0 + x1) / 2:.0f}" y="{_H - 10}" '

@@ -341,19 +341,15 @@ class TestSweepCommand:
         assert str(tmp_path / "tw.json") in manifest["inputs"]
         assert sweep(tmp_path / "bad", "--coeffs-w", str(bad)) == 2
 
-    def test_config_p2_dbm_makes_sweep_asymmetric(self, tmp_path):
-        p2 = config_file(tmp_path, FITTED_G.replace("{", "{p2_dbm: -10, "),
-                         "p2.yaml")
+    def test_p2_dbm_makes_sweep_asymmetric(self, tmp_path):
         fitted = config_file(tmp_path, FITTED_G)
         base = ["--out-dir", str(tmp_path), "--quiet", "sweep",
                 "--powers-dbm", "-5", "0", "5"]
-        assert run([*p2, *base, "--out", "config.csv"]) == 0
         assert run([*fitted, *base, "--p2-dbm", "-10",
                     "--out", "flag.csv"]) == 0
         assert run([*fitted, *base, "--out", "symmetric.csv"]) == 0
-        text = (tmp_path / "config.csv").read_text()
-        assert text == (tmp_path / "flag.csv").read_text()
-        assert text != (tmp_path / "symmetric.csv").read_text()
+        assert ((tmp_path / "flag.csv").read_text()
+                != (tmp_path / "symmetric.csv").read_text())
 
 
 def _random_tensor(path, user, seed, scale=300.0):
@@ -371,20 +367,42 @@ REFERENCE = REPO / "configs" / "reference.yaml"
 
 
 def _reference_as_flags(command):
-    """configs/reference.yaml's run-shape values as command-line flags."""
-    cfg = load_config(str(REFERENCE))
+    """A run on configs/reference.yaml as command-line flags: the sweep's
+    powers, and for simulate the values its keys held before the flag
+    defaults replaced them."""
     if command == "sweep":
+        cfg = load_config(str(REFERENCE))
         return ["sweep", "--powers-dbm",
                 *map(repr, cfg.sweep["powers_dbm"])]
-    sim = cfg.simulation
-    return ["--seed", str(sim["seed"]), "simulate", "--n", str(sim["n"]),
-            "--p1-dbm", repr(sim["p1_dbm"]), "--p2-dbm", repr(sim["p2_dbm"])]
+    return ["--seed", "12345", "simulate", "--n", "4096", "--p1-dbm", "0.0",
+            "--p2-dbm", "0.0"]
+
+
+def _parsers():
+    """The top-level parser and every command's subparser."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [parser, *subparsers.choices.values()]
 
 
 class TestOneSourcePerValue:
-    """The command line beats the config file, and a --coeffs-x tensor
-    gives every coefficient it holds: with a tensor, the config's
+    """Run-shape values come from the command line; only --powers-dbm and
+    --memory also have config keys, which their flags beat. A --coeffs-x
+    tensor gives every coefficient it holds: with a tensor, the config's
     coefficient keys change nothing."""
+
+    def test_only_powers_and_memory_have_a_config_key(self):
+        dests = {a.dest for p in _parsers() for a in p._actions}
+        keys = set().union(*_SECTIONS.values())
+        assert keys & dests == {"powers_dbm", "memory"}
+
+    def test_every_config_key_is_documented(self):
+        text = ((REPO / "README.md").read_text(encoding="utf-8")
+                + REFERENCE.read_text(encoding="utf-8"))
+        named = set(re.findall(r"\w+", text))
+        for section, keys in _SECTIONS.items():
+            assert keys.keys() <= named, (section, keys.keys() - named)
 
     @pytest.mark.parametrize("command, extra, data", [
         ("sweep", ["--json", "sweep.json"], ("sweep.csv", "sweep.json")),
@@ -430,8 +448,8 @@ class TestOneSourcePerValue:
         (ZERO_G, ["--p2-dbm", "-3"],
          {"coefficients": "config", "kappa": None, "p2_dbm": "flag",
           "g_is_physical": True}),
-        (ZERO_G.replace("{", "{p2_dbm: -3, "), ["--coeffs-x", "t.json"],
-         {"coefficients": "tensor", "kappa": "tensor", "p2_dbm": "config",
+        (ZERO_G, ["--p2-dbm", "-3", "--coeffs-x", "t.json"],
+         {"coefficients": "tensor", "kappa": "tensor", "p2_dbm": "flag",
           "g_is_physical": True})], ids=["reference", "flag-p2", "tensor"])
     def test_sweep_manifest_records_sources(self, config, extra, expected,
                                             tmp_path, monkeypatch):
@@ -796,6 +814,16 @@ MALFORMED = {
     "simulate-negative-n": (
         G_FILES, [*G_CONFIG, "simulate", "--n", "-5", "--model",
                   "memoryless"]),
+    "simulate-n-zero": (G_FILES, [*G_CONFIG, "simulate", "--n", "0"]),
+    "simulate-p1-inf": (
+        G_FILES, [*G_CONFIG, "simulate", "--n", "4", "--p1-dbm", "inf"]),
+    "sweep-p2-nan": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--p2-dbm",
+                  "nan"]),
+    # With a tensor at hand, an unchecked model would run the full channel.
+    "simulate-model-unknown": (
+        {"t.json": _tensor_text(re=1.0)},
+        ["simulate", "--n", "4", "--model", "foo", "--coeffs-x", "@t.json"]),
     "sweep-csv-non-numeric-field": (
         {"s.csv": SWEEP_HEADER + "0,abc,0.1,0.2,0.1,0.1,0.1\n"},
         ["region", "--from-sweep", "@s.csv", "--at-dbm", "0"]),
@@ -876,24 +904,12 @@ MALFORMED = {
         {"c.yaml": ZERO_G.replace("{", "{powers_dbm: 5, ")},
         ["--config", "@c.yaml", "sweep"]),
     # Range errors the commands would report later without the file.
-    "config-negative-seed": (
-        {"c.yaml": IMAG_G.replace("{", "{seed: -1, ")},
-        ["--config", "@c.yaml", "simulate"]),
-    "config-simulation-n-negative": (
-        {"c.yaml": IMAG_G.replace("{", "{n: -3, ")},
-        ["--config", "@c.yaml", "simulate"]),
     "config-kappa-negative": (
         {"c.yaml": ZERO_G.replace("{", "{kappa_per_mw2: -1, ")},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "config-sweep-g-real-nan": (
         {"c.yaml": "sweep: {g_real_per_mw: .nan, g_abs_sq_per_mw2: 0}\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
-    "config-sweep-p2-nan": (
-        {"c.yaml": ZERO_G.replace("{", "{p2_dbm: .nan, ")},
-        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
-    "config-simulation-p1-inf": (
-        {"c.yaml": IMAG_G.replace("{", "{p1_dbm: .inf, ")},
-        ["--config", "@c.yaml", "simulate", "--n", "4"]),
     "config-simulation-g-imag-inf": (
         {"c.yaml": "simulation: {g_real_per_mw: 0, g_imag_per_mw: -.inf}\n"},
         ["--config", "@c.yaml", "simulate", "--n", "4"]),
@@ -923,6 +939,9 @@ MALFORMED = {
     "region-awgn-nan": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--awgn",
              "nan"]),
+    "region-at-dbm-without-from-sweep": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
+             "--at-dbm", "3"]),
     "config-rolloff-not-a-number": (
         {"c.yaml": "pulse: {rolloff: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
@@ -969,6 +988,16 @@ MALFORMED = {
     "config-sweep-receiver-w-key-is-unknown": (
         {"c.yaml": ZERO_G.replace("{", "{g_w_real_per_mw: 1, ")},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    # Run-shape values are flags only: no config key sets the seed, for
+    # verify either, or the model, with a tensor at hand either.
+    "config-simulation-seed-is-unknown": (
+        {"c.yaml": "simulation: {seed: 99}\n"},
+        ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    "config-simulation-model-unknown": (
+        {"c.yaml": "simulation: {model: full}\n",
+         "t.json": _tensor_text(re=1.0)},
+        ["--config", "@c.yaml", "simulate", "--n", "4", "--coeffs-x",
+         "@t.json"]),
     "tensor-file-missing": (
         {}, ["sweep", "--powers-dbm", "0", "--coeffs-x", "@missing.json"]),
     "tensor-file-not-json": (
@@ -994,12 +1023,6 @@ MALFORMED = {
     "tensor-lag-not-an-integer": (
         {"t.json": _tensor_text(re=1.0, l=0.4)},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
-    # With a tensor at hand, an unchecked model would run the full channel.
-    "config-simulation-model-unknown": (
-        {"c.yaml": "simulation: {model: foo}\n",
-         "t.json": _tensor_text(re=1.0)},
-        ["--config", "@c.yaml", "simulate", "--n", "4", "--coeffs-x",
-         "@t.json"]),
     # The full model's window is the tensor; the removed center-tap
     # flags are unrecognised with it too.
     "simulate-full-with-center-tap-flags": (
@@ -1020,15 +1043,21 @@ NAMES_INPUT_FILE = {
                         "simulate-coeffs-w-", "config-"))}
 
 
-# Non-finite numbers, refused under their names: a config number at
-# load under its section.key, a sweep CSV field or a region overlay
-# under its column.
-NOT_FINITE = {"config-sweep-g-real-nan": "sweep.g_real_per_mw",
-              "config-sweep-p2-nan": "sweep.p2_dbm",
-              "config-simulation-p1-inf": "simulation.p1_dbm",
-              "config-simulation-g-imag-inf": "simulation.g_imag_per_mw",
-              "sweep-csv-field-not-finite": "ian1",
-              "region-awgn-nan": "awgn"}
+# What the error says, for cases refused under a name: a non-finite
+# config number at load under its section.key, a sweep CSV field or a
+# region overlay under its column, a dBm flag as a power; an unknown
+# config key under its section.
+SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
+        "config-simulation-g-imag-inf":
+            "simulation.g_imag_per_mw must be finite",
+        "sweep-csv-field-not-finite": "ian1 must be finite",
+        "region-awgn-nan": "awgn must be finite",
+        "simulate-p1-inf": "power in dBm must be finite",
+        "sweep-p2-nan": "power in dBm must be finite",
+        "config-simulation-seed-is-unknown":
+            "unknown key(s) in section 'simulation': seed",
+        "config-simulation-model-unknown":
+            "unknown key(s) in section 'simulation': model"}
 
 
 class TestMalformedInputs:
@@ -1046,8 +1075,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        if case in NOT_FINITE:
-            assert f"{NOT_FINITE[case]} must be finite" in err, err
+        if case in SAYS:
+            assert SAYS[case] in err, err
         if case in NAMES_INPUT_FILE:
             at_fault = (".yaml",) if case.startswith("config-") else \
                 (".json", ".csv", ".yaml")
@@ -1059,11 +1088,8 @@ class TestReadme:
     def test_documented_flags_and_keys_exist(self):
         text = (REPO / "README.md").read_text(encoding="utf-8")
         text = text[text.index("## CLI"):]
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        options = {o for p in (parser, *subparsers.choices.values())
-                   for a in p._actions for o in a.option_strings}
+        options = {o for p in _parsers() for a in p._actions
+                   for o in a.option_strings}
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
         assert flags and flags <= options, flags - options
         keys = re.findall(r"`(?:(\w+)\.)?(\w+_(?:per_mw2?|dbm))`", text)

@@ -131,6 +131,26 @@ class TestTicks:
             lo, hi = _limits([v, v])
             assert hi - lo == pytest.approx(1.1, abs=4 * math.ulp(v) + 1e-15)
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1.0], [5.0, 5.00000001]), ([0.0, 1.0], [0.39, 0.3900004]),
+        ([1e17, 1e17], [0.0, 1.0])],
+        ids=["y-span-2e-9", "y-span-1e-6", "x-degenerate-1e17"])
+    def test_labels_tell_neighbouring_ticks_apart(self, xs, ys):
+        root = _root(render_curves([("c", "red", None, xs, ys)], "x", "y"))
+        texts = _all(root, "text")
+        axes = [[t.text for t in texts if t.get("y") == "452"],
+                [t.text for t in texts if t.get("text-anchor") == "end"]]
+        for values, labels in zip((xs, ys), axes):
+            # Each label reads closer to its own tick than to a neighbour.
+            ticks = _nice_ticks(*_limits(values))
+            assert len(labels) == len(ticks) >= 2
+            half = (ticks[1] - ticks[0]) / 2
+            assert all(abs(float(label) - t) < half
+                       for label, t in zip(labels, ticks)), labels
+        # An axis whose ticks differ at 6 significant digits keeps them.
+        assert axes[0 if xs[0] == 0.0 else 1] == ["0", "0.2", "0.4", "0.6",
+                                                  "0.8", "1"]
+
     def test_tick_step_below_the_values_ulp_returns(self):
         # Near 4e15 one unit survives, but its 0.2 tick step rounds away.
         code = ("from xpmcap.svgout import render_curves\n"
