@@ -53,18 +53,20 @@ _PER_MW2 = 1e6  # 1/mW^2 -> 1/W^2
 def _atomic_write(path: str, fill) -> None:
     """Write-then-rename: fill(tmp) streams the output into a temporary
     file beside path, which replaces path once fill returns."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
-    os.close(fd)
+    directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                   suffix=os.path.basename(path))
+        os.close(fd)
         os.umask(umask := os.umask(0))  # the only way to read it
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give it
         fill(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None  # not tmp
         raise
 
 
@@ -92,6 +94,13 @@ def _peak_rss_mb() -> float:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def dbm(text: str) -> float:
+    """The dBm flags' type: argparse names the flag whose value it refuses."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"power in dBm must be finite: {text}")
+    return value
 
 
 class RunContext:
@@ -192,7 +201,7 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
         # The manifest records the link the tensors were computed on.
         ctx.config = dataclasses.replace(cfg, link=link)
     tx, report = coefficient_tensor(link, PulseShape(**cfg.pulse),
-                                    TimeFreqGrid.for_link(link, **cfg.grid))
+                                    TimeFreqGrid.for_link(link))
     for tensor in (tx, receiver_w_tensor(tx)):
         ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
@@ -280,6 +289,8 @@ def cmd_region(args, ctx: RunContext) -> int:
                               "--from-sweep with --at-dbm")
         if args.at_dbm is not None:
             raise ConfigError("--at-dbm requires --from-sweep")
+        if (ian1 is None) != (ian2 is None):
+            raise ConfigError("--ian1 and --ian2 go together")
         u1, u2, u_sum = args.u1, args.u2, args.usum
     for name, value in (("awgn", awgn), ("ian1", ian1), ("ian2", ian2)):
         if value is not None and not (math.isfinite(value) and value >= 0):
@@ -304,7 +315,7 @@ def cmd_region(args, ctx: RunContext) -> int:
                 f"excess area: awgn box outside bound region = "
                 f"{excess_area(box, region):.4g} bits^2")
         layers.append((region, "green", 0.35, "outer bound"))
-        if ian1 is not None and ian2 is not None:
+        if ian1 is not None:
             ian_box = build_region(ian1, ian2, ian1 + ian2 + 1.0,
                                    tag="ian-box")
             layers.append((ian_box, "blue", 0.35, "interference as noise"))
@@ -393,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("sweep", help="evaluate bounds along a power sweep")
-    p.add_argument("--powers-dbm", type=float, nargs="+", dest="powers_dbm")
+    p.add_argument("--powers-dbm", type=dbm, nargs="+", dest="powers_dbm")
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")
     p.add_argument("--coeffs-w", dest="coeffs_w",
                    help="tensor JSON, user w; checked and recorded, but "
                         "--coeffs-x serves both receivers")
-    p.add_argument("--p2-dbm", type=float, dest="p2_dbm",
+    p.add_argument("--p2-dbm", type=dbm, dest="p2_dbm",
                    help="fix user-2 power (asymmetric sweep)")
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--json", help="also write full-precision JSON rows")
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--usum", type=float)
     p.add_argument("--from-sweep", dest="from_sweep",
                    help="take the bound triple from a sweep CSV")
-    p.add_argument("--at-dbm", type=float, dest="at_dbm",
+    p.add_argument("--at-dbm", type=dbm, dest="at_dbm",
                    help="power row to read from the sweep CSV")
     p.add_argument("--awgn", type=float, help="overlay box at this rate")
     p.add_argument("--ian1", type=float, help="overlay interference-as-noise "
@@ -424,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate receiver x's view of a "
                                         "block and export CSV")
     p.add_argument("--n", type=int, default=4096, help="block length")
-    p.add_argument("--p1-dbm", type=float, default=0.0, dest="p1_dbm")
-    p.add_argument("--p2-dbm", type=float, default=0.0, dest="p2_dbm")
+    p.add_argument("--p1-dbm", type=dbm, default=0.0, dest="p1_dbm")
+    p.add_argument("--p2-dbm", type=dbm, default=0.0, dest="p2_dbm")
     p.add_argument("--model", default="memoryless",
                    choices=("memoryless", "full"))
     p.add_argument("--coeffs-x", dest="coeffs_x", help="tensor JSON, user x")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError, NumericalError
+from .pulses import PulseShape
 
 PLANCK_H = 6.62607015e-34  # J s
 
@@ -27,10 +28,6 @@ DEFAULT_CHANNEL_SPACING_HZ = 50.0e9
 #: Carrier frequency of the amplified-spontaneous-emission formula (Hz),
 #: c/1550 nm.
 DEFAULT_CENTER_FREQ_HZ = 299792458.0 / 1550e-9
-
-#: Default coefficient time grid: 64 symbol periods at 16 samples per symbol.
-DEFAULT_GRID_SAMPLES = 1024
-DEFAULT_GRID_SYMBOLS = 64
 
 
 def _require(cond: bool, message: str) -> None:
@@ -137,19 +134,6 @@ class PowerPair:
         return PowerPair(self.p2, self.p1)
 
 
-def check_grid(n_samples: int, n_symbols: int) -> None:
-    """Require n_samples, a power of two, to span n_symbols symbol periods
-    at an even whole number of samples per symbol: lags are whole-sample
-    shifts, and the coefficient quadrature checks itself at half as many."""
-    _require(n_samples >= 2 and not n_samples & (n_samples - 1),
-             f"grid n_samples {n_samples} is not a power of two >= 2")
-    _require(n_symbols >= 1 and n_samples % n_symbols == 0,
-             f"n_samples {n_samples} is not a multiple of "
-             f"n_symbols {n_symbols}")
-    _require(n_samples // n_symbols % 2 == 0,
-             f"{n_samples // n_symbols} samples per symbol is odd")
-
-
 def dbm_to_watts(p_dbm: float) -> float:
     """Convert dBm to W."""
     if not _finite(p_dbm):
@@ -210,7 +194,6 @@ _SECTIONS = {
               "g_abs_sq_per_mw2": float, "kappa_per_mw2": float},
     "simulation": {"g_real_per_mw": float, "g_imag_per_mw": float},
     "pulse": {"kind": str, "rolloff": float, "width_s": float},
-    "grid": {"n_samples": int, "n_symbols": int},
 }
 
 
@@ -223,7 +206,6 @@ class ToolkitConfig:
     sweep: dict = field(default_factory=dict)
     simulation: dict = field(default_factory=dict)
     pulse: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
     source_path: str | None = None
 
     def echo(self) -> dict:
@@ -234,7 +216,6 @@ class ToolkitConfig:
             "sweep": dict(self.sweep),
             "simulation": dict(self.simulation),
             "pulse": dict(self.pulse),
-            "grid": dict(self.grid),
         }
 
 
@@ -293,9 +274,8 @@ def _refuse_unknown(what: str, given: dict, known: dict) -> None:
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
     """Build a validated ToolkitConfig from a parsed mapping.
 
-    Unknown sections or keys, wrongly typed values, a grid pair
-    check_grid refuses and a pulse PulseShape refuses are hard errors;
-    each names source_path if given.
+    Unknown sections or keys, wrongly typed values and a pulse
+    PulseShape refuses are hard errors; each names source_path if given.
     """
     try:
         return _build_config(raw, source_path)
@@ -306,17 +286,12 @@ def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig
 
 
 def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
-    from .pulses import PulseShape  # pulses imports this module
-
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping of sections")
     _refuse_unknown("section(s)", raw, _SECTIONS)
     sections = {name: _section(raw, name) for name in _SECTIONS}
-    grid = sections["grid"]
-    check_grid(grid.get("n_samples", DEFAULT_GRID_SAMPLES),
-               grid.get("n_symbols", DEFAULT_GRID_SYMBOLS))
     PulseShape(**sections["pulse"])  # checks kind, rolloff and width_s
 
     link = LinkParams(**sections["link"])
@@ -336,7 +311,6 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
         sweep=sections["sweep"],
         simulation=sections["simulation"],
         pulse=sections["pulse"],
-        grid=grid,
         source_path=source_path,
     )
 

@@ -10,14 +10,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import (DEFAULT_GRID_SAMPLES, DEFAULT_GRID_SYMBOLS, LinkParams,
-                     check_grid)
 from .errors import ConfigError, GridError
 
+if TYPE_CHECKING:  # config imports this module
+    from .config import LinkParams
+
 PULSE_KINDS = ("nyquist-sinc", "root-raised-cosine", "gaussian")
+
+#: Samples per symbol of the coefficient grid: the quadrature checks itself
+#: at half as many, and 8 per symbol already exceed the band of the
+#: four-pulse overlap, so a finer grid buys no accuracy.
+SAMPLES_PER_SYMBOL = 16
+
+#: Cap on the window for_link derives, in symbol periods: 16 times the
+#: reference link's, which covers memory 246 on it or a 7000 km span at
+#: memory 5; beyond it GridError is raised before anything is allocated.
+_MAX_WINDOW_SYMBOLS = 1024
 
 
 @dataclass(frozen=True)
@@ -117,26 +129,22 @@ class TimeFreqGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
 
     @classmethod
-    def for_link(cls, link: LinkParams, n_samples: int = DEFAULT_GRID_SAMPLES,
-                 n_symbols: int = DEFAULT_GRID_SYMBOLS) -> "TimeFreqGrid":
-        """Default grid: n_symbols symbol periods at 16 samples per symbol,
-        validated against link; the samples per symbol must be an even
-        whole number (see check_grid)."""
-        check_grid(n_samples, n_symbols)
-        grid = cls(n_samples, n_symbols * link.symbol_period)
+    def for_link(cls, link: LinkParams) -> "TimeFreqGrid":
+        """The coefficient grid of link: the fewest symbol periods, a power
+        of two, that check_covers accepts, at SAMPLES_PER_SYMBOL samples
+        per symbol. Raises GridError if that exceeds _MAX_WINDOW_SYMBOLS."""
+        needed, T, n_symbols = _needed_span(link), link.symbol_period, 1
+        while n_symbols * T < needed and n_symbols < _MAX_WINDOW_SYMBOLS:
+            n_symbols *= 2
+        grid = cls(SAMPLES_PER_SYMBOL * n_symbols, n_symbols * T)
         grid.check_covers(link)
         return grid
 
     def check_covers(self, link: LinkParams) -> None:
         """Require the window to cover the coefficient lags plus the
-        dispersion-induced pulse spread at the far end of the span.
-
-        Walk-off between carriers is handled separately by internal
-        zero-padding in the coefficient engine and does not constrain the
-        user-facing window.
-        """
-        needed = (4 * (link.memory + 1) * link.symbol_period
-                  + link.dispersion_spread_s(link.length_km))
+        dispersion-induced pulse spread at the far end of the span; the
+        engine pads for the walk-off between carriers itself."""
+        needed = _needed_span(link)
         if self.t_span < needed:
             raise GridError(
                 f"time window {self.t_span:.3e} s is smaller than the "
@@ -147,3 +155,8 @@ class TimeFreqGrid:
         """Same dt, window enlarged by an integer power-of-two factor."""
         return TimeFreqGrid(self.n_samples * factor, self.t_span * factor)
 
+
+def _needed_span(link: LinkParams) -> float:
+    """check_covers' window: 4(M+1) symbol periods plus the spread."""
+    return (4 * (link.memory + 1) * link.symbol_period
+            + link.dispersion_spread_s(link.length_km))

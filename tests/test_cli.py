@@ -18,7 +18,8 @@ from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
                            read_sweep_csv)
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
-from xpmcap.config import _SECTIONS, PowerPair, load_config
+from xpmcap.config import _SECTIONS, LinkParams, PowerPair, load_config
+from xpmcap.pulses import SAMPLES_PER_SYMBOL, TimeFreqGrid
 from xpmcap.workers import blas_threads, blas_workers, cpu_workers
 
 REPO = Path(__file__).resolve().parents[1]
@@ -34,9 +35,6 @@ link:
   memory: 1
 noise:
   sigma_sq_w: 1.0e-3
-grid:
-  n_samples: 1024
-  n_symbols: 32
 """
 
 
@@ -138,11 +136,29 @@ class TestCoeffsCommand:
         assert fine["panels"] == report["panels"] == 2 * coarse["panels"]
         assert diagnostics["nodes_evaluated"] == report["z_nodes"] * (
             coarse["panels"] + fine["panels"])
-        # CONFIG's grid: 1024 samples over 32 symbols, padded pad_factor-fold
-        assert fine == {"padded_n": 1024 * diagnostics["pad_factor"],
-                        "samples_per_symbol": 32, "panels": fine["panels"]}
+        # the grid derived from the recorded link, padded pad_factor-fold
+        manifest = json.loads((out / "coeffs-manifest.json").read_text())
+        grid = TimeFreqGrid.for_link(LinkParams(**manifest["config"]["link"]))
+        assert fine == {
+            "padded_n": grid.n_samples * diagnostics["pad_factor"],
+            "samples_per_symbol": SAMPLES_PER_SYMBOL,
+            "panels": fine["panels"]}
         assert coarse["padded_n"] == fine["padded_n"] // 2
-        assert coarse["samples_per_symbol"] == 16
+        assert coarse["samples_per_symbol"] == SAMPLES_PER_SYMBOL // 2
+
+    def test_memory_alone_sizes_the_window(self, tmp_path, config_path):
+        # memory 6 needs about 35 symbol periods on CONFIG's 50 km link
+        out = tmp_path / "m6"
+        assert run(["--config", config_path, "--out-dir", str(out), "--quiet",
+                    "coeffs", "--memory", "6"]) == 0
+        tx = json.loads((out / "tensor_x.json").read_text())
+        assert len(tx["entries"]) == 13 ** 3
+        link = LinkParams(**tx["link"])
+        with pytest.raises(xpmcap.GridError):
+            TimeFreqGrid(512, 32 * link.symbol_period).check_covers(link)
+        diagnostics = json.loads(
+            (out / "coeffs-manifest.json").read_text())["diagnostics"]
+        assert diagnostics["residual"] <= 1e-6
 
     def test_two_processes_write_the_same_bytes(self, tmp_path, config_path,
                                                 monkeypatch):
@@ -817,6 +833,8 @@ MALFORMED = {
     "simulate-n-zero": (G_FILES, [*G_CONFIG, "simulate", "--n", "0"]),
     "simulate-p1-inf": (
         G_FILES, [*G_CONFIG, "simulate", "--n", "4", "--p1-dbm", "inf"]),
+    "sweep-power-nan": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "nan"]),
     "sweep-p2-nan": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--p2-dbm",
                   "nan"]),
@@ -916,20 +934,9 @@ MALFORMED = {
     "config-g-abs-sq-negative": (
         {"c.yaml": "sweep: {g_abs_sq_per_mw2: -1}\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
-    "config-grid-size-not-an-integer": (
-        {"c.yaml": "grid: {n_samples: abc}\n"},
-        ["--config", "@c.yaml", "coeffs"]),
-    "config-grid-samples-not-a-multiple-of-symbols": (
-        {"c.yaml": "grid: {n_samples: 4096, n_symbols: 48}\n"},
-        ["--config", "@c.yaml", "coeffs"]),
-    "config-grid-size-not-a-power-of-two": (
-        {"c.yaml": "grid: {n_samples: 1000, n_symbols: 8}\n"},
-        ["--config", "@c.yaml", "coeffs"]),
-    "config-grid-odd-samples-per-symbol": (
-        {"c.yaml": "grid: {n_samples: 64, n_symbols: 64}\n"},
-        ["--config", "@c.yaml", "coeffs"]),
-    "config-grid-no-symbols": (
-        {"c.yaml": "grid: {n_symbols: 0}\n"},
+    # The coefficient window is derived from the link.
+    "config-grid-section-is-unknown": (
+        {"c.yaml": "grid: {n_samples: 1024, n_symbols: 64}\n"},
         ["--config", "@c.yaml", "coeffs"]),
     "region-u1-nan": (
         {}, ["region", "--u1", "nan", "--u2", "1", "--usum", "1"]),
@@ -942,6 +949,12 @@ MALFORMED = {
     "region-at-dbm-without-from-sweep": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--at-dbm", "3"]),
+    "region-ian1-without-ian2": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
+             "--ian1", "0.2", "--svg", "r.svg"]),
+    "region-ian2-without-ian1": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
+             "--ian2", "0.2"]),
     "config-rolloff-not-a-number": (
         {"c.yaml": "pulse: {rolloff: abc}\n"},
         ["--config", "@c.yaml", "coeffs"]),
@@ -1032,6 +1045,9 @@ MALFORMED = {
     "region-out-in-missing-directory": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--out", "nodir/r.json"]),
+    "sweep-svg-in-missing-directory": (
+        G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--svg",
+                  "nodir/x.svg"]),
 }
 
 
@@ -1045,15 +1061,22 @@ NAMES_INPUT_FILE = {
 
 # What the error says, for cases refused under a name: a non-finite
 # config number at load under its section.key, a sweep CSV field or a
-# region overlay under its column, a dBm flag as a power; an unknown
-# config key under its section.
+# region overlay under its column, a dBm flag under its name; an unknown
+# config key under its section, an unknown section by its name; half an
+# overlay under both flags.
 SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "config-simulation-g-imag-inf":
             "simulation.g_imag_per_mw must be finite",
         "sweep-csv-field-not-finite": "ian1 must be finite",
         "region-awgn-nan": "awgn must be finite",
-        "simulate-p1-inf": "power in dBm must be finite",
-        "sweep-p2-nan": "power in dBm must be finite",
+        "simulate-p1-inf": "argument --p1-dbm: power in dBm must be finite",
+        "sweep-p2-nan": "argument --p2-dbm: power in dBm must be finite",
+        "sweep-power-nan": "argument --powers-dbm: power in dBm must be finite",
+        "config-grid-section-is-unknown": "unknown section(s): grid",
+        "region-ian1-without-ian2": "--ian1 and --ian2 go together",
+        "region-ian2-without-ian1": "--ian1 and --ian2 go together",
+        "region-out-in-missing-directory": "/out/nodir/r.json'",
+        "sweep-svg-in-missing-directory": "/out/nodir/x.svg'",
         "config-simulation-seed-is-unknown":
             "unknown key(s) in section 'simulation': seed",
         "config-simulation-model-unknown":
@@ -1075,6 +1098,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert ".tmp-" not in err, err  # an output is named, not its temp
         if case in SAYS:
             assert SAYS[case] in err, err
         if case in NAMES_INPUT_FILE:
@@ -1201,7 +1225,8 @@ class TestBenchmarkSteps:
                 "coefficients.to_json_dict"} <= set(names)
         samples = [s for s in spans if s["name"] == "pulses.samples"]
         assert len(samples) == names.count("pulses.fft") == 2
-        assert all(s["n"] >= 1024 for s in samples)
+        assert sorted(s["n"] for s in samples) == [
+            level["padded_n"] for level in diagnostics["levels"]]
         # perfbench sums coefficients.tensor_save_ms from these spans.
         written = {s["file"] for s in spans if s["name"] == "cli.write"}
         assert {"tensor_x.json", "tensor_w.json"} <= written

@@ -144,7 +144,7 @@ class TestQuadrature:
     def test_under_sampled_time_grid_reports_residual(self):
         # 2 samples per symbol: the coarse level at 1 sample per symbol
         # cannot resolve the pulse, so the residual exposes the time grid
-        grid = TimeFreqGrid.for_link(SHORT, n_samples=64, n_symbols=32)
+        grid = TimeFreqGrid(64, 32 * T)
         with pytest.raises(QuadratureError, match="1 samples per symbol .* "
                            "2 samples per symbol") as err:
             coefficient_tensor(SHORT, SINC, grid)
@@ -252,6 +252,12 @@ class TestKernelOracle:
         with pytest.raises(GridError):
             window_sum(SHORT, SINC, grid, 1, 64)
 
+    def test_odd_samples_per_symbol_rejected(self):
+        # the coarse level runs at half the grid's samples per symbol,
+        # which must stay whole
+        with pytest.raises(GridError, match="0.5 samples per symbol"):
+            coefficient_tensor(SHORT, SINC, TimeFreqGrid(32, 32 * T))
+
 
 def _complex_panel_sums(link, level, zs, wq):
     """The quadrature node in complex arithmetic: rolled copies of a_l and
@@ -306,7 +312,7 @@ def _phase_cases():
     cfg = load_config(str(Path(__file__).resolve().parents[1]
                           / "configs" / "reference.yaml"))
     pulse = PulseShape(**cfg.pulse)
-    grid = TimeFreqGrid.for_link(cfg.link, **cfg.grid)
+    grid = TimeFreqGrid.for_link(cfg.link)
     panels = _initial_panels(cfg.link, pulse)
     link = LinkParams(length_km=100.0, memory=2)
     gauss = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
@@ -365,7 +371,7 @@ class TestWindowTruncation:
             link = dataclasses.replace(cfg.link, memory=memory)
             tensor, _ = coefficient_tensor(
                 link, PulseShape(**cfg.pulse),
-                TimeFreqGrid.for_link(link, **cfg.grid))
+                TimeFreqGrid.for_link(link))
             assert np.all(np.diagonal(tensor.values[memory]).imag > 0)
             shares.append(tensor.coherent_gains()[memory].imag / limit)
         assert 0 < shares[0] < shares[1] < shares[2] < 1, shares

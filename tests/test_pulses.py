@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from xpmcap.config import LinkParams
 from xpmcap.errors import ConfigError, GridError
-from xpmcap.pulses import PULSE_KINDS, PulseShape, TimeFreqGrid
+from xpmcap.pulses import (PULSE_KINDS, SAMPLES_PER_SYMBOL, PulseShape,
+                           TimeFreqGrid)
 
 LINK = LinkParams()
 T = LINK.symbol_period
@@ -63,15 +67,41 @@ class TestGrid:
         assert grid.omega.size == 4096
 
     def test_for_link_default_covers_reference_span(self):
-        grid = TimeFreqGrid.for_link(LINK)
-        assert grid.n_samples == 1024
-        assert grid.t_span == pytest.approx(64 * T)
+        # the reference span's dispersion spread is about 35 symbols
+        for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
+            grid = TimeFreqGrid.for_link(
+                dataclasses.replace(LINK, memory=memory))
+            assert grid.n_samples == 16 * n_symbols
+            assert grid.t_span == n_symbols * T
 
-    def test_for_link_rejects_odd_samples_per_symbol(self):
-        # the coefficient engine's coarse level runs at half the grid's
-        # samples per symbol, which must stay whole
-        with pytest.raises(ConfigError, match="odd"):
-            TimeFreqGrid.for_link(LINK, n_samples=64, n_symbols=64)
+    # spans and rates whose window stays within the 1024-symbol cap
+    @given(length_km=st.floats(0.0, 1000.0),
+           beta2_sign=st.sampled_from([-1.0, 1.0]),
+           baud_rate=st.floats(1e9, 64e9),
+           memory=st.integers(0, 20))
+    def test_for_link_is_the_least_power_of_two_window(
+            self, length_km, beta2_sign, baud_rate, memory):
+        link = LinkParams(length_km=length_km,
+                          beta2_ps2_per_km=beta2_sign * 21.7,
+                          baud_rate=baud_rate, memory=memory)
+        grid = TimeFreqGrid.for_link(link)
+        grid.check_covers(link)
+        n_symbols, rest = divmod(grid.n_samples, SAMPLES_PER_SYMBOL)
+        assert rest == 0 and n_symbols & (n_symbols - 1) == 0
+        assert grid.t_span == n_symbols * link.symbol_period
+        with pytest.raises(GridError):
+            TimeFreqGrid(grid.n_samples // 2,
+                         grid.t_span / 2).check_covers(link)
+
+    @pytest.mark.parametrize("link", [
+        dataclasses.replace(LINK, memory=247),
+        dataclasses.replace(LINK, length_km=1e20),
+        LinkParams(length_km=1e300, beta2_ps2_per_km=1e300)],  # spread inf
+        ids=["memory", "length", "overflow"])
+    def test_for_link_refuses_a_window_beyond_its_cap(self, link):
+        with pytest.raises(GridError, match="required by memory"):
+            TimeFreqGrid.for_link(link)
+        TimeFreqGrid.for_link(dataclasses.replace(LINK, memory=246))
 
     def test_too_small_window_rejected(self):
         with pytest.raises(GridError):
