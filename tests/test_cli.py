@@ -934,9 +934,22 @@ MALFORMED = {
     "config-g-abs-sq-negative": (
         {"c.yaml": "sweep: {g_abs_sq_per_mw2: -1}\n"},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
-    # The coefficient window is derived from the link.
-    "config-grid-section-is-unknown": (
-        {"c.yaml": "grid: {n_samples: 1024, n_symbols: 64}\n"},
+    # The coefficient window is derived from the link, so a grid
+    # section, valid or not, is refused as an unknown section.
+    "config-grid-size-not-an-integer": (
+        {"c.yaml": "grid: {n_samples: abc}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-samples-not-a-multiple-of-symbols": (
+        {"c.yaml": "grid: {n_samples: 4096, n_symbols: 48}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-size-not-a-power-of-two": (
+        {"c.yaml": "grid: {n_samples: 1000, n_symbols: 8}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-odd-samples-per-symbol": (
+        {"c.yaml": "grid: {n_samples: 64, n_symbols: 64}\n"},
+        ["--config", "@c.yaml", "coeffs"]),
+    "config-grid-no-symbols": (
+        {"c.yaml": "grid: {n_symbols: 0}\n"},
         ["--config", "@c.yaml", "coeffs"]),
     "region-u1-nan": (
         {}, ["region", "--u1", "nan", "--u2", "1", "--usum", "1"]),
@@ -1072,7 +1085,16 @@ SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "simulate-p1-inf": "argument --p1-dbm: power in dBm must be finite",
         "sweep-p2-nan": "argument --p2-dbm: power in dBm must be finite",
         "sweep-power-nan": "argument --powers-dbm: power in dBm must be finite",
-        "config-grid-section-is-unknown": "unknown section(s): grid",
+        "config-grid-size-not-an-integer":
+            "unknown section(s): grid",
+        "config-grid-samples-not-a-multiple-of-symbols":
+            "unknown section(s): grid",
+        "config-grid-size-not-a-power-of-two":
+            "unknown section(s): grid",
+        "config-grid-odd-samples-per-symbol":
+            "unknown section(s): grid",
+        "config-grid-no-symbols":
+            "unknown section(s): grid",
         "region-ian1-without-ian2": "--ian1 and --ian2 go together",
         "region-ian2-without-ian1": "--ian1 and --ian2 go together",
         "region-out-in-missing-directory": "/out/nodir/r.json'",
