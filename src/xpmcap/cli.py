@@ -200,8 +200,9 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
         link = dataclasses.replace(link, memory=args.memory)
         # The manifest records the link the tensors were computed on.
         ctx.config = dataclasses.replace(cfg, link=link)
-    tx, report = coefficient_tensor(link, PulseShape(**cfg.pulse),
-                                    TimeFreqGrid.for_link(link))
+    pulse = PulseShape(**cfg.pulse)
+    tx, report = coefficient_tensor(link, pulse,
+                                    TimeFreqGrid.for_link(link, pulse))
     for tensor in (tx, receiver_w_tensor(tx)):
         ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))

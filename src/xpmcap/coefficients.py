@@ -13,11 +13,13 @@ carriers as seen by receiver x. coefficient_tensor evaluates receiver x's
 whole (2M+1)^3 window in one quadrature; receiver w's window is its lag
 reversal (receiver_w_tensor). The distance integral uses composite
 Gauss-Legendre panels and the time integral a trapezoid sum on the
-sampling grid; one two-level comparison checks both, the coarse level
-with half the panels on a grid with half the samples per symbol. A node
-mirrors its phase factors from half the frequency bins, views each lag
-shift in a periodically extended buffer and runs one real matmul of
-planar rows over the interferer pairs m <= p (b_pm = b_mp*). Each
+sampling grid, at the pulse's samples_per_symbol (TimeFreqGrid.for_link);
+one two-level comparison checks both, the coarse level with half the
+panels on a grid with half the samples per symbol. A node mirrors its
+phase factors from half the frequency bins, views each lag shift in a
+periodically extended buffer and runs real matmuls of planar rows over
+the interferer pairs m <= p (b_pm = b_mp*), in groups of pairs whose
+rows stay within _PAIR_BYTES. Each
 level is its even half (Gauss-Legendre panels 0, 2, ...) plus its odd
 half (panels 1, 3, ...), each half one sum over its nodes, so the tensor
 has the same bits whether one process or two (a forked child takes the
@@ -53,6 +55,11 @@ DEFAULT_QUAD_RTOL = 1e-6
 
 #: Hard cap on the internal zero-padding factor (memory guard).
 _MAX_PAD_FACTOR = 32
+#: Bytes of one slab of interferer pair rows in _panel_sums: pairs are
+#: filled and multiplied in whole-d groups within it (or within 2M+1 rows,
+#: if more), so the buffer stays bounded at any memory. The reference
+#: link takes one group up to memory 12.
+_PAIR_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -199,13 +206,17 @@ def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
     The overlap kernel varies on the distance over which the carriers
     slide one time scale past each other, and on the dispersion length
     over which a pulse spreads by one time scale. The scale is the symbol
-    period T, or T (2w/T)^2 for a Gaussian of width w < T/2 (on widths
-    T/4 to T/2 the panels needed grow as 1/w^2). Gauss-Legendre converges
-    spectrally once each panel of 64 nodes holds at most 32 of either.
+    period T for the sinc, T/(1+beta) for a root-raised cosine of roll-off
+    beta, whose spectrum is 1+beta times as wide, or T (2w/T)^2 for a
+    Gaussian of width w < T/2 (on widths T/4 to T/2 the panels needed grow
+    as 1/w^2). Gauss-Legendre converges spectrally once each panel of 64
+    nodes holds at most 32 of either.
     """
     T = link.symbol_period
     scale = T
-    if pulse.kind == "gaussian":
+    if pulse.kind == "root-raised-cosine":
+        scale = T / (1.0 + pulse.rolloff)
+    elif pulse.kind == "gaussian":
         scale = T * min(1.0, (2.0 * pulse.width_s / T) ** 2)
     slide = abs(link.walkoff_delay_s(link.length_km)) / scale
     lengths = link.length_km * abs(link.beta2_s2_per_km) / scale ** 2
@@ -242,10 +253,12 @@ def _panel_sums(link: LinkParams, level, zs, wq):
     zeros for no panels. For receiver x, a_l = g* roll(g, l s) and b_mp =
     roll(u_(p-m), m s), u_d = gw roll(gw, d s)*, for s samples per symbol.
     Each roll is a row of a sliding-window view into a periodically
-    extended buffer. Per node one real matmul of [Re a; Im a] against
-    [Re b; Im b], m <= p, adds to the blocks RR, RI, IR, II; once summed
-    they fill the window, sum_t a_l b_mp = (RR - II) + j(RI + IR) and, as
-    b_pm = b_mp*, sum_t a_l b_pm = (RR + II) + j(IR - RI).
+    extended buffer. Per node and per group of pairs, one real matmul of
+    [Re a; Im a] against [Re b; Im b], m <= p, adds to the blocks RR, RI,
+    IR, II; once summed they fill the window, sum_t a_l b_mp = (RR - II) +
+    j(RI + IR) and, as b_pm = b_mp*, sum_t a_l b_pm = (RR + II) + j(IR -
+    RI). Each group holds whole d and at most cap rows: as many as fit in
+    _PAIR_BYTES, or the side rows of d = 0 where those are more.
     """
     pgrid, step, spec0 = level
     n, M = pgrid.n_samples, link.memory
@@ -254,17 +267,29 @@ def _panel_sums(link: LinkParams, level, zs, wq):
     # (3M - k) s. uh[d, j] = u_d[(j - o) mod n]: roll(u_d, m s) at (M - m) s.
     ext, ext_at = np.empty(n + 4 * o, complex), np.arange(-3 * o, n + o)
     uh = np.empty((side, n + 2 * o), dtype=np.complex128)
-    a, b = np.empty((2 * side, n)), np.empty((2, npair, n))
+    cap = min(npair, max(side, _PAIR_BYTES // (16 * n)))  # rows per slab
+    a, slab = np.empty((2 * side, n)), np.empty(2 * cap * n)
     g_rows = sliding_window_view(ext, n)[::step][2 * M:][::-1]
     gw_rows = sliding_window_view(ext, n + 2 * o)[::step][::-1]
-    pairs, blocks = [], []  # b's rows: by d = p - m, then m descending
-    for d in range(side):
-        rows = b[:, len(pairs):len(pairs) + side - d]
-        pairs += [(m, m + d) for m in range(side - 1 - d, -1, -1)]
-        blocks += [(dst, sliding_window_view(src, n)[::step][d:])
-                   for dst, src in zip(rows, (uh[d].real, uh[d].imag))]
+    # b's rows: by d = p - m, then m descending; d's start at row first[d].
+    # Each group's b is [Re b; Im b] over its rows, at the start of slab.
+    pairs = [(m, m + d) for d in range(side) for m in range(side - d)[::-1]]
+    first = [d * side - d * (d - 1) // 2 for d in range(side + 1)]
+    groups, d0 = [], 0  # whole d each, at most cap rows
+    for d1 in range(1, side + 1):
+        if d1 < side and first[d1 + 1] - first[d0] <= cap:
+            continue
+        rows = first[d1] - first[d0]
+        b = slab[:2 * rows * n].reshape(2, rows, n)
+        fills = [(dst, sliding_window_view(src, n)[::step][d:])
+                 for d in range(d0, d1) for dst, src in zip(
+                     b[:, first[d] - first[d0]:first[d + 1] - first[d0]],
+                     (uh[d].real, uh[d].imag))]
+        groups.append((slice(first[d0], first[d1]), b.reshape(2 * rows, n),
+                       fills))
+        d0 = d1
     mi, pi = np.array(pairs).T
-    acc = np.zeros((2 * side, 2 * npair))
+    acc = np.zeros((2 * side, 2, npair))
     for z, wz in zip(zs.flat, (wq * np.exp(-link.alpha_np_per_km * zs)).flat):
         disp_phase, walk_phase = _phases(link, pgrid.omega, z)
         disp = spec0 * disp_phase
@@ -274,9 +299,10 @@ def _panel_sums(link: LinkParams, level, zs, wq):
         a[:side], a[side:] = uh[:, :n].real, uh[:, :n].imag
         np.take(np.conj(gw), ext_at, out=ext, mode="wrap")
         np.multiply(gw_rows, np.conj(ext[2 * o:]), out=uh)
-        for dst, src in blocks:
-            dst[...] = src
-        acc += wz * (a @ b.reshape(2 * npair, n).T)
+        for cols, b, fills in groups:
+            for dst, src in fills:
+                dst[...] = src
+            acc[:, :, cols] += wz * (a @ b.T).reshape(2 * side, 2, -1)
     (rr, ri), (ir, ii) = acc.reshape(2, side, 2, npair).swapaxes(1, 2)
     values = np.empty((side, side, side), dtype=np.complex128)
     values[:, pi, mi] = (rr + ii) + 1j * (ir - ri)
@@ -348,8 +374,10 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape,
     a one-sided band of at most 2(1+beta)/T for roll-off beta, and the
     trapezoid sum of a periodic, band-limited integrand is exact once the
     sample rate exceeds that band (Trefethen & Weideman, SIAM Rev. 56(3),
-    2014): both levels run near that limit, and only leakage from the
-    truncated window is left.
+    2014). On the grid of TimeFreqGrid.for_link, at the pulse's
+    samples_per_symbol, the coarse level of a sinc or RRC runs at 4 per
+    symbol, still above the band, so only leakage from the truncated
+    window is left; the Gaussian's unbounded spectrum takes 16.
 
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.

@@ -2,7 +2,9 @@
 
 The coefficient engine propagates them: chromatic dispersion and walk-off
 delays are applied as all-pass filters in the frequency domain, so pulse
-energy is conserved exactly up to FFT rounding.
+energy is conserved exactly up to FFT rounding. Each pulse sets the
+sample rate of its coefficient grid (PulseShape.samples_per_symbol):
+8 per symbol for the band-limited kinds, 16 for the Gaussian.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ if TYPE_CHECKING:  # config imports this module
     from .config import LinkParams
 
 PULSE_KINDS = ("nyquist-sinc", "root-raised-cosine", "gaussian")
-
-#: Samples per symbol of the coefficient grid: the quadrature checks itself
-#: at half as many, and 8 per symbol already exceed the band of the
-#: four-pulse overlap, so a finer grid buys no accuracy.
-SAMPLES_PER_SYMBOL = 16
 
 #: Cap on the window for_link derives, in symbol periods: 16 times the
 #: reference link's, which covers memory 246 on it or a 7000 km span at
@@ -58,6 +55,16 @@ class PulseShape:
         if self.kind == "gaussian":
             if self.width_s is None or self.width_s <= 0:
                 raise ConfigError("gaussian pulse requires width_s > 0")
+
+    @property
+    def samples_per_symbol(self) -> int:
+        """Samples per symbol of the coefficient grid. The quadrature checks
+        itself at half as many, so the coarse level must still exceed the
+        one-sided band of the four-pulse overlap, 2(1+beta)/T for a
+        band-limited pulse of roll-off beta (at most 4/T): 8 per symbol
+        for the sinc and the RRC. A Gaussian's spectrum has no edge; it
+        needs 16 (at 8 its residual exceeds 1e-6 at width T/3)."""
+        return 16 if self.kind == "gaussian" else 8
 
     def samples(self, grid: "TimeFreqGrid", symbol_period: float) -> np.ndarray:
         """Complex baseband samples on the grid, unit energy (trapezoid)."""
@@ -129,14 +136,15 @@ class TimeFreqGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
 
     @classmethod
-    def for_link(cls, link: LinkParams) -> "TimeFreqGrid":
-        """The coefficient grid of link: the fewest symbol periods, a power
-        of two, that check_covers accepts, at SAMPLES_PER_SYMBOL samples
-        per symbol. Raises GridError if that exceeds _MAX_WINDOW_SYMBOLS."""
+    def for_link(cls, link: LinkParams, pulse: PulseShape) -> "TimeFreqGrid":
+        """The coefficient grid of link for pulse: the fewest symbol periods,
+        a power of two, that check_covers accepts, at the pulse's
+        samples_per_symbol. Raises GridError if that exceeds
+        _MAX_WINDOW_SYMBOLS."""
         needed, T, n_symbols = _needed_span(link), link.symbol_period, 1
         while n_symbols * T < needed and n_symbols < _MAX_WINDOW_SYMBOLS:
             n_symbols *= 2
-        grid = cls(SAMPLES_PER_SYMBOL * n_symbols, n_symbols * T)
+        grid = cls(pulse.samples_per_symbol * n_symbols, n_symbols * T)
         grid.check_covers(link)
         return grid
 
@@ -157,6 +165,10 @@ class TimeFreqGrid:
 
 
 def _needed_span(link: LinkParams) -> float:
-    """check_covers' window: 4(M+1) symbol periods plus the spread."""
-    return (4 * (link.memory + 1) * link.symbol_period
-            + link.dispersion_spread_s(link.length_km))
+    """check_covers' window: 4(M+1) symbol periods plus the spread; inf for
+    a memory too large for a float."""
+    try:
+        lags = 4 * (link.memory + 1) * link.symbol_period
+    except OverflowError:
+        lags = math.inf
+    return lags + link.dispersion_spread_s(link.length_km)

@@ -184,9 +184,9 @@ def test_criterion_7_simulator_equivalence():
 def test_criterion_8_coefficient_engine():
     link = xc.LinkParams()
     pulse = xc.PulseShape()
-    grid = xc.TimeFreqGrid.for_link(link)
+    grid = xc.TimeFreqGrid.for_link(link, pulse)
 
-    def center_tap(link, pulse):
+    def center_tap(link, pulse, grid=grid):
         tensor, _ = xc.coefficient_tensor(link, pulse, grid)
         return tensor.get(0, 0, 0)
 
@@ -197,11 +197,12 @@ def test_criterion_8_coefficient_engine():
     assert _pad_factor(one_tap, grid) == _pad_factor(link, grid)
     link0 = dataclasses.replace(one_tap, beta2_ps2_per_km=0.0)
     gauss = xc.PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-    c0 = center_tap(link0, gauss)
-    g0 = gauss.samples(grid.scaled(_pad_factor(link0, grid)),
+    ggrid = xc.TimeFreqGrid.for_link(link0, gauss)  # the Gaussian's rate
+    c0 = center_tap(link0, gauss, ggrid)
+    g0 = gauss.samples(ggrid.scaled(_pad_factor(link0, ggrid)),
                        link0.symbol_period)
     closed = 2j * link0.gamma * xc.effective_length(
-        link0.alpha_db_per_km, link0.length_km) * grid.dt * float(
+        link0.alpha_db_per_km, link0.length_km) * ggrid.dt * float(
             np.sum(np.abs(g0) ** 4))
     assert abs(c0 - closed) / abs(closed) < 1e-6
 

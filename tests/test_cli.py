@@ -19,7 +19,7 @@ from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.config import _SECTIONS, LinkParams, PowerPair, load_config
-from xpmcap.pulses import SAMPLES_PER_SYMBOL, TimeFreqGrid
+from xpmcap.pulses import PulseShape, TimeFreqGrid
 from xpmcap.workers import blas_threads, blas_workers, cpu_workers
 
 REPO = Path(__file__).resolve().parents[1]
@@ -106,14 +106,15 @@ class TestCoeffsCommand:
         conv = json.loads((out / "tensor_convergence.json").read_text())
         assert conv["x"]["residual"] <= 1e-6
         assert conv["w"]["residual"] <= 1e-6
-        # The reference link: pad 4, 2 + 4 panels of 64 distance nodes.
+        # The reference link: pad 4, 2 + 4 panels of 64 distance nodes, the
+        # sinc at 8 samples per symbol.
         diagnostics = json.loads(
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert diagnostics["pad_factor"] == 4
         assert diagnostics["nodes_evaluated"] == 128 + 256
         assert diagnostics["levels"] == [
-            {"padded_n": 2048, "samples_per_symbol": 8, "panels": 2},
-            {"padded_n": 4096, "samples_per_symbol": 16, "panels": 4}]
+            {"padded_n": 1024, "samples_per_symbol": 4, "panels": 2},
+            {"padded_n": 2048, "samples_per_symbol": 8, "panels": 4}]
 
     def test_manifest_diagnostics(self, tmp_path, config_path):
         out = tmp_path / "diag"
@@ -138,13 +139,15 @@ class TestCoeffsCommand:
             coarse["panels"] + fine["panels"])
         # the grid derived from the recorded link, padded pad_factor-fold
         manifest = json.loads((out / "coeffs-manifest.json").read_text())
-        grid = TimeFreqGrid.for_link(LinkParams(**manifest["config"]["link"]))
+        pulse = PulseShape(**manifest["config"]["pulse"])
+        grid = TimeFreqGrid.for_link(LinkParams(**manifest["config"]["link"]),
+                                     pulse)
         assert fine == {
             "padded_n": grid.n_samples * diagnostics["pad_factor"],
-            "samples_per_symbol": SAMPLES_PER_SYMBOL,
+            "samples_per_symbol": pulse.samples_per_symbol,
             "panels": fine["panels"]}
         assert coarse["padded_n"] == fine["padded_n"] // 2
-        assert coarse["samples_per_symbol"] == SAMPLES_PER_SYMBOL // 2
+        assert coarse["samples_per_symbol"] == pulse.samples_per_symbol // 2
 
     def test_memory_alone_sizes_the_window(self, tmp_path, config_path):
         # memory 6 needs about 35 symbol periods on CONFIG's 50 km link
@@ -159,6 +162,29 @@ class TestCoeffsCommand:
         diagnostics = json.loads(
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert diagnostics["residual"] <= 1e-6
+
+    @pytest.mark.parametrize("memory", ["247", str(10 ** 400)],
+                             ids=["cap", "beyond-any-float"])
+    def test_memory_beyond_the_window_cap_exits_3(self, tmp_path, memory,
+                                                  capsys):
+        out = tmp_path / "out"
+        assert run(["--out-dir", str(out), "--quiet", "coeffs",
+                    "--memory", memory]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: time window"), err
+        assert err.count("\n") == 1 and "required by memory" in err, err
+
+    def test_full_rolloff_rrc_converges(self, tmp_path):
+        # roll-off 1 doubles the RRC's bandwidth; its panels follow
+        out = tmp_path / "rrc"
+        assert run([*config_file(tmp_path, "pulse: {kind: root-raised-cosine,"
+                                 " rolloff: 1.0}\n"),
+                    "--out-dir", str(out), "--quiet", "coeffs"]) == 0
+        diagnostics = json.loads(
+            (out / "coeffs-manifest.json").read_text())["diagnostics"]
+        assert diagnostics["residual"] <= 1e-6
+        assert diagnostics["levels"][1] == {
+            "padded_n": 2048, "samples_per_symbol": 8, "panels": 8}
 
     def test_two_processes_write_the_same_bytes(self, tmp_path, config_path,
                                                 monkeypatch):

@@ -163,6 +163,17 @@ class TestQuadrature:
         assert _initial_panels(link, wide) == sinc
         assert _initial_panels(link, narrow) == 4 * sinc
 
+    def test_initial_panels_track_rrc_rolloff(self):
+        # roll-off beta shortens the pulse's time scale to T/(1+beta): at
+        # beta 1 the reference link needs twice the sinc's panels, and at
+        # beta 0 the RRC is the sinc
+        link = LinkParams()
+        sinc = _initial_panels(link, SINC)
+        assert sinc == 2
+        for beta, factor in ((0.0, 1), (1.0, 2)):
+            rrc = PulseShape(kind="root-raised-cosine", rolloff=beta)
+            assert _initial_panels(link, rrc) == factor * sinc
+
 
 class TestTwoProcesses:
     def test_values_do_not_depend_on_process_count(self, monkeypatch):
@@ -312,14 +323,14 @@ def _phase_cases():
     cfg = load_config(str(Path(__file__).resolve().parents[1]
                           / "configs" / "reference.yaml"))
     pulse = PulseShape(**cfg.pulse)
-    grid = TimeFreqGrid.for_link(cfg.link)
+    grid = TimeFreqGrid.for_link(cfg.link, pulse)
     panels = _initial_panels(cfg.link, pulse)
     link = LinkParams(length_km=100.0, memory=2)
     gauss = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
     return [(cfg.link, pulse,
              TimeFreqGrid(grid.n_samples // 2, grid.t_span), panels),
             (cfg.link, pulse, grid, 2 * panels),
-            (link, gauss, TimeFreqGrid.for_link(link),
+            (link, gauss, TimeFreqGrid.for_link(link, gauss),
              _initial_panels(link, gauss))]
 
 
@@ -350,7 +361,8 @@ def gauss_window():
     link, computed once for both of its tests."""
     link = TestGaussianDispersionOracle.LINK
     pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-    tx, _ = coefficient_tensor(link, pulse, TimeFreqGrid.for_link(link))
+    tx, _ = coefficient_tensor(link, pulse,
+                               TimeFreqGrid.for_link(link, pulse))
     return tx
 
 
@@ -363,19 +375,58 @@ class TestWindowTruncation:
         cfg = load_config(str(Path(__file__).resolve().parents[1]
                               / "configs" / "reference.yaml"))
         assert cfg.pulse["kind"] == "nyquist-sinc"
-        link = cfg.link
+        link, pulse = cfg.link, PulseShape(**cfg.pulse)
         limit = 2 * link.gamma * effective_length(
             link.alpha_db_per_km, link.length_km) / link.symbol_period
         shares = []
         for memory in (1, 3, 5):
             link = dataclasses.replace(cfg.link, memory=memory)
             tensor, _ = coefficient_tensor(
-                link, PulseShape(**cfg.pulse),
-                TimeFreqGrid.for_link(link))
+                link, pulse, TimeFreqGrid.for_link(link, pulse))
             assert np.all(np.diagonal(tensor.values[memory]).imag > 0)
             shares.append(tensor.coherent_gains()[memory].imag / limit)
         assert 0 < shares[0] < shares[1] < shares[2] < 1, shares
         assert shares[2] == pytest.approx(0.670, abs=0.005)
+
+
+class TestDerivedSampleRate:
+    """The sinc's derived grid, 8 samples per symbol, against twice that:
+    both exceed the band of the four-pulse overlap, so the trapezoid sums
+    agree to rounding and window leakage."""
+
+    def test_twice_the_samples_agree(self):
+        link = LinkParams(memory=1)  # the reference link
+        grid = TimeFreqGrid.for_link(link, SINC)
+        assert link.symbol_period / grid.dt == 8
+        derived, _ = coefficient_tensor(link, SINC, grid)
+        twice, _ = coefficient_tensor(
+            link, SINC, TimeFreqGrid(2 * grid.n_samples, grid.t_span))
+        scale = np.abs(twice.values).max()
+        assert np.abs(derived.values - twice.values).max() <= 1e-10 * scale
+
+
+class TestPairGroups:
+    """_panel_sums fills and multiplies the interferer pairs in whole-d
+    groups under _PAIR_BYTES; the groups change only the summation's
+    blocking, not its terms."""
+
+    def test_small_budget_matches_one_group(self, monkeypatch):
+        link = dataclasses.replace(SHORT, memory=2)
+        level = _level(link, SINC, GRID)
+        zs, wq = _gauss_legendre_nodes(link.length_km, 1, 16)
+        one = _panel_sums(link, level, zs, wq)
+        # the slab holds side = 5 rows: d = 0 | 1 | 2, 3 | 4
+        monkeypatch.setattr(coefficients, "_PAIR_BYTES", 1)
+        grouped = _panel_sums(link, level, zs, wq)
+        assert np.abs(grouped - one).max() <= 1e-15 * np.abs(one).max()
+
+    def test_reference_link_takes_one_group(self):
+        # up to memory 12, so its tensors keep their bytes
+        link = LinkParams(memory=12)
+        pgrid, _, _ = _level(link, SINC, TimeFreqGrid.for_link(link, SINC))
+        side = 2 * link.memory + 1
+        npair = side * (side + 1) // 2
+        assert 2 * npair * pgrid.n_samples * 8 <= coefficients._PAIR_BYTES
 
 
 class TestGaussianDispersionOracle:
@@ -441,7 +492,8 @@ class TestGaussianDispersionOracle:
                           channel_spacing_hz=spacing_hz, memory=1)
         w_s = width * link.symbol_period
         pulse = PulseShape(kind="gaussian", width_s=w_s)
-        tx, _ = coefficient_tensor(link, pulse, TimeFreqGrid.for_link(link))
+        tx, _ = coefficient_tensor(link, pulse,
+                                   TimeFreqGrid.for_link(link, pulse))
         # entries far below the window's largest carry no relative accuracy
         size = np.abs(tx.values)
         lags = [tuple(int(i) - link.memory for i in idx)

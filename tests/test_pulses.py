@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from xpmcap.config import LinkParams
 from xpmcap.errors import ConfigError, GridError
-from xpmcap.pulses import (PULSE_KINDS, SAMPLES_PER_SYMBOL, PulseShape,
-                           TimeFreqGrid)
+from xpmcap.pulses import PULSE_KINDS, PulseShape, TimeFreqGrid
 
 LINK = LinkParams()
 T = LINK.symbol_period
+SINC = PulseShape()
+GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
 
 
 def grid_energy(grid, samples):
@@ -50,6 +51,17 @@ class TestPulseShapes:
                 assert np.all(g.imag == 0)
                 assert np.array_equal(g, np.roll(g[::-1], 1))
 
+    @pytest.mark.parametrize("pulse, rate", [
+        (SINC, 8),
+        (PulseShape(kind="root-raised-cosine", rolloff=0.0), 8),
+        (PulseShape(kind="root-raised-cosine", rolloff=0.25), 8),
+        (PulseShape(kind="root-raised-cosine", rolloff=1.0), 8),
+        (GAUSS, 16)], ids=["sinc", "rrc-0", "rrc-0.25", "rrc-1", "gaussian"])
+    def test_samples_per_symbol(self, pulse, rate):
+        # band-limited kinds: the coarse level's 4 per symbol exceed the
+        # overlap band 2(1+beta)/T; the Gaussian's spectrum has no edge
+        assert pulse.samples_per_symbol == rate
+
     def test_rolloff_range(self):
         with pytest.raises(ConfigError):
             PulseShape(kind="root-raised-cosine", rolloff=1.5)
@@ -67,26 +79,29 @@ class TestGrid:
         assert grid.omega.size == 4096
 
     def test_for_link_default_covers_reference_span(self):
-        # the reference span's dispersion spread is about 35 symbols
+        # the reference span's dispersion spread is about 35 symbols; the
+        # window does not depend on the pulse, the sample rate does
         for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
-            grid = TimeFreqGrid.for_link(
-                dataclasses.replace(LINK, memory=memory))
-            assert grid.n_samples == 16 * n_symbols
-            assert grid.t_span == n_symbols * T
+            link = dataclasses.replace(LINK, memory=memory)
+            for pulse, rate in ((SINC, 8), (GAUSS, 16)):
+                grid = TimeFreqGrid.for_link(link, pulse)
+                assert grid.n_samples == rate * n_symbols
+                assert grid.t_span == n_symbols * T
 
     # spans and rates whose window stays within the 1024-symbol cap
     @given(length_km=st.floats(0.0, 1000.0),
            beta2_sign=st.sampled_from([-1.0, 1.0]),
            baud_rate=st.floats(1e9, 64e9),
-           memory=st.integers(0, 20))
+           memory=st.integers(0, 20),
+           pulse=st.sampled_from([SINC, GAUSS]))
     def test_for_link_is_the_least_power_of_two_window(
-            self, length_km, beta2_sign, baud_rate, memory):
+            self, length_km, beta2_sign, baud_rate, memory, pulse):
         link = LinkParams(length_km=length_km,
                           beta2_ps2_per_km=beta2_sign * 21.7,
                           baud_rate=baud_rate, memory=memory)
-        grid = TimeFreqGrid.for_link(link)
+        grid = TimeFreqGrid.for_link(link, pulse)
         grid.check_covers(link)
-        n_symbols, rest = divmod(grid.n_samples, SAMPLES_PER_SYMBOL)
+        n_symbols, rest = divmod(grid.n_samples, pulse.samples_per_symbol)
         assert rest == 0 and n_symbols & (n_symbols - 1) == 0
         assert grid.t_span == n_symbols * link.symbol_period
         with pytest.raises(GridError):
@@ -96,12 +111,13 @@ class TestGrid:
     @pytest.mark.parametrize("link", [
         dataclasses.replace(LINK, memory=247),
         dataclasses.replace(LINK, length_km=1e20),
-        LinkParams(length_km=1e300, beta2_ps2_per_km=1e300)],  # spread inf
-        ids=["memory", "length", "overflow"])
+        LinkParams(length_km=1e300, beta2_ps2_per_km=1e300),  # spread inf
+        dataclasses.replace(LINK, memory=10 ** 400)],  # beyond any float
+        ids=["memory", "length", "overflow", "huge-memory"])
     def test_for_link_refuses_a_window_beyond_its_cap(self, link):
         with pytest.raises(GridError, match="required by memory"):
-            TimeFreqGrid.for_link(link)
-        TimeFreqGrid.for_link(dataclasses.replace(LINK, memory=246))
+            TimeFreqGrid.for_link(link, SINC)
+        TimeFreqGrid.for_link(dataclasses.replace(LINK, memory=246), SINC)
 
     def test_too_small_window_rejected(self):
         with pytest.raises(GridError):
