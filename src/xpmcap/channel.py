@@ -130,23 +130,32 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     return acc
 
 
-def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex, out=None):
+def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex, out=None,
+                        work=None):
     """Quadrature form of the single-tap map, before noise.
 
     Returns (y_r, y_i) with
         y_r = (1 + |w|^2 Re g) Re x - |w|^2 Im g Im x,
         y_i = (1 + |w|^2 Re g) Im x + |w|^2 Im g Re x,
     whose recombination y_r + j y_i equals (1 + g |w|^2) x, written into
-    the real arrays out=(y_r, y_i) when given.
+    the real arrays out=(y_r, y_i) when given. work=(a, b), two more real
+    arrays of the output's shape, is scratch for the factors 1 + |w|^2 Re g
+    and |w|^2 Im g, so that with out and work the call allocates nothing.
     """
     x = np.asarray(x, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    q = w.real * w.real + w.imag * w.imag
-    a = 1.0 + q * g.real
-    b = q * g.imag
-    y_r, y_i = out or (None, None)
-    y_r = np.subtract(np.multiply(a, x.real, out=y_r), b * x.imag, out=y_r)
-    y_i = np.add(np.multiply(a, x.imag, out=y_i), b * x.real, out=y_i)
+    shape = np.broadcast_shapes(x.shape, w.shape)
+    y_r, y_i = (np.empty(shape), np.empty(shape)) if out is None else out
+    a, b = (np.empty(shape), np.empty(shape)) if work is None else work
+    np.multiply(w.real, w.real, out=b)
+    b += np.multiply(w.imag, w.imag, out=a)  # |w|^2
+    np.multiply(b, g.real, out=a)
+    a += 1.0
+    b *= g.imag
+    np.subtract(np.multiply(a, x.real, out=y_r),
+                np.multiply(b, x.imag, out=y_i), out=y_r)
+    np.add(np.multiply(a, x.imag, out=y_i),
+           np.multiply(b, x.real, out=b), out=y_i)
     return y_r, y_i
 
 

@@ -356,13 +356,15 @@ def cmd_simulate(args, ctx: RunContext) -> int:
 
 
 def cmd_verify(args, ctx: RunContext) -> int:
-    reports = run_suite(args.suite, args.samples, ctx.master_seed)
+    seconds: dict[str, float] = {}
+    reports = run_suite(args.suite, args.samples, ctx.master_seed, seconds)
     ctx.write(args.out, _json_text([r.to_dict() for r in reports]))
     failed = [r for r in reports if r.verdict == "fail"]
     margins = {r.name: (r.bound - r.estimate) / r.stderr if r.stderr > 0
                else None for r in reports}
     ctx.diagnostics = {"check_workers": cpu_workers(
-        sum(r.kind != "exact" for r in reports)), "margin_se": margins}
+        sum(r.kind != "exact" for r in reports)), "margin_se": margins,
+        "check_s": seconds}
     for r in reports:
         margin = ("" if margins[r.name] is None
                   else f" margin_se={margins[r.name]:+.2f}")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -210,7 +211,8 @@ def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
     beta, whose spectrum is 1+beta times as wide, or T (2w/T)^2 for a
     Gaussian of width w < T/2 (on widths T/4 to T/2 the panels needed grow
     as 1/w^2). Gauss-Legendre converges spectrally once each panel of 64
-    nodes holds at most 32 of either.
+    nodes holds at most 32 of either: the count is the fewest whole panels
+    that do.
     """
     T = link.symbol_period
     scale = T
@@ -220,10 +222,7 @@ def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
         scale = T * min(1.0, (2.0 * pulse.width_s / T) ** 2)
     slide = abs(link.walkoff_delay_s(link.length_km)) / scale
     lengths = link.length_km * abs(link.beta2_s2_per_km) / scale ** 2
-    panels = 1
-    while panels * 32 < max(slide, lengths):
-        panels *= 2
-    return panels
+    return max(1, math.ceil(max(slide, lengths) / 32))
 
 
 def _level(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):

@@ -4,21 +4,30 @@ underpin the rate bounds.
 Stochastic checks accept at the 5-standard-error level: one-sided where
 an inequality is being verified, two-sided for moment identities. Under a
 correct implementation each one-sided check passes with probability at
-least 1 - 1e-6 at desk-scale sample counts. Every check owns a generator
-seeded from its explicit seed, so run_suite runs two checks at once and
-still returns a serial run's reports, bit for bit.
+least 1 - 1e-6 at desk-scale sample counts.
+
+Stochastic checks run in fixed memory, whatever the sample count. Each
+draws BLOCK samples at a time into buffers it reuses for every block,
+with one seeded generator per real variate stream, so the draws do not
+depend on the block size. Of each block it keeps only co-moments: a
+count, a mean vector and the centred sums of products, merged pairwise
+per batch and over the whole sample (Chan, Golub & LeVeque, Am. Stat.
+37(3), 1983). Every check owns its generators, so run_suite runs two
+checks at once and still returns a serial run's reports, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, asdict
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
-from .channel import (BLOCK, normal_blocks, real_imag_decompose, sample_cscg,
-                      spawn_seeds)
+from .channel import BLOCK, real_imag_decompose, spawn_seeds
+# Not drawn here any more; perfbench/steps.py traces it under this module.
+from .channel import sample_cscg  # noqa: F401
 from .config import PowerPair
 from .errors import ConfigError, SampleBudgetError
 from .workers import cpu_workers
@@ -111,33 +120,76 @@ def det_trace_check(matrix: np.ndarray, name: str = "det-trace") -> CheckReport:
     return _report(name, 0, det[i], bound[i], 0.0, None, "exact")
 
 
-def _batched_cov_det(rows: np.ndarray) -> tuple[float, float]:
-    """Determinant of the unbiased sample covariance, with a standard
-    error estimated from per-batch determinants."""
-    n = rows.shape[1]
-    det = det_small(np.cov(rows, ddof=1))
+def _streams(seed: int, count: int) -> list[np.random.Generator]:
+    """One generator per real variate stream, spawned from seed in order."""
+    return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]
+
+
+def _comoments(rows: np.ndarray) -> tuple:
+    """(count, mean, M2) of the columns of rows (k, m), M2 the k x k
+    centred sums of products; rows is centred in place."""
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    return rows.shape[1], mean, rows @ rows.T
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The co-moments of two samples together, from each one's (Chan,
+    Golub & LeVeque's pairwise update)."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), sa + sb + np.outer(d, d) * (na * nb / n)
+
+
+def _cov_det(n: int, blocks) -> tuple[float, float]:
+    """Determinant of the unbiased sample covariance of n samples, with a
+    standard error from the determinants of _N_BATCHES batches of
+    n // _N_BATCHES samples; the last n % _N_BATCHES count toward the
+    whole sample alone. blocks yields the samples' (k, m) row blocks in
+    order; each is centred in place here."""
     batch = n // _N_BATCHES
-    dets = np.array([
-        det_small(np.cov(rows[:, i * batch:(i + 1) * batch], ddof=1))
-        for i in range(_N_BATCHES)])
+    parts = [None] * (_N_BATCHES + 1)  # the batches, then the remainder
+    done = 0
+    for rows in blocks:
+        m, a = rows.shape[1], 0
+        while a < m:  # split the block where a batch ends
+            i = min((done + a) // batch, _N_BATCHES)
+            e = m if i == _N_BATCHES else min(m, (i + 1) * batch - done)
+            part = _comoments(rows[:, a:e])
+            parts[i] = part if parts[i] is None else _merge(parts[i], part)
+            a = e
+        done += m
+    dets = det_small(np.array([s / (c - 1) for c, _, s in parts[:-1]]))
     stderr = float(np.std(dets, ddof=1) / math.sqrt(_N_BATCHES))
-    return det, stderr
+    _, _, m2 = reduce(_merge, filter(None, parts))
+    return det_small(m2 / (n - 1)), stderr
 
 
-def _noisy_rows(maps, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """Rows y_r, y_i of real_imag_decompose(x, w, g) per (x, w, g) in maps,
-    plus scale * rng.standard_normal(n) per row, each block built in place."""
-    n = maps[0][0].size
-    rows = np.empty((2 * len(maps), n))
-    for pair, (x, w, g) in zip(rows.reshape(len(maps), 2, n), maps):
-        for s in range(0, n, BLOCK):
-            sl = slice(s, s + BLOCK)
-            real_imag_decompose(x[sl], w[sl] if np.ndim(w) else w, g,
-                                out=(pair[0, sl], pair[1, sl]))
-    for row in rows:
-        for sl, z in normal_blocks(rng, n):
-            row[sl] += np.multiply(scale, z, out=z)
-    return rows
+def _noisy_blocks(n: int, seed: int, scales, maps, noise: float):
+    """Row blocks of n samples, BLOCK at a time in buffers reused for every
+    block: rows y_r, y_i of real_imag_decompose(x, w, g) per (x, w, g) in
+    maps(inputs), each plus noise * N(0, 1). Input j has quadratures
+    scales[j][0] * N(0, 1) and scales[j][1] * N(0, 1). Each quadrature of
+    each input, then each row's noise, draws from its own generator of
+    _streams(seed, ...)."""
+    size = min(n, BLOCK)
+    inputs = [np.empty(size, complex) for _ in scales]
+    rows = np.empty((2 * len(maps(inputs)), size))
+    work = np.empty((2, size))
+    gens = _streams(seed, 2 * len(scales) + len(rows))
+    quadrature_scales = [s for pair in scales for s in pair]
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        v, y, (a, b) = [u[:m] for u in inputs], rows[:, :m], work[:, :m]
+        parts = [p for u in v for p in (u.real, u.imag)]
+        for gen, scale, part in zip(gens, quadrature_scales, parts):
+            np.multiply(scale, gen.standard_normal(out=a), out=part)
+        for i, (x, w, g) in enumerate(maps(v)):
+            real_imag_decompose(x, w, g, out=y[2 * i:2 * i + 2], work=(a, b))
+        for gen, row in zip(gens[len(parts):], y):
+            row += np.multiply(noise, gen.standard_normal(out=a), out=a)
+        yield y
 
 
 def single_user_covariance_check(g: complex, w: complex, p1: float,
@@ -157,14 +209,9 @@ def single_user_covariance_check(g: complex, w: complex, p1: float,
         raise SampleBudgetError(f"need n >= {MIN_SAMPLES}, got {n}")
     if not 0.0 <= power_split <= 1.0:
         raise ConfigError("power_split must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    x = np.empty(n, np.complex128)
-    for part, share in ((x.real, power_split), (x.imag, 1.0 - power_split)):
-        for sl, z in normal_blocks(rng, n):
-            np.multiply(math.sqrt(share * p1), z, out=part[sl])
-    rows = _noisy_rows([(x, w, g)], rng, math.sqrt(sigma_sq))
-    del x
-    det, stderr = _batched_cov_det(rows)
+    signal = (math.sqrt(power_split * p1), math.sqrt((1.0 - power_split) * p1))
+    det, stderr = _cov_det(n, _noisy_blocks(
+        n, seed, [signal], lambda v: [(v[0], w, g)], math.sqrt(sigma_sq)))
     q = abs(w) ** 2
     bound = ((1.0 + 2.0 * g.real * q + abs(g) ** 2 * q * q) * p1 / 2.0
              + sigma_sq) ** 2
@@ -183,14 +230,11 @@ def joint_covariance_check(g_x: complex, g_w: complex, pp: PowerPair,
     """
     if n < MIN_SAMPLES:
         raise SampleBudgetError(f"need n >= {MIN_SAMPLES}, got {n}")
-    seeds = spawn_seeds(seed, 3)
-    x = sample_cscg(n, pp.p1, seeds[0])
-    w = sample_cscg(n, pp.p2, seeds[1])
-    rows = _noisy_rows([(x, w, g_x), (w, x, g_w)],
-                       np.random.default_rng(seeds[2]), math.sqrt(sigma_sq))
-    del x, w
-    det, stderr = _batched_cov_det(rows)
     p1, p2 = pp.p1, pp.p2
+    det, stderr = _cov_det(n, _noisy_blocks(
+        n, seed, [(math.sqrt(p1 / 2.0),) * 2, (math.sqrt(p2 / 2.0),) * 2],
+        lambda v: [(v[0], v[1], g_x), (v[1], v[0], g_w)],
+        math.sqrt(sigma_sq)))
     trace_quarter = ((1.0 + 2.0 * g_x.real * p2 + 4.0 * abs(g_x) ** 2 * p2 * p2) * p1
                      + (1.0 + 2.0 * g_w.real * p1 + 4.0 * abs(g_w) ** 2 * p1 * p1) * p2) / 4.0
     bound = (sigma_sq + trace_quarter) ** 4
@@ -212,18 +256,38 @@ def moment_identity_check(p: float, n: int, seed: int,
         raise ConfigError("power must be >= 0")
     if p == 0.0:
         return _report(name, n, 0.0, 0.0, 0.0, seed, "identity")
-    if distribution == "cscg":
-        w = sample_cscg(n, p, seed)
-    elif distribution == "constant-modulus":
-        rng = np.random.default_rng(seed)
-        w = math.sqrt(p) * np.exp(2j * np.pi * rng.random(n))
-    else:
+    if distribution not in ("cscg", "constant-modulus"):
         raise ConfigError("distribution must be 'cscg' or 'constant-modulus'")
-    fourth = np.abs(w) ** 4
+    _, mean, m2 = reduce(_merge, map(_comoments, _fourth_powers(
+        n, seed, p, distribution == "cscg")))
     target = 2.0 * p * p
-    ratio = float(np.mean(fourth)) / target
-    stderr = float(np.std(fourth, ddof=1)) / (target * math.sqrt(n))
-    return _report(name, n, ratio, 1.0, stderr, seed, "identity")
+    stderr = math.sqrt(m2[0, 0] / (n - 1)) / (target * math.sqrt(n))
+    return _report(name, n, mean[0] / target, 1.0, stderr, seed, "identity")
+
+
+def _fourth_powers(n: int, seed: int, p: float, cscg: bool):
+    """(1, m) blocks of |w|^4 over n samples of w at power p, BLOCK at a
+    time in one reused buffer: CSCG, each quadrature from its own generator
+    of _streams(seed, 2), or of constant modulus and a uniform phase from
+    the first."""
+    gens = _streams(seed, 2)
+    buf = np.empty((2, min(n, BLOCK)))
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        re, im = buf[:, :m]
+        if cscg:
+            for gen, part in zip(gens, (re, im)):
+                np.multiply(math.sqrt(p / 2.0), gen.standard_normal(out=part),
+                            out=part)
+        else:
+            phase = np.multiply(2.0 * math.pi, gens[0].random(out=im), out=im)
+            np.multiply(math.sqrt(p), np.cos(phase, out=re), out=re)
+            np.multiply(math.sqrt(p), np.sin(phase, out=im), out=im)
+        re *= re
+        im *= im
+        re += im
+        re *= re
+        yield buf[:1, :m]
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +314,29 @@ def random_psd_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
     return b @ b.T
 
 
-def run_suite(suite: str, n: int, master_seed: int) -> list[CheckReport]:
+def run_suite(suite: str, n: int, master_seed: int,
+              seconds: dict | None = None) -> list[CheckReport]:
     """Run one named suite (or 'all') on cpu_workers threads (1: inline),
-    one per check that draws samples (two building arrays in place fit
-    where one used to), costliest check first by normal variates per
-    sample. Reports, one per check, keep suite order; a check's exception
-    propagates at the end."""
+    one per check that draws samples, costliest check first by normal
+    variates per sample. Reports, one per check, keep suite order; a
+    check's exception propagates at the end. When seconds is a dict, each
+    check's wall seconds go into it under the check's name."""
     suites = {"dettrace": (0, _run_dettrace), "conv4": (4, _run_conv4),
               "conv6": (8, _run_conv6), "moments": (2, _run_moments)}
     if suite != "all" and suite not in suites:
         raise ConfigError(f"unknown suite '{suite}'; expected one of "
                           f"{('all',) + tuple(suites)}")
     names = list(suites) if suite == "all" else [suite]
-    checks = [(suites[name][0], check) for i, name in enumerate(names)
+
+    def timed(check) -> CheckReport:
+        start = time.perf_counter()
+        report = check()
+        if seconds is not None:
+            seconds[report.name] = time.perf_counter() - start
+        return report
+
+    checks = [(suites[name][0], partial(timed, check))
+              for i, name in enumerate(names)
               for check in suites[name][1](n, master_seed + i)]
     if (workers := cpu_workers(sum(cost > 0 for cost, _ in checks))) == 1:
         return [check() for _, check in checks]

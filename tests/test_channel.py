@@ -298,6 +298,25 @@ class TestRealImagDecompose:
         assert got[0] is y_r and got[1] is y_i
         assert rows.tobytes() == np.vstack(want).tobytes()
 
+    @pytest.mark.parametrize("scalar_w", [False, True])
+    def test_work_buffers_keep_the_whole_array_arithmetic(self, scalar_w):
+        # The expressions the buffered form replaced, term by term.
+        rng = np.random.default_rng(5)
+        n = 70_000
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = (0.3 - 0.8j if scalar_w
+             else rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        g = 30.0 + 40.0j
+        wa = np.asarray(w)
+        q = wa.real * wa.real + wa.imag * wa.imag
+        a, b = 1.0 + q * g.real, q * g.imag
+        want = np.vstack([a * x.real - b * x.imag, a * x.imag + b * x.real])
+        rows, work = np.full((2, n), np.nan), np.full((2, n), np.nan)
+        real_imag_decompose(x, w, g, out=rows, work=work)
+        assert rows.tobytes() == want.tobytes()
+        assert np.vstack(real_imag_decompose(x, w, g)).tobytes() == \
+            want.tobytes()
+
     @settings(max_examples=200)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_recombination_identity(self, seed):

@@ -772,12 +772,16 @@ class TestVerifyCommand:
         manifest = json.loads((tmp_path / "verify-manifest.json").read_text())
         assert {"command", "argv", "outputs", "wall_time_s"} <= set(manifest)
         diagnostics = manifest["diagnostics"]
-        assert set(diagnostics) == {"check_workers", "margin_se"}
+        assert set(diagnostics) == {"check_workers", "margin_se", "check_s"}
         # seven of the ten checks draw samples; the dettrace ones do not
         assert diagnostics["check_workers"] == cpu_workers(7)
         assert 1 <= diagnostics["check_workers"] <= 2
         margins = diagnostics["margin_se"]
         assert list(margins) == sorted(r["name"] for r in reports)
+        # every check's wall seconds, under the same names
+        assert list(diagnostics["check_s"]) == list(margins)
+        assert all(s >= 0.0 for s in diagnostics["check_s"].values())
+        assert diagnostics["check_s"]["conv6-g0"] > 0.0
         for r in reports:
             if r["stderr"] > 0:
                 assert margins[r["name"]] == \
@@ -802,7 +806,7 @@ class TestVerifyCommand:
         import xpmcap.cli as climod
         from xpmcap.verify import CheckReport
 
-        def fake_suite(suite, n, seed):
+        def fake_suite(suite, n, seed, seconds):
             return [CheckReport(name="forced", n_samples=1, estimate=2.0,
                                 bound=1.0, stderr=0.0, verdict="fail",
                                 seed=seed, kind="one-sided")]
@@ -818,7 +822,7 @@ class TestVerifyCommand:
                                           capsys):
         import xpmcap.cli as climod
 
-        def huge_suite(suite, n, seed):
+        def huge_suite(suite, n, seed, seconds):
             raise MemoryError
 
         monkeypatch.setattr(climod, "run_suite", huge_suite)

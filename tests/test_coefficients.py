@@ -155,24 +155,26 @@ class TestQuadrature:
         assert _initial_panels(LinkParams(), SINC) >= 2
 
     def test_initial_panels_track_gaussian_width(self):
-        # a Gaussian narrower than T/2 varies faster along the span
+        # a Gaussian narrower than T/2 varies faster along the span; the
+        # count is rounded up to a whole number, not a power of two
         link = LinkParams()
         sinc = _initial_panels(link, SINC)
-        wide, narrow = (PulseShape(kind="gaussian", width_s=w * T)
-                        for w in (0.5, 0.25))
+        wide, third, narrow = (PulseShape(kind="gaussian", width_s=w * T)
+                               for w in (0.5, 1 / 3, 0.25))
         assert _initial_panels(link, wide) == sinc
-        assert _initial_panels(link, narrow) == 4 * sinc
+        assert _initial_panels(link, third) == 2 * sinc
+        assert _initial_panels(link, narrow) == 7
 
     def test_initial_panels_track_rrc_rolloff(self):
         # roll-off beta shortens the pulse's time scale to T/(1+beta): at
-        # beta 1 the reference link needs twice the sinc's panels, and at
-        # beta 0 the RRC is the sinc
+        # beta 1 the reference link needs twice the sinc's panels, at beta
+        # 0.25 one more whole panel than the sinc, and at beta 0 the RRC is
+        # the sinc
         link = LinkParams()
-        sinc = _initial_panels(link, SINC)
-        assert sinc == 2
-        for beta, factor in ((0.0, 1), (1.0, 2)):
+        assert _initial_panels(link, SINC) == 2
+        for beta, panels in ((0.0, 2), (0.25, 3), (1.0, 4)):
             rrc = PulseShape(kind="root-raised-cosine", rolloff=beta)
-            assert _initial_panels(link, rrc) == factor * sinc
+            assert _initial_panels(link, rrc) == panels
 
 
 class TestTwoProcesses:

@@ -1,9 +1,12 @@
 import json
 import math
 import threading
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xpmcap import verify
 from xpmcap.channel import BLOCK, cpu_workers, real_imag_decompose
@@ -177,54 +180,79 @@ class TestSingleUserCovariance:
         assert a == b
 
 
-def _old_conv4_signal(rng, n, p1, split):
-    """The whole-array signal the block-built one replaced: the oracle."""
-    return (math.sqrt(split * p1) * rng.standard_normal(n)
-            + 1j * math.sqrt((1.0 - split) * p1) * rng.standard_normal(n))
+def _gens(seed, count):
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-class _Stop(Exception):
-    pass
+def _complex(re, im):
+    v = np.empty(re.size, complex)
+    v.real, v.imag = re, im
+    return v
+
+
+def _conv4_rows(n, seed, g, w, p1, sigma_sq, split):
+    """conv4's rows built whole in memory from its seeds: the oracle."""
+    xr, xi, *noise = _gens(seed, 4)
+    x = _complex(math.sqrt(split * p1) * xr.standard_normal(n),
+                 math.sqrt((1.0 - split) * p1) * xi.standard_normal(n))
+    return np.vstack([v + math.sqrt(sigma_sq) * z.standard_normal(n)
+                      for v, z in zip(real_imag_decompose(x, w, g), noise)])
+
+
+def _conv6_rows(n, seed, g_x, g_w, pp, sigma_sq):
+    """conv6's rows built whole in memory from its seeds: the oracle."""
+    xr, xi, wr, wi, *noise = _gens(seed, 8)
+    s1, s2 = math.sqrt(pp.p1 / 2.0), math.sqrt(pp.p2 / 2.0)
+    x = _complex(s1 * xr.standard_normal(n), s1 * xi.standard_normal(n))
+    w = _complex(s2 * wr.standard_normal(n), s2 * wi.standard_normal(n))
+    rows = [*real_imag_decompose(x, w, g_x), *real_imag_decompose(w, x, g_w)]
+    return np.vstack([v + math.sqrt(sigma_sq) * z.standard_normal(n)
+                      for v, z in zip(rows, noise)])
+
+
+def _streamed_rows(monkeypatch, check, *args, **kwargs):
+    """The rows a check streams, captured block by block and joined."""
+    seen = []
+
+    def capture(n, blocks):
+        seen.extend(b.copy() for b in blocks)
+        assert all(b.shape[1] <= BLOCK for b in seen)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(verify, "MIN_SAMPLES", 1)
+    monkeypatch.setattr(verify, "_cov_det", capture)
+    check(*args, **kwargs)
+    return np.hstack(seen)
 
 
 class TestConv4Signal:
-    """The signal, drawn block by block into one array, against the oracle."""
+    """conv4's streamed rows and report against its rows built whole in
+    memory from the same seeds."""
 
     @pytest.mark.parametrize("n", [1, 65536, 200_003])
     @pytest.mark.parametrize("split", [0.3, 0.5, 0.8])
     def test_equals_whole_array_form_bitwise(self, n, split, monkeypatch):
-        seen = []
+        got = _streamed_rows(monkeypatch, single_user_covariance_check,
+                             50.0j, 0.1, 2 * MW, MW, n, seed=n,
+                             power_split=split)
+        want = _conv4_rows(n, n, 50.0j, 0.1, 2 * MW, MW, split)
+        assert got.tobytes() == want.tobytes()
 
-        def capture(maps, rng, scale):
-            seen.append(maps[0][0].copy())
-            raise _Stop
-
-        monkeypatch.setattr(verify, "MIN_SAMPLES", 1)
-        monkeypatch.setattr(verify, "_noisy_rows", capture)
-        with pytest.raises(_Stop):
-            single_user_covariance_check(50.0j, 0.1, 2 * MW, MW, n, seed=n,
-                                         power_split=split)
-        want = _old_conv4_signal(np.random.default_rng(n), n, 2 * MW, split)
-        assert seen[0].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("split", [0.0, 1.0])
-    def test_report_at_degenerate_split_equals_oracle(self, split,
-                                                      monkeypatch):
-        # Only the sign of a zero part can differ; the rows add noise to it.
-        args = (20.0 + 35.0j, math.sqrt(MW), 2 * MW, 0.5 * MW, N)
-        got = single_user_covariance_check(*args, seed=3, power_split=split)
-        rows = verify._noisy_rows
-
-        def with_oracle_signal(maps, rng, scale):
-            (x, w, g), = maps
-            old = _old_conv4_signal(np.random.default_rng(3), x.size, 2 * MW,
-                                    split)
-            assert np.array_equal(x, old)
-            return rows([(old, w, g)], rng, scale)
-
-        monkeypatch.setattr(verify, "_noisy_rows", with_oracle_signal)
-        want = single_user_covariance_check(*args, seed=3, power_split=split)
-        assert _report_bytes([got]) == _report_bytes([want])
+    @pytest.mark.parametrize("split", [0.0, 0.5, 1.0])
+    def test_report_equals_in_memory_oracle(self, split):
+        # the oracle: np.cov of the whole rows, and of each of the 16
+        # batches (the last n % 16 samples in none)
+        n, args = 100_003, (20.0 + 35.0j, math.sqrt(MW), 2 * MW, 0.5 * MW)
+        got = single_user_covariance_check(*args, n, seed=3, power_split=split)
+        rows = _conv4_rows(n, 3, *args, split)
+        batch = n // 16
+        dets = np.array([det_small(np.cov(rows[:, i * batch:(i + 1) * batch],
+                                          ddof=1)) for i in range(16)])
+        assert got.estimate == pytest.approx(
+            det_small(np.cov(rows, ddof=1)), rel=1e-12, abs=0.0)
+        assert got.stderr == pytest.approx(
+            np.std(dets, ddof=1) / 4.0, rel=1e-12, abs=0.0)
 
 
 class TestJointCovariance:
@@ -359,31 +387,53 @@ class TestConcurrentSuite:
 
 
 class TestNoisyRows:
-    """The in-place rows equal the whole-array construction bit for bit."""
+    """The streamed rows equal the whole-array construction bit for bit."""
 
     @pytest.mark.parametrize("n", [1000, BLOCK, 2 * BLOCK + 123])
-    def test_joint_rows_equal_whole_array_form(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g_x, g_w, s = 30.0 + 40.0j, -5.0 + 2.0j, 0.7
-        rows = verify._noisy_rows([(x, w, g_x), (w, x, g_w)],
-                                  np.random.default_rng(9), s)
-        y_r, y_i = real_imag_decompose(x, w, g_x)
-        z_r, z_i = real_imag_decompose(w, x, g_w)
-        noise = np.random.default_rng(9)
-        whole = np.vstack([v + s * noise.standard_normal(n)
-                           for v in (y_r, y_i, z_r, z_i)])
-        assert rows.tobytes() == whole.tobytes()
+    def test_joint_rows_equal_whole_array_form(self, n, monkeypatch):
+        args = (30.0 + 40.0j, -5.0 + 2.0j, PowerPair(MW, 2 * MW), 0.7 * MW)
+        got = _streamed_rows(monkeypatch, joint_covariance_check, *args, n,
+                             seed=n)
+        assert got.tobytes() == _conv6_rows(n, n, *args).tobytes()
 
     @pytest.mark.parametrize("n", [777, 3 * BLOCK - 1])
-    def test_scalar_interferer_equals_full_array(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w, s = 0.3 - 0.8j, 1.3
-        rows = verify._noisy_rows([(x, w, 50.0j)], np.random.default_rng(1),
-                                  s)
-        noise = np.random.default_rng(1)
-        whole = np.vstack([v + s * noise.standard_normal(n) for v in
-                           real_imag_decompose(x, np.full(n, w), 50.0j)])
-        assert rows.tobytes() == whole.tobytes()
+    def test_scalar_interferer_equals_full_array(self, n, monkeypatch):
+        w = 0.3 - 0.8j
+        got = _streamed_rows(monkeypatch, single_user_covariance_check,
+                             50.0j, w, MW, 1.3 * MW, n, seed=1)
+        want = _conv4_rows(n, 1, 50.0j, np.full(n, w), MW, 1.3 * MW, 0.5)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCoMoments:
+    """Co-moments merged over blocks against np.cov of the whole sample."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1, 2, 4]), n=st.integers(2, 4000),
+           seed=st.integers(0, 2 ** 32 - 1),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=12))
+    def test_merged_over_block_splits_equal_np_cov(self, k, n, seed, cuts):
+        rng = np.random.default_rng(seed)
+        # correlated rows with offsets, as the checks' quadratures are
+        sample = (rng.standard_normal((k, k)) @ rng.standard_normal((k, n))
+                  + rng.uniform(-3.0, 3.0, (k, 1)))
+        edges = sorted({0, n, *(int(c * n) for c in cuts)})
+        count, mean, m2 = reduce(verify._merge, (
+            verify._comoments(sample[:, a:b].copy())
+            for a, b in zip(edges, edges[1:])))
+        want = np.atleast_2d(np.cov(sample, ddof=1))
+        assert count == n
+        assert np.abs(m2 / (n - 1) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.allclose(mean, sample.mean(axis=1), rtol=1e-12, atol=1e-12)
+
+    def test_peak_memory_does_not_grow_with_the_sample(self):
+        peaks = []
+        for n in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                joint_covariance_check(30.0 + 40.0j, 30.0 + 40.0j,
+                                       PowerPair(MW, MW), MW, n, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1_000_000
