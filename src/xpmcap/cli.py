@@ -33,7 +33,7 @@ from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
 from .config import ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      ToolkitError)
-from .pulses import PulseShape, TimeFreqGrid
+from .pulses import PulseShape
 from .regions import build_region, dominant_face_midpoint, excess_area
 from .svgout import render_curves, render_regions
 from .verify import run_suite
@@ -201,14 +201,12 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
         # The manifest records the link the tensors were computed on.
         ctx.config = dataclasses.replace(cfg, link=link)
     pulse = PulseShape(**cfg.pulse)
-    tx, report = coefficient_tensor(link, pulse,
-                                    TimeFreqGrid.for_link(link, pulse))
+    tx, report = coefficient_tensor(link, pulse)
     for tensor in (tx, receiver_w_tensor(tx)):
         ctx.write(f"tensor_{tensor.user}.json",
                   _json_text(tensor.to_json_dict()))
     # The quadrature's layout is run telemetry: the manifest, not the file.
-    ctx.diagnostics = {k: report.pop(k) for k in ("pad_factor", "levels",
-                       "nodes_evaluated", "quad_workers")}
+    ctx.diagnostics = report.pop("diagnostics")
     ctx.diagnostics.update(residual=report["residual"],
                            blas_threads=blas_threads())
     # One quadrature serves both receivers, so both share its report.

@@ -12,14 +12,15 @@ pulse, additionally delayed by the accumulated walk-off between the two
 carriers as seen by receiver x. coefficient_tensor evaluates receiver x's
 whole (2M+1)^3 window in one quadrature; receiver w's window is its lag
 reversal (receiver_w_tensor). The distance integral uses composite
-Gauss-Legendre panels and the time integral a trapezoid sum on the
-sampling grid, at the pulse's samples_per_symbol (TimeFreqGrid.for_link);
-one two-level comparison checks both, the coarse level with half the
-panels on a grid with half the samples per symbol. A node mirrors its
-phase factors from half the frequency bins, views each lag shift in a
-periodically extended buffer and runs real matmuls of planar rows over
-the interferer pairs m <= p (b_pm = b_mp*), in groups of pairs whose
-rows stay within _PAIR_BYTES. Each
+Gauss-Legendre panels and the time integral a trapezoid sum on a grid
+the engine derives from the link and the pulse: the window of
+_window_symbols, padded _pad_factor-fold, at the pulse's
+samples_per_symbol. One two-level comparison checks both, the coarse
+level with half the panels at half the samples per symbol. A node
+mirrors its phase factors from half the frequency bins, views each lag
+shift in a periodically extended buffer and runs real matmuls of planar
+rows over the interferer pairs m <= p (b_pm = b_mp*), in groups of pairs
+whose rows stay within _PAIR_BYTES. Each
 level is its even half (Gauss-Legendre panels 0, 2, ...) plus its odd
 half (panels 1, 3, ...), each half one sum over its nodes, so the tensor
 has the same bits whether one process or two (a forked child takes the
@@ -54,6 +55,10 @@ USERS = ("x", "w")
 DEFAULT_Z_NODES = 64
 DEFAULT_QUAD_RTOL = 1e-6
 
+#: Cap on the window _window_symbols derives, in symbol periods: 16 times
+#: the reference link's, which covers memory 246 on it or a 7000 km span at
+#: memory 5; beyond it GridError is raised before anything is allocated.
+_MAX_WINDOW_SYMBOLS = 1024
 #: Hard cap on the internal zero-padding factor (memory guard).
 _MAX_PAD_FACTOR = 32
 #: Bytes of one slab of interferer pair rows in _panel_sums: pairs are
@@ -185,19 +190,43 @@ def _gauss_legendre_nodes(length_km: float, panels: int, nodes: int):
     return half * x + mid, half * w
 
 
-def _pad_factor(link: LinkParams, grid: TimeFreqGrid) -> int:
-    """Power-of-two enlargement so delays cannot wrap around the window."""
+def _window_symbols(link: LinkParams) -> int:
+    """Symbol periods of the coefficient window before padding: the fewest,
+    a power of two, that cover the coefficient lags, 4(M+1) symbol periods,
+    plus the dispersion-induced pulse spread at the far end of the span;
+    _pad_factor adds room for the walk-off between carriers. Raises
+    GridError if that exceeds _MAX_WINDOW_SYMBOLS."""
+    T = link.symbol_period
+    try:
+        lags = 4 * (link.memory + 1) * T
+    except OverflowError:  # a memory too large for a float
+        lags = math.inf
+    needed, n_symbols = lags + link.dispersion_spread_s(link.length_km), 1
+    while n_symbols * T < needed:
+        if n_symbols == _MAX_WINDOW_SYMBOLS:
+            raise GridError(
+                f"time window {n_symbols * T:.3e} s is smaller than the "
+                f"{needed:.3e} s required by memory {link.memory} and the "
+                f"dispersion spread at {link.length_km} km")
+        n_symbols *= 2
+    return n_symbols
+
+
+def _pad_factor(link: LinkParams, n_symbols: int) -> int:
+    """Power-of-two enlargement of an n_symbols window so delays cannot
+    wrap around it."""
+    span = n_symbols * link.symbol_period
     reach = (abs(link.walkoff_delay_s(link.length_km))
              + link.memory * link.symbol_period)
-    needed = grid.t_span + 2.0 * reach
+    needed = span + 2.0 * reach
     factor = 1
-    while factor * grid.t_span < needed:
+    while factor * span < needed:
         factor *= 2
         if factor > _MAX_PAD_FACTOR:
             raise GridError(
-                "walk-off delay exceeds the largest supported internal "
-                "window; reduce channel spacing, span length or enlarge "
-                "the grid")
+                "walk-off between the carriers exceeds the largest supported "
+                "internal window; reduce channel_spacing_hz, length_km or "
+                "the magnitude of beta2_ps2_per_km")
     return factor
 
 
@@ -225,14 +254,14 @@ def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
     return max(1, math.ceil(max(slide, lengths) / 32))
 
 
-def _level(link: LinkParams, pulse: PulseShape, grid: TimeFreqGrid):
-    """A level's padded grid, whole samples per symbol and pulse spectrum."""
+def _level(link: LinkParams, pulse: PulseShape, step: int):
+    """A level at step samples per symbol: its grid (the coefficient window
+    padded _pad_factor-fold), step and the pulse spectrum on the grid."""
+    n_symbols = _window_symbols(link)
+    n_symbols *= _pad_factor(link, n_symbols)
     T = link.symbol_period
-    pgrid = grid.scaled(_pad_factor(link, grid))
-    step = T / pgrid.dt
-    if abs(step - round(step)) > 1e-9 * step:
-        raise GridError(f"{step:.6g} samples per symbol is not a whole number")
-    return pgrid, round(step), np.fft.fft(pulse.samples(pgrid, T))
+    pgrid = TimeFreqGrid(step * n_symbols, n_symbols * T)
+    return pgrid, step, np.fft.fft(pulse.samples(pgrid, T))
 
 
 def _phases(link: LinkParams, omega: np.ndarray, z: float):
@@ -312,15 +341,15 @@ def _panel_sums(link: LinkParams, level, zs, wq):
 def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
                  z_nodes: int):
     """Raw quadrature of the overlap kernel over the lag window at each
-    (grid, panels) level, finest last: 2j gamma dt * sum_k w_k e^(-alpha
-    z_k) sum_t (overlap at z_k). Returns (processes, [values per level]).
-    Each level is its even half (panels 0, 2, ...) plus its odd half
-    (panels 1, 3, ...). With blas_workers() at 2 and two finest-level
-    panels or more, a forked child computes the odd halves and this
-    process the even ones; else this process computes both. Panel counts
-    are powers of two, so each process gets half of every level that has
-    two panels or more."""
-    setups = [_level(link, pulse, grid) for grid, _ in levels]
+    (samples per symbol, panels) level, finest last: 2j gamma dt * sum_k
+    w_k e^(-alpha z_k) sum_t (overlap at z_k). Returns (processes, [values
+    per level]). Each level is its even half (panels 0, 2, ...) plus its
+    odd half (panels 1, 3, ...). With blas_workers() at 2 and two
+    finest-level panels or more, a forked child computes the odd halves
+    and this process the even ones; else this process computes both. An
+    odd panel count leaves the even half one panel more (3 panels: 2 here
+    and 1 in the child)."""
+    setups = [_level(link, pulse, step) for step, _ in levels]
     nodes = [_gauss_legendre_nodes(link.length_km, panels, z_nodes)
              for _, panels in levels]
 
@@ -355,61 +384,61 @@ def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
                        values=tx.values[::-1, ::-1, ::-1], link=tx.link)
 
 
-def coefficient_tensor(link: LinkParams, pulse: PulseShape,
-                       grid: TimeFreqGrid):
+def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     """Receiver x's full (2M+1)^3 coefficient window and the report of its
-    two-level quadrature (z_nodes, panels, refinements, residual, rtol;
-    pad_factor, levels, nodes_evaluated, quad_workers).
+    two-level quadrature: z_nodes, panels, refinements, residual and rtol,
+    and under "diagnostics" the quadrature's layout (pad_factor, levels,
+    nodes_evaluated, quad_workers).
 
-    The panels of _initial_panels on a grid with half the samples per
-    symbol are compared with twice the panels on the full grid
-    (DEFAULT_Z_NODES nodes each; _window_sums may fork to compute each
-    level's two halves, by panel parity, in two processes), and the fine
-    level is returned. Raises QuadratureError when the two differ by more
-    than DEFAULT_QUAD_RTOL relative (max-norm), so the one residual bounds
-    the time and the distance discretisation together.
+    The link and the pulse fix the grid: the window of _window_symbols
+    (GridError beyond its cap), padded _pad_factor-fold. The panels of
+    _initial_panels at half the pulse's samples_per_symbol are compared
+    with twice the panels at the full rate (DEFAULT_Z_NODES nodes each;
+    _window_sums may fork to compute each level's two halves, by panel
+    parity, in two processes), and the fine level is returned. Raises
+    QuadratureError when the two differ by more than DEFAULT_QUAD_RTOL
+    relative (max-norm), so the one residual bounds the time and the
+    distance discretisation together.
 
     Dispersion and walk-off are all-pass, so the four-pulse overlap keeps
     a one-sided band of at most 2(1+beta)/T for roll-off beta, and the
     trapezoid sum of a periodic, band-limited integrand is exact once the
     sample rate exceeds that band (Trefethen & Weideman, SIAM Rev. 56(3),
-    2014). On the grid of TimeFreqGrid.for_link, at the pulse's
-    samples_per_symbol, the coarse level of a sinc or RRC runs at 4 per
-    symbol, still above the band, so only leakage from the truncated
-    window is left; the Gaussian's unbounded spectrum takes 16.
+    2014). At 8 samples per symbol the coarse level of a sinc or RRC runs
+    at 4 per symbol, still above the band, so only leakage from the
+    truncated window is left; the Gaussian's unbounded spectrum takes 16.
 
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.
     """
-    grid.check_covers(link)
+    n_symbols = _window_symbols(link)
+    diagnostics = {"pad_factor": 1, "levels": [], "nodes_evaluated": 0,
+                   "quad_workers": 1}
     report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
-              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL, "pad_factor": 1,
-              "levels": [], "nodes_evaluated": 0, "quad_workers": 1}
+              "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL,
+              "diagnostics": diagnostics}
     fine = np.zeros((2 * link.memory + 1,) * 3, complex)
     if link.length_km != 0.0 and link.gamma != 0.0:
         base_panels = _initial_panels(link, pulse)
-        half_grid = TimeFreqGrid(grid.n_samples // 2, grid.t_span)
-        panels = 2 * base_panels
-        workers, (coarse, fine) = _window_sums(
-            link, pulse, [(half_grid, base_panels), (grid, panels)],
-            DEFAULT_Z_NODES)
+        step, panels = pulse.samples_per_symbol, 2 * base_panels
+        levels = [(step // 2, base_panels), (step, panels)]
+        workers, (coarse, fine) = _window_sums(link, pulse, levels,
+                                               DEFAULT_Z_NODES)
         scale = float(np.max(np.abs(fine)))
         change = float(np.max(np.abs(fine - coarse)))
         residual = 0.0 if scale == 0.0 else change / scale
         if not residual <= DEFAULT_QUAD_RTOL:  # a NaN residual fails too
-            sps = link.symbol_period / grid.dt
             raise QuadratureError(
                 f"quadrature residual {residual:.3e} above tolerance "
-                f"{DEFAULT_QUAD_RTOL:.1e} between {sps / 2:g} samples per "
-                f"symbol at {base_panels} panels and {sps:g} samples per "
+                f"{DEFAULT_QUAD_RTOL:.1e} between {step // 2} samples per "
+                f"symbol at {base_panels} panels and {step} samples per "
                 f"symbol at {panels} panels", residual)
-        pad = _pad_factor(link, grid)  # set by t_span: one for both levels
-        report.update(
-            panels=panels, refinements=1, residual=residual, pad_factor=pad,
-            quad_workers=workers,
+        pad = _pad_factor(link, n_symbols)  # the same for both levels
+        report.update(panels=panels, refinements=1, residual=residual)
+        diagnostics.update(
+            pad_factor=pad, quad_workers=workers,
             nodes_evaluated=(base_panels + panels) * DEFAULT_Z_NODES,
-            levels=[{"padded_n": pad * g.n_samples, "panels": p,
-                     "samples_per_symbol": round(link.symbol_period / g.dt)}
-                    for g, p in ((half_grid, base_panels), (grid, panels))])
+            levels=[{"padded_n": pad * n_symbols * s, "panels": p,
+                     "samples_per_symbol": s} for s, p in levels])
     return CoeffTensor(user="x", memory=link.memory, values=fine,
                        link=link.to_dict()), report

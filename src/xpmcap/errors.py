@@ -18,7 +18,7 @@ class NumericalError(ToolkitError):
 
 
 class GridError(NumericalError):
-    """Sampling grid too small for the requested propagation distance."""
+    """Coefficient window or its walk-off padding beyond the engine's caps."""
 
 
 class QuadratureError(NumericalError):

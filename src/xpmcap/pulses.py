@@ -12,21 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, GridError
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import LinkParams
+from .errors import ConfigError
 
 PULSE_KINDS = ("nyquist-sinc", "root-raised-cosine", "gaussian")
-
-#: Cap on the window for_link derives, in symbol periods: 16 times the
-#: reference link's, which covers memory 246 on it or a 7000 km span at
-#: memory 5; beyond it GridError is raised before anything is allocated.
-_MAX_WINDOW_SYMBOLS = 1024
 
 
 @dataclass(frozen=True)
@@ -134,41 +125,3 @@ class TimeFreqGrid:
     @cached_property
     def omega(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
-
-    @classmethod
-    def for_link(cls, link: LinkParams, pulse: PulseShape) -> "TimeFreqGrid":
-        """The coefficient grid of link for pulse: the fewest symbol periods,
-        a power of two, that check_covers accepts, at the pulse's
-        samples_per_symbol. Raises GridError if that exceeds
-        _MAX_WINDOW_SYMBOLS."""
-        needed, T, n_symbols = _needed_span(link), link.symbol_period, 1
-        while n_symbols * T < needed and n_symbols < _MAX_WINDOW_SYMBOLS:
-            n_symbols *= 2
-        grid = cls(pulse.samples_per_symbol * n_symbols, n_symbols * T)
-        grid.check_covers(link)
-        return grid
-
-    def check_covers(self, link: LinkParams) -> None:
-        """Require the window to cover the coefficient lags plus the
-        dispersion-induced pulse spread at the far end of the span; the
-        engine pads for the walk-off between carriers itself."""
-        needed = _needed_span(link)
-        if self.t_span < needed:
-            raise GridError(
-                f"time window {self.t_span:.3e} s is smaller than the "
-                f"{needed:.3e} s required by memory {link.memory} and the "
-                f"dispersion spread at {link.length_km} km")
-
-    def scaled(self, factor: int) -> "TimeFreqGrid":
-        """Same dt, window enlarged by an integer power-of-two factor."""
-        return TimeFreqGrid(self.n_samples * factor, self.t_span * factor)
-
-
-def _needed_span(link: LinkParams) -> float:
-    """check_covers' window: 4(M+1) symbol periods plus the spread; inf for
-    a memory too large for a float."""
-    try:
-        lags = 4 * (link.memory + 1) * link.symbol_period
-    except OverflowError:
-        lags = math.inf
-    return lags + link.dispersion_spread_s(link.length_km)

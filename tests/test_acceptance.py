@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xpmcap as xc
-from xpmcap.coefficients import _pad_factor
+from xpmcap.coefficients import _level
 
 SIGMA_SQ = 1.0e-3  # calibrated default: 2 sigma^2 = 2.0 mW
 MW = 1e-3
@@ -181,26 +181,25 @@ def test_criterion_7_simulator_equivalence():
     _announce(7, "full-memory simulator vs brute-force oracle")
 
 
-def test_criterion_8_coefficient_engine():
+def test_criterion_8_coefficient_engine(monkeypatch):
     link = xc.LinkParams()
     pulse = xc.PulseShape()
-    grid = xc.TimeFreqGrid.for_link(link, pulse)
 
-    def center_tap(link, pulse, grid=grid):
-        tensor, _ = xc.coefficient_tensor(link, pulse, grid)
+    def center_tap(link, pulse):
+        tensor, _ = xc.coefficient_tensor(link, pulse)
         return tensor.get(0, 0, 0)
 
     # zero-dispersion closed form at 1e-6 relative (grid-consistent pulse);
     # the closed form and the linearity pair need only the centre tap, so
-    # they run on the one-entry window, padded as the full one is
+    # they run on the one-entry window, whose padded grid is the full one's
     one_tap = dataclasses.replace(link, memory=0)
-    assert _pad_factor(one_tap, grid) == _pad_factor(link, grid)
+    step = pulse.samples_per_symbol
+    assert _level(one_tap, pulse, step)[0] == _level(link, pulse, step)[0]
     link0 = dataclasses.replace(one_tap, beta2_ps2_per_km=0.0)
     gauss = xc.PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-    ggrid = xc.TimeFreqGrid.for_link(link0, gauss)  # the Gaussian's rate
-    c0 = center_tap(link0, gauss, ggrid)
-    g0 = gauss.samples(ggrid.scaled(_pad_factor(link0, ggrid)),
-                       link0.symbol_period)
+    c0 = center_tap(link0, gauss)
+    ggrid = _level(link0, gauss, gauss.samples_per_symbol)[0]
+    g0 = gauss.samples(ggrid, link0.symbol_period)
     closed = 2j * link0.gamma * xc.effective_length(
         link0.alpha_db_per_km, link0.length_km) * ggrid.dt * float(
             np.sum(np.abs(g0) ** 4))
@@ -213,13 +212,13 @@ def test_criterion_8_coefficient_engine():
     assert abs(c_2g - 2 * c_1g) <= 1e-12 * abs(c_2g)
 
     # center tap is purely imaginary for the real power profile
-    coarse, _ = xc.coefficient_tensor(link, pulse, grid)
+    coarse, _ = xc.coefficient_tensor(link, pulse)
     c000 = coarse.get(0, 0, 0)
     assert abs(c000.real) <= 1e-9 * abs(c000)
 
-    # doubling the time grid moves every entry by < 1e-4 relative
-    fine, _ = xc.coefficient_tensor(
-        link, pulse, xc.TimeFreqGrid(2 * grid.n_samples, grid.t_span))
+    # doubling the sample rate moves every entry by < 1e-4 relative
+    monkeypatch.setattr(xc.PulseShape, "samples_per_symbol", 2 * step)
+    fine, _ = xc.coefficient_tensor(link, pulse)
     rel = np.abs(fine.values - coarse.values) / np.abs(fine.values)
     assert float(rel.max()) < 1e-4
 

@@ -19,7 +19,7 @@ from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.config import _SECTIONS, LinkParams, PowerPair, load_config
-from xpmcap.pulses import PulseShape, TimeFreqGrid
+from xpmcap.pulses import PulseShape
 from xpmcap.workers import blas_threads, blas_workers, cpu_workers
 
 REPO = Path(__file__).resolve().parents[1]
@@ -137,13 +137,14 @@ class TestCoeffsCommand:
         assert fine["panels"] == report["panels"] == 2 * coarse["panels"]
         assert diagnostics["nodes_evaluated"] == report["z_nodes"] * (
             coarse["panels"] + fine["panels"])
-        # the grid derived from the recorded link, padded pad_factor-fold
+        # the window derived from the recorded link, padded pad_factor-fold
         manifest = json.loads((out / "coeffs-manifest.json").read_text())
         pulse = PulseShape(**manifest["config"]["pulse"])
-        grid = TimeFreqGrid.for_link(LinkParams(**manifest["config"]["link"]),
-                                     pulse)
+        n_symbols = coefficients._window_symbols(
+            LinkParams(**manifest["config"]["link"]))
         assert fine == {
-            "padded_n": grid.n_samples * diagnostics["pad_factor"],
+            "padded_n": n_symbols * diagnostics["pad_factor"]
+            * pulse.samples_per_symbol,
             "samples_per_symbol": pulse.samples_per_symbol,
             "panels": fine["panels"]}
         assert coarse["padded_n"] == fine["padded_n"] // 2
@@ -156,9 +157,7 @@ class TestCoeffsCommand:
                     "coeffs", "--memory", "6"]) == 0
         tx = json.loads((out / "tensor_x.json").read_text())
         assert len(tx["entries"]) == 13 ** 3
-        link = LinkParams(**tx["link"])
-        with pytest.raises(xpmcap.GridError):
-            TimeFreqGrid(512, 32 * link.symbol_period).check_covers(link)
+        assert coefficients._window_symbols(LinkParams(**tx["link"])) == 64
         diagnostics = json.loads(
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert diagnostics["residual"] <= 1e-6
@@ -173,6 +172,19 @@ class TestCoeffsCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: time window"), err
         assert err.count("\n") == 1 and "required by memory" in err, err
+
+    def test_walkoff_beyond_the_pad_cap_exits_3(self, tmp_path, capsys):
+        # 1 THz apart on the reference link, the carriers walk off by about
+        # 1090 symbol periods: the padded window would need 64 + 2 x 1096,
+        # more than 32 times the 64-symbol window
+        text = (REPO / "configs" / "reference.yaml").read_text()
+        text = text.replace("channel_spacing_hz: 50.0e9",
+                            "channel_spacing_hz: 1.0e12")
+        assert run([*config_file(tmp_path, text), "--out-dir",
+                    str(tmp_path / "out"), "--quiet", "coeffs"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: walk-off"), err
+        assert err.count("\n") == 1 and "grid" not in err, err
 
     def test_full_rolloff_rrc_converges(self, tmp_path):
         # roll-off 1 doubles the RRC's bandwidth; its panels follow

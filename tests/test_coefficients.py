@@ -11,77 +11,84 @@ from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
                                  receiver_w_tensor, _gauss_legendre_nodes,
                                  _initial_panels, _level, _pad_factor,
-                                 _panel_sums, _phases, _window_sums)
+                                 _panel_sums, _phases, _window_sums,
+                                 _window_symbols)
 from xpmcap.config import LinkParams, effective_length, load_config
 from xpmcap.errors import ConfigError, GridError, QuadratureError
-from xpmcap.pulses import PulseShape, TimeFreqGrid
+from xpmcap.pulses import PulseShape
 
 # Short span keeps the dispersion spread small so unit tests run on a
-# 1024-sample grid in milliseconds; the default setup is exercised by the
-# acceptance suite.
+# 16-symbol window, padded to 64, in milliseconds; the default setup is
+# exercised by the acceptance suite.
 SHORT = LinkParams(length_km=50.0, memory=1)
 T = SHORT.symbol_period
-GRID = TimeFreqGrid(1024, 32 * T)
 SINC = PulseShape()
 GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
 
 
-def window_sum(link, pulse, grid, panels, z_nodes):
-    """The engine's raw window at one (grid, panels) level."""
-    return _window_sums(link, pulse, [(grid, panels)], z_nodes)[1][0]
+def window_sum(link, pulse, panels, z_nodes):
+    """The engine's raw window at the pulse's rate and the given panels."""
+    level = (pulse.samples_per_symbol, panels)
+    return _window_sums(link, pulse, [level], z_nodes)[1][0]
 
 
 @pytest.fixture(scope="module")
 def short_pair():
-    tx, _ = coefficient_tensor(SHORT, SINC, GRID)
+    tx, _ = coefficient_tensor(SHORT, SINC)
     return tx, receiver_w_tensor(tx)
 
 
-def center_tap(link, pulse, grid):
-    tensor, _ = coefficient_tensor(link, pulse, grid)
+def center_tap(link, pulse):
+    tensor, _ = coefficient_tensor(link, pulse)
     return tensor.get(0, 0, 0)
 
 
 class TestKernelLimits:
     def test_zero_length_gives_zero(self):
         link = dataclasses.replace(SHORT, length_km=0.0)
-        tensor, _ = coefficient_tensor(link, SINC, GRID)
+        tensor, _ = coefficient_tensor(link, SINC)
         assert np.all(tensor.values == 0)
 
     def test_zero_dispersion_closed_form_gaussian(self):
         link = dataclasses.replace(SHORT, beta2_ps2_per_km=0.0)
-        c = center_tap(link, GAUSS, GRID)
-        g0 = GAUSS.samples(GRID.scaled(_pad_factor(link, GRID)), T)
-        fourth = GRID.dt * float(np.sum(np.abs(g0) ** 4))
+        c = center_tap(link, GAUSS)
+        grid = _level(link, GAUSS, GAUSS.samples_per_symbol)[0]
+        g0 = GAUSS.samples(grid, T)
+        fourth = grid.dt * float(np.sum(np.abs(g0) ** 4))
         expected = 2j * link.gamma * effective_length(
             link.alpha_db_per_km, link.length_km) * fourth
         assert c.real == pytest.approx(0.0, abs=1e-9 * abs(c))
         assert abs(c - expected) / abs(expected) < 1e-6
 
     def test_zero_dispersion_closed_form_sinc_no_memory(self):
-        # memory 0 needs no padding, so the user grid is the compute grid
+        # memory 0 without walk-off needs no padding: the derived window
+        # is the compute grid. Its 4 symbol periods cut the sinc's tails,
+        # which coefficient_tensor's two-level check refuses, so the
+        # closed form checks the fine level's sum
         link = dataclasses.replace(SHORT, beta2_ps2_per_km=0.0, memory=0)
-        assert _pad_factor(link, GRID) == 1
-        c = center_tap(link, SINC, GRID)
-        g0 = SINC.samples(GRID, T)
+        assert _pad_factor(link, _window_symbols(link)) == 1
+        panels = 2 * _initial_panels(link, SINC)
+        c = window_sum(link, SINC, panels, 64)[0, 0, 0]
+        grid = _level(link, SINC, SINC.samples_per_symbol)[0]
+        g0 = SINC.samples(grid, T)
         expected = 2j * link.gamma * effective_length(
-            link.alpha_db_per_km, link.length_km) * GRID.dt * float(
+            link.alpha_db_per_km, link.length_km) * grid.dt * float(
                 np.sum(np.abs(g0) ** 4))
         assert abs(c - expected) / abs(expected) < 1e-6
 
     def test_gamma_linearity_exact(self):
         doubled = dataclasses.replace(SHORT, gamma=2 * SHORT.gamma)
-        c1 = coefficient_tensor(SHORT, SINC, GRID)[0].get(1, 0, -1)
-        c2 = coefficient_tensor(doubled, SINC, GRID)[0].get(1, 0, -1)
+        c1 = coefficient_tensor(SHORT, SINC)[0].get(1, 0, -1)
+        c2 = coefficient_tensor(doubled, SINC)[0].get(1, 0, -1)
         assert abs(c2 - 2 * c1) <= 1e-12 * abs(c2)
 
 
 class TestTensor:
     def test_memory_zero_collapses_to_single_entry(self):
         link = dataclasses.replace(SHORT, memory=0)
-        tensor, report = coefficient_tensor(link, SINC, GRID)
+        tensor, report = coefficient_tensor(link, SINC)
         assert tensor.values.shape == (1, 1, 1)
-        single = _ramp_window_sum(link, SINC, GRID, report["panels"], 64)
+        single = _ramp_window_sum(link, SINC, report["panels"], 64)
         assert tensor.get(0, 0, 0) == pytest.approx(single[0, 0, 0],
                                                     rel=1e-12)
 
@@ -104,10 +111,10 @@ class TestTensor:
         tx, tw = short_pair
         assert tw.get(0, 0, 0) == pytest.approx(tx.get(0, 0, 0), rel=1e-9)
 
-    def test_grid_refinement_is_cauchy(self):
-        coarse, _ = coefficient_tensor(SHORT, SINC, GRID)
-        fine, _ = coefficient_tensor(
-            SHORT, SINC, TimeFreqGrid(2 * GRID.n_samples, GRID.t_span))
+    def test_grid_refinement_is_cauchy(self, monkeypatch):
+        coarse, _ = coefficient_tensor(SHORT, SINC)
+        monkeypatch.setattr(PulseShape, "samples_per_symbol", 16)
+        fine, _ = coefficient_tensor(SHORT, SINC)
         rel = np.abs(fine.values - coarse.values) / np.abs(fine.values)
         assert float(rel.max()) < 1e-4
 
@@ -119,7 +126,7 @@ class TestTensor:
         # receiver x's window from the independent phase-ramp kernel
         # coefficient_tensor's finer level
         panels = 2 * _initial_panels(SHORT, SINC)
-        rx = _ramp_window_sum(SHORT, SINC, GRID, panels, 64)
+        rx = _ramp_window_sum(SHORT, SINC, panels, 64)
         M = SHORT.memory
         for l, m, p in [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]:
             single = rx[M - l, M - m, M - p]
@@ -128,26 +135,66 @@ class TestTensor:
             receiver_w_tensor(tw)
 
 
+class TestWindow:
+    """_window_symbols: the engine's coefficient window before padding."""
+
+    def test_covers_reference_span(self):
+        # the reference span's dispersion spread is about 35 symbols, so
+        # 16 symbol periods are too few even at memory 1; the pulse sets
+        # only the sample rate
+        for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
+            assert _window_symbols(LinkParams(memory=memory)) == n_symbols
+
+    # spans and rates whose window stays within the 1024-symbol cap
+    @given(length_km=st.floats(0.0, 1000.0),
+           beta2_sign=st.sampled_from([-1.0, 1.0]),
+           baud_rate=st.floats(1e9, 64e9),
+           memory=st.integers(0, 20))
+    def test_is_the_least_power_of_two_window(
+            self, length_km, beta2_sign, baud_rate, memory):
+        link = LinkParams(length_km=length_km,
+                          beta2_ps2_per_km=beta2_sign * 21.7,
+                          baud_rate=baud_rate, memory=memory)
+        n_symbols = _window_symbols(link)
+        assert n_symbols & (n_symbols - 1) == 0
+        # the lags plus the dispersion spread at the far end of the span
+        needed = (4 * (memory + 1) * link.symbol_period
+                  + link.dispersion_spread_s(length_km))
+        assert n_symbols * link.symbol_period >= needed
+        assert n_symbols // 2 * link.symbol_period < needed
+
+    @pytest.mark.parametrize("link", [
+        LinkParams(memory=247),
+        LinkParams(length_km=1e20),
+        LinkParams(length_km=1e300, beta2_ps2_per_km=1e300),  # spread inf
+        LinkParams(memory=10 ** 400)],  # beyond any float
+        ids=["memory", "length", "overflow", "huge-memory"])
+    def test_refuses_a_window_beyond_its_cap(self, link):
+        with pytest.raises(GridError, match="required by memory"):
+            _window_symbols(link)
+        assert _window_symbols(LinkParams(memory=246)) == 1024
+
+
 class TestQuadrature:
     def test_z_node_doubling_converged(self):
         panels = _initial_panels(SHORT, SINC)
-        a = window_sum(SHORT, SINC, GRID, panels, 64)
-        b = window_sum(SHORT, SINC, GRID, panels, 128)
+        a = window_sum(SHORT, SINC, panels, 64)
+        b = window_sum(SHORT, SINC, panels, 128)
         assert abs(b - a).max() / abs(b).max() < 1e-6
 
     def test_non_convergent_quadrature_reports_residual(self, monkeypatch):
         monkeypatch.setattr(coefficients, "DEFAULT_Z_NODES", 2)
         with pytest.raises(QuadratureError) as err:
-            coefficient_tensor(SHORT, SINC, GRID)
+            coefficient_tensor(SHORT, SINC)
         assert err.value.residual > 1e-6
 
-    def test_under_sampled_time_grid_reports_residual(self):
+    def test_under_sampled_time_grid_reports_residual(self, monkeypatch):
         # 2 samples per symbol: the coarse level at 1 sample per symbol
         # cannot resolve the pulse, so the residual exposes the time grid
-        grid = TimeFreqGrid(64, 32 * T)
+        monkeypatch.setattr(PulseShape, "samples_per_symbol", 2)
         with pytest.raises(QuadratureError, match="1 samples per symbol .* "
                            "2 samples per symbol") as err:
-            coefficient_tensor(SHORT, SINC, grid)
+            coefficient_tensor(SHORT, SINC)
         assert err.value.residual > 1e-2
 
     def test_initial_panels_track_walkoff(self):
@@ -179,14 +226,20 @@ class TestQuadrature:
 
 class TestTwoProcesses:
     def test_values_do_not_depend_on_process_count(self, monkeypatch):
-        runs = []
-        for workers in (1, 2, 2):
-            monkeypatch.setattr(coefficients, "blas_workers", lambda: workers)
-            tensor, report = coefficient_tensor(SHORT, GAUSS, GRID)
-            assert report["panels"] >= 2
-            assert report["quad_workers"] == workers
-            runs.append(tensor.values)
-        assert all(np.array_equal(v, runs[0]) for v in runs[1:])
+        # 1 + 2 panels, and the RRC at roll-off 0.25 on the reference link,
+        # 3 + 6: odd counts leave the child one panel fewer
+        rrc = PulseShape(kind="root-raised-cosine", rolloff=0.25)
+        for link, pulse, panels in ((SHORT, GAUSS, 2),
+                                    (LinkParams(memory=1), rrc, 6)):
+            runs = []
+            for workers in (1, 2, 2):
+                monkeypatch.setattr(coefficients, "blas_workers",
+                                    lambda: workers)
+                tensor, report = coefficient_tensor(link, pulse)
+                assert report["panels"] == panels
+                assert report["diagnostics"]["quad_workers"] == workers
+                runs.append(tensor.values)
+            assert all(np.array_equal(v, runs[0]) for v in runs[1:])
 
     def test_parent_runs_even_panels(self, monkeypatch):
         # as on configs/reference.yaml: 2 coarse and 4 fine panels; this
@@ -201,7 +254,7 @@ class TestTwoProcesses:
 
         monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
         monkeypatch.setattr(coefficients, "_panel_sums", recording)
-        levels = [(TimeFreqGrid(512, GRID.t_span), 2), (GRID, 4)]
+        levels = [(4, 2), (8, 4)]
         workers, sums = _window_sums(SHORT, SINC, levels, 8)
         assert workers == 2
         # one call per level: panels (0, 0), then (1, 0) and (1, 2)
@@ -216,17 +269,18 @@ class TestTwoProcesses:
     def test_one_panel_runs_inline(self, monkeypatch):
         monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
         monkeypatch.setattr(coefficients, "forked", None)
-        workers, (values,) = _window_sums(SHORT, SINC, [(GRID, 1)], 64)
+        workers, (values,) = _window_sums(SHORT, SINC, [(8, 1)], 64)
         assert workers == 1
-        assert np.array_equal(values, window_sum(SHORT, SINC, GRID, 1, 64))
+        assert np.array_equal(values, window_sum(SHORT, SINC, 1, 64))
 
 
-def _ramp_window_sum(link, pulse, grid, panels, z_nodes):
-    """Reference kernel over the whole window: every lag shift a phase ramp
-    with its own inverse FFT, and all (2M+1)^2 pair products formed."""
+def _ramp_window_sum(link, pulse, panels, z_nodes):
+    """Reference kernel over the whole window, on the engine's padded grid
+    at the pulse's rate: every lag shift a phase ramp with its own inverse
+    FFT, and all (2M+1)^2 pair products formed."""
     T = link.symbol_period
     ls = ms = ps = range(-link.memory, link.memory + 1)
-    pgrid = grid.scaled(_pad_factor(link, grid))
+    pgrid = _level(link, pulse, pulse.samples_per_symbol)[0]
     spec0 = np.fft.fft(pulse.samples(pgrid, T))
     w = pgrid.omega
     ramp_l = np.stack([np.exp(-1j * w * (l * T)) for l in ls])
@@ -256,20 +310,9 @@ class TestKernelOracle:
                              ids=["window-sinc", "window-gauss"])
     def test_matches_phase_ramp_kernel(self, pulse):
         panels = _initial_panels(SHORT, pulse)
-        fast = window_sum(SHORT, pulse, GRID, panels, 64)
-        slow = _ramp_window_sum(SHORT, pulse, GRID, panels, 64)
+        fast = window_sum(SHORT, pulse, panels, 64)
+        slow = _ramp_window_sum(SHORT, pulse, panels, 64)
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
-
-    def test_fractional_samples_per_symbol_rejected(self):
-        grid = TimeFreqGrid(1024, 30.5 * T)
-        with pytest.raises(GridError):
-            window_sum(SHORT, SINC, grid, 1, 64)
-
-    def test_odd_samples_per_symbol_rejected(self):
-        # the coarse level runs at half the grid's samples per symbol,
-        # which must stay whole
-        with pytest.raises(GridError, match="0.5 samples per symbol"):
-            coefficient_tensor(SHORT, SINC, TimeFreqGrid(32, 32 * T))
 
 
 def _complex_panel_sums(link, level, zs, wq):
@@ -309,7 +352,7 @@ class TestRealArithmeticOracle:
     @pytest.mark.parametrize("pulse", [SINC, GAUSS], ids=["sinc", "gauss"])
     def test_matches_complex_node(self, pulse, memory):
         link = dataclasses.replace(SHORT, memory=memory)
-        level = _level(link, pulse, GRID)
+        level = _level(link, pulse, pulse.samples_per_symbol)
         # four panels or more, so that each half holds two or more
         zs, wq = _gauss_legendre_nodes(
             link.length_km, 4 * _initial_panels(link, pulse), 64)
@@ -320,19 +363,18 @@ class TestRealArithmeticOracle:
 
 
 def _phase_cases():
-    """(link, pulse, grid, panels): configs/reference.yaml's coarse and
-    fine levels, and one Gaussian-pulse link."""
+    """(link, pulse, samples per symbol, panels): configs/reference.yaml's
+    coarse and fine levels, and one Gaussian-pulse link."""
     cfg = load_config(str(Path(__file__).resolve().parents[1]
                           / "configs" / "reference.yaml"))
     pulse = PulseShape(**cfg.pulse)
-    grid = TimeFreqGrid.for_link(cfg.link, pulse)
+    step = pulse.samples_per_symbol
     panels = _initial_panels(cfg.link, pulse)
     link = LinkParams(length_km=100.0, memory=2)
     gauss = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-    return [(cfg.link, pulse,
-             TimeFreqGrid(grid.n_samples // 2, grid.t_span), panels),
-            (cfg.link, pulse, grid, 2 * panels),
-            (link, gauss, TimeFreqGrid.for_link(link, gauss),
+    return [(cfg.link, pulse, step // 2, panels),
+            (cfg.link, pulse, step, 2 * panels),
+            (link, gauss, gauss.samples_per_symbol,
              _initial_panels(link, gauss))]
 
 
@@ -344,8 +386,8 @@ class TestMirroredPhases:
                              ids=["reference-coarse", "reference-fine",
                                   "gaussian"])
     def test_mirror_equals_full_exponentials(self, case):
-        link, pulse, grid, panels = case
-        w = _level(link, pulse, grid)[0].omega
+        link, pulse, step, panels = case
+        w = _level(link, pulse, step)[0].omega
         n = len(w)
         k = np.arange(1, n // 2)
         assert np.array_equal(w[n - k], -w[k])
@@ -363,8 +405,7 @@ def gauss_window():
     link, computed once for both of its tests."""
     link = TestGaussianDispersionOracle.LINK
     pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
-    tx, _ = coefficient_tensor(link, pulse,
-                               TimeFreqGrid.for_link(link, pulse))
+    tx, _ = coefficient_tensor(link, pulse)
     return tx
 
 
@@ -383,8 +424,7 @@ class TestWindowTruncation:
         shares = []
         for memory in (1, 3, 5):
             link = dataclasses.replace(cfg.link, memory=memory)
-            tensor, _ = coefficient_tensor(
-                link, pulse, TimeFreqGrid.for_link(link, pulse))
+            tensor, _ = coefficient_tensor(link, pulse)
             assert np.all(np.diagonal(tensor.values[memory]).imag > 0)
             shares.append(tensor.coherent_gains()[memory].imag / limit)
         assert 0 < shares[0] < shares[1] < shares[2] < 1, shares
@@ -396,13 +436,12 @@ class TestDerivedSampleRate:
     both exceed the band of the four-pulse overlap, so the trapezoid sums
     agree to rounding and window leakage."""
 
-    def test_twice_the_samples_agree(self):
+    def test_twice_the_samples_agree(self, monkeypatch):
         link = LinkParams(memory=1)  # the reference link
-        grid = TimeFreqGrid.for_link(link, SINC)
-        assert link.symbol_period / grid.dt == 8
-        derived, _ = coefficient_tensor(link, SINC, grid)
-        twice, _ = coefficient_tensor(
-            link, SINC, TimeFreqGrid(2 * grid.n_samples, grid.t_span))
+        derived, report = coefficient_tensor(link, SINC)
+        assert report["diagnostics"]["levels"][-1]["samples_per_symbol"] == 8
+        monkeypatch.setattr(PulseShape, "samples_per_symbol", 16)
+        twice, _ = coefficient_tensor(link, SINC)
         scale = np.abs(twice.values).max()
         assert np.abs(derived.values - twice.values).max() <= 1e-10 * scale
 
@@ -414,7 +453,7 @@ class TestPairGroups:
 
     def test_small_budget_matches_one_group(self, monkeypatch):
         link = dataclasses.replace(SHORT, memory=2)
-        level = _level(link, SINC, GRID)
+        level = _level(link, SINC, SINC.samples_per_symbol)
         zs, wq = _gauss_legendre_nodes(link.length_km, 1, 16)
         one = _panel_sums(link, level, zs, wq)
         # the slab holds side = 5 rows: d = 0 | 1 | 2, 3 | 4
@@ -425,7 +464,7 @@ class TestPairGroups:
     def test_reference_link_takes_one_group(self):
         # up to memory 12, so its tensors keep their bytes
         link = LinkParams(memory=12)
-        pgrid, _, _ = _level(link, SINC, TimeFreqGrid.for_link(link, SINC))
+        pgrid, _, _ = _level(link, SINC, SINC.samples_per_symbol)
         side = 2 * link.memory + 1
         npair = side * (side + 1) // 2
         assert 2 * npair * pgrid.n_samples * 8 <= coefficients._PAIR_BYTES
@@ -494,8 +533,7 @@ class TestGaussianDispersionOracle:
                           channel_spacing_hz=spacing_hz, memory=1)
         w_s = width * link.symbol_period
         pulse = PulseShape(kind="gaussian", width_s=w_s)
-        tx, _ = coefficient_tensor(link, pulse,
-                                   TimeFreqGrid.for_link(link, pulse))
+        tx, _ = coefficient_tensor(link, pulse)
         # entries far below the window's largest carry no relative accuracy
         size = np.abs(tx.values)
         lags = [tuple(int(i) - link.memory for i in idx)

@@ -1,11 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from xpmcap.config import LinkParams
-from xpmcap.errors import ConfigError, GridError
+from xpmcap.errors import ConfigError
 from xpmcap.pulses import PULSE_KINDS, PulseShape, TimeFreqGrid
 
 LINK = LinkParams()
@@ -77,48 +74,3 @@ class TestGrid:
         assert grid.dt == pytest.approx(T / 64)
         assert grid.times.size == 4096
         assert grid.omega.size == 4096
-
-    def test_for_link_default_covers_reference_span(self):
-        # the reference span's dispersion spread is about 35 symbols; the
-        # window does not depend on the pulse, the sample rate does
-        for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
-            link = dataclasses.replace(LINK, memory=memory)
-            for pulse, rate in ((SINC, 8), (GAUSS, 16)):
-                grid = TimeFreqGrid.for_link(link, pulse)
-                assert grid.n_samples == rate * n_symbols
-                assert grid.t_span == n_symbols * T
-
-    # spans and rates whose window stays within the 1024-symbol cap
-    @given(length_km=st.floats(0.0, 1000.0),
-           beta2_sign=st.sampled_from([-1.0, 1.0]),
-           baud_rate=st.floats(1e9, 64e9),
-           memory=st.integers(0, 20),
-           pulse=st.sampled_from([SINC, GAUSS]))
-    def test_for_link_is_the_least_power_of_two_window(
-            self, length_km, beta2_sign, baud_rate, memory, pulse):
-        link = LinkParams(length_km=length_km,
-                          beta2_ps2_per_km=beta2_sign * 21.7,
-                          baud_rate=baud_rate, memory=memory)
-        grid = TimeFreqGrid.for_link(link, pulse)
-        grid.check_covers(link)
-        n_symbols, rest = divmod(grid.n_samples, pulse.samples_per_symbol)
-        assert rest == 0 and n_symbols & (n_symbols - 1) == 0
-        assert grid.t_span == n_symbols * link.symbol_period
-        with pytest.raises(GridError):
-            TimeFreqGrid(grid.n_samples // 2,
-                         grid.t_span / 2).check_covers(link)
-
-    @pytest.mark.parametrize("link", [
-        dataclasses.replace(LINK, memory=247),
-        dataclasses.replace(LINK, length_km=1e20),
-        LinkParams(length_km=1e300, beta2_ps2_per_km=1e300),  # spread inf
-        dataclasses.replace(LINK, memory=10 ** 400)],  # beyond any float
-        ids=["memory", "length", "overflow", "huge-memory"])
-    def test_for_link_refuses_a_window_beyond_its_cap(self, link):
-        with pytest.raises(GridError, match="required by memory"):
-            TimeFreqGrid.for_link(link, SINC)
-        TimeFreqGrid.for_link(dataclasses.replace(LINK, memory=246), SINC)
-
-    def test_too_small_window_rejected(self):
-        with pytest.raises(GridError):
-            TimeFreqGrid(1024, 16 * T).check_covers(LINK)
