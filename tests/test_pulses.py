@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from xpmcap import coefficients
+from xpmcap.coefficients import _level, _pad_factor, _window_symbols
 from xpmcap.config import LinkParams
-from xpmcap.errors import ConfigError
+from xpmcap.errors import ConfigError, GridError
 from xpmcap.pulses import PULSE_KINDS, PulseShape, TimeFreqGrid
 
 LINK = LinkParams()
@@ -74,3 +78,26 @@ class TestGrid:
         assert grid.dt == pytest.approx(T / 64)
         assert grid.times.size == 4096
         assert grid.omega.size == 4096
+
+    def test_for_link_default_covers_reference_span(self):
+        # the grid the coefficient engine derives for a link: the reference
+        # span's dispersion spread of about 35 symbols sets the window, the
+        # pulse only the sample rate
+        for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
+            link = dataclasses.replace(LINK, memory=memory)
+            pad = _pad_factor(link, n_symbols)
+            assert _window_symbols(link) == n_symbols
+            for pulse, rate in ((SINC, 8), (GAUSS, 16)):
+                grid, step, _ = _level(link, pulse, pulse.samples_per_symbol)
+                assert step == rate
+                assert grid.n_samples == rate * n_symbols * pad
+                assert grid.t_span == n_symbols * pad * T
+
+    def test_too_small_window_rejected(self, monkeypatch):
+        # 16 symbol periods do not cover the reference link even at memory
+        # 1, so a window capped there is refused before any grid is built
+        monkeypatch.setattr(coefficients, "_MAX_WINDOW_SYMBOLS", 16)
+        with pytest.raises(GridError, match="required by memory"):
+            _window_symbols(LINK)
+        with pytest.raises(GridError, match="required by memory"):
+            _level(dataclasses.replace(LINK, memory=1), SINC, 8)
