@@ -17,7 +17,7 @@ from .config import (LinkParams, NoiseParams, PowerPair, ase_noise_variance,
 from .errors import (BoundDomainError, ConfigError, GridError,
                      NoDominantFaceError, NumericalError, QuadratureError,
                      SampleBudgetError, ToolkitError)
-from .pulses import PulseShape, TimeFreqGrid
+from .pulses import PulseShape
 from .regions import (Region2D, build_region, dominant_face_midpoint,
                       excess_area, intersect)
 from .verify import (CheckReport, det_trace_check, joint_covariance_check,
@@ -37,7 +37,7 @@ __all__ = [
     "dbm_to_watts", "effective_length", "load_config",
     "BoundDomainError", "ConfigError", "GridError", "NoDominantFaceError",
     "NumericalError", "QuadratureError", "SampleBudgetError", "ToolkitError",
-    "PulseShape", "TimeFreqGrid",
+    "PulseShape",
     "Region2D", "build_region", "dominant_face_midpoint", "excess_area",
     "intersect",
     "CheckReport", "det_trace_check", "joint_covariance_check",

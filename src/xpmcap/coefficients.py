@@ -12,22 +12,22 @@ pulse, additionally delayed by the accumulated walk-off between the two
 carriers as seen by receiver x. coefficient_tensor evaluates receiver x's
 whole (2M+1)^3 window in one quadrature; receiver w's window is its lag
 reversal (receiver_w_tensor). The distance integral uses composite
-Gauss-Legendre panels and the time integral a trapezoid sum on a grid
-the engine derives from the link and the pulse: the window of
-_window_symbols, padded _pad_factor-fold, at the pulse's
-samples_per_symbol. One two-level comparison checks both, the coarse
+Gauss-Legendre panels (_initial_panels) and the time integral a
+trapezoid sum on a grid sized once per tensor from the link: the window
+and pad factor of _window, sampled at the pulse's samples_per_symbol by
+each level (_level). One two-level comparison checks both, the coarse
 level with half the panels at half the samples per symbol. A node
 mirrors its phase factors from half the frequency bins, views each lag
 shift in a periodically extended buffer and runs real matmuls of planar
 rows over the interferer pairs m <= p (b_pm = b_mp*), in groups of pairs
-whose rows stay within _PAIR_BYTES. Each
-level is its even half (Gauss-Legendre panels 0, 2, ...) plus its odd
-half (panels 1, 3, ...), each half one sum over its nodes, so the tensor
-has the same bits whether one process or two (a forked child takes the
-odd halves, when blas_workers() allows) compute them.
+whose rows stay within _PAIR_BYTES. Each level is its even half
+(Gauss-Legendre panels 0, 2, ...) plus its odd half (panels 1, 3, ...),
+each half one sum over its nodes, so the tensor has the same bits
+whether one process or two (a forked child takes the odd halves, when
+blas_workers() allows) compute them.
 
 The carriers walk apart by up to tens of symbol periods over a span, so
-delays are applied on a grid _pad_factor times wider (same dt), where the
+delays are applied on a grid pad-factor times wider (same dt), where the
 periodic transform cannot wrap the interferer onto the channel of
 interest. The pulse is sampled and renormalised across all of it, not
 zero-padded, so the tensor depends on the pad factor (reference config,
@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import LinkParams
 from .errors import ConfigError, GridError, QuadratureError
-from .pulses import PulseShape, TimeFreqGrid
+from .pulses import PulseShape
 from .workers import blas_workers, forked
 
 USERS = ("x", "w")
@@ -55,8 +55,13 @@ USERS = ("x", "w")
 DEFAULT_Z_NODES = 64
 DEFAULT_QUAD_RTOL = 1e-6
 
-#: Cap on the window _window_symbols derives, in symbol periods: 16 times
-#: the reference link's, which covers memory 246 on it or a 7000 km span at
+#: Least window _window derives, in symbol periods: the pulse's own tails
+#: must fit where the lags and the dispersion spread need fewer. At zero
+#: dispersion and memory 0 the sinc's 1/t tails fail the two-level check
+#: at 8 (residual 4.4e-6) and pass at 16 (5.4e-7).
+_MIN_WINDOW_SYMBOLS = 16
+#: Cap on the window _window derives, in symbol periods: 16 times the
+#: reference link's, which covers memory 246 on it or a 7000 km span at
 #: memory 5; beyond it GridError is raised before anything is allocated.
 _MAX_WINDOW_SYMBOLS = 1024
 #: Hard cap on the internal zero-padding factor (memory guard).
@@ -190,18 +195,24 @@ def _gauss_legendre_nodes(length_km: float, panels: int, nodes: int):
     return half * x + mid, half * w
 
 
-def _window_symbols(link: LinkParams) -> int:
-    """Symbol periods of the coefficient window before padding: the fewest,
-    a power of two, that cover the coefficient lags, 4(M+1) symbol periods,
-    plus the dispersion-induced pulse spread at the far end of the span;
-    _pad_factor adds room for the walk-off between carriers. Raises
-    GridError if that exceeds _MAX_WINDOW_SYMBOLS."""
+def _window(link: LinkParams) -> tuple[int, int]:
+    """The coefficient window in symbol periods and its pad factor.
+
+    The window is the fewest symbol periods, a power of two and at least
+    _MIN_WINDOW_SYMBOLS, that cover the coefficient lags, 4(M+1) symbol
+    periods, plus the dispersion-induced pulse spread at the far end of
+    the span. The pad factor is the least power of two that widens it by
+    the reach of the delays, the walk-off plus M symbol periods, on either
+    side, so that they cannot wrap around it. Raises GridError beyond
+    _MAX_WINDOW_SYMBOLS or _MAX_PAD_FACTOR.
+    """
     T = link.symbol_period
     try:
         lags = 4 * (link.memory + 1) * T
     except OverflowError:  # a memory too large for a float
         lags = math.inf
-    needed, n_symbols = lags + link.dispersion_spread_s(link.length_km), 1
+    needed = lags + link.dispersion_spread_s(link.length_km)
+    n_symbols = _MIN_WINDOW_SYMBOLS
     while n_symbols * T < needed:
         if n_symbols == _MAX_WINDOW_SYMBOLS:
             raise GridError(
@@ -209,38 +220,39 @@ def _window_symbols(link: LinkParams) -> int:
                 f"{needed:.3e} s required by memory {link.memory} and the "
                 f"dispersion spread at {link.length_km} km")
         n_symbols *= 2
-    return n_symbols
-
-
-def _pad_factor(link: LinkParams, n_symbols: int) -> int:
-    """Power-of-two enlargement of an n_symbols window so delays cannot
-    wrap around it."""
-    span = n_symbols * link.symbol_period
-    reach = (abs(link.walkoff_delay_s(link.length_km))
-             + link.memory * link.symbol_period)
+    span = n_symbols * T
+    reach = abs(link.walkoff_delay_s(link.length_km)) + link.memory * T
     needed = span + 2.0 * reach
-    factor = 1
-    while factor * span < needed:
-        factor *= 2
-        if factor > _MAX_PAD_FACTOR:
+    pad = 1
+    while pad * span < needed:
+        pad *= 2
+        if pad > _MAX_PAD_FACTOR:
             raise GridError(
                 "walk-off between the carriers exceeds the largest supported "
                 "internal window; reduce channel_spacing_hz, length_km or "
                 "the magnitude of beta2_ps2_per_km")
-    return factor
+    return n_symbols, pad
 
 
 def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
     """Panel count resolving the distance integrand.
 
-    The overlap kernel varies on the distance over which the carriers
-    slide one time scale past each other, and on the dispersion length
-    over which a pulse spreads by one time scale. The scale is the symbol
+    The overlap kernel depends on z through the walk-off phase omega tau(z)
+    and the dispersion phase beta2 z omega^2 / 2. Over the band of a pulse
+    of time scale s, the first varies on the distance over which the
+    carriers slide s past each other, slide = |tau(L)| / s of them along
+    the span, and the second on the dispersion length over which a pulse
+    spreads by s, lengths = L |beta2| / s^2 of them. Both phases enter one
+    factor, so their rates add: the integrand varies on up to slide +
+    lengths such distances, and sizing by the larger alone leaves the
+    panels short where both matter (the Gaussian of width T/3 on the
+    reference link, 123 + 28: at 4 panels the two-level residual is
+    3.8e-6 from memory 8 on, at 5 it is 1.8e-7). The scale is the symbol
     period T for the sinc, T/(1+beta) for a root-raised cosine of roll-off
     beta, whose spectrum is 1+beta times as wide, or T (2w/T)^2 for a
     Gaussian of width w < T/2 (on widths T/4 to T/2 the panels needed grow
     as 1/w^2). Gauss-Legendre converges spectrally once each panel of 64
-    nodes holds at most 32 of either: the count is the fewest whole panels
+    nodes holds at most 32 of them: the count is the fewest whole panels
     that do.
     """
     T = link.symbol_period
@@ -251,17 +263,18 @@ def _initial_panels(link: LinkParams, pulse: PulseShape) -> int:
         scale = T * min(1.0, (2.0 * pulse.width_s / T) ** 2)
     slide = abs(link.walkoff_delay_s(link.length_km)) / scale
     lengths = link.length_km * abs(link.beta2_s2_per_km) / scale ** 2
-    return max(1, math.ceil(max(slide, lengths) / 32))
+    return max(1, math.ceil((slide + lengths) / 32))
 
 
-def _level(link: LinkParams, pulse: PulseShape, step: int):
-    """A level at step samples per symbol: its grid (the coefficient window
-    padded _pad_factor-fold), step and the pulse spectrum on the grid."""
-    n_symbols = _window_symbols(link)
-    n_symbols *= _pad_factor(link, n_symbols)
+def _level(link: LinkParams, pulse: PulseShape, padded: int, step: int):
+    """A level at step samples per symbol on the padded window of padded
+    symbol periods: its sample count n, sample spacing dt, angular
+    frequencies omega (FFT order), step and the pulse spectrum."""
     T = link.symbol_period
-    pgrid = TimeFreqGrid(step * n_symbols, n_symbols * T)
-    return pgrid, step, np.fft.fft(pulse.samples(pgrid, T))
+    n = step * padded
+    dt = (padded * T) / n
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+    return n, dt, omega, step, np.fft.fft(pulse.samples(n, dt, T))
 
 
 def _phases(link: LinkParams, omega: np.ndarray, z: float):
@@ -288,8 +301,8 @@ def _panel_sums(link: LinkParams, level, zs, wq):
     RI). Each group holds whole d and at most cap rows: as many as fit in
     _PAIR_BYTES, or the side rows of d = 0 where those are more.
     """
-    pgrid, step, spec0 = level
-    n, M = pgrid.n_samples, link.memory
+    n, _, omega, step, spec0 = level
+    M = link.memory
     side, o, npair = 2 * M + 1, M * step, (M + 1) * (2 * M + 1)
     # ext[i] = x[(i - 3o) mod n], x = g then gw*: roll(x, k s) starts at
     # (3M - k) s. uh[d, j] = u_d[(j - o) mod n]: roll(u_d, m s) at (M - m) s.
@@ -319,7 +332,7 @@ def _panel_sums(link: LinkParams, level, zs, wq):
     mi, pi = np.array(pairs).T
     acc = np.zeros((2 * side, 2, npair))
     for z, wz in zip(zs.flat, (wq * np.exp(-link.alpha_np_per_km * zs)).flat):
-        disp_phase, walk_phase = _phases(link, pgrid.omega, z)
+        disp_phase, walk_phase = _phases(link, omega, z)
         disp = spec0 * disp_phase
         g, gw = np.fft.ifft(disp), np.fft.ifft(disp * walk_phase)
         np.take(g, ext_at, out=ext, mode="wrap")
@@ -338,10 +351,11 @@ def _panel_sums(link: LinkParams, level, zs, wq):
     return values
 
 
-def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
-                 z_nodes: int):
-    """Raw quadrature of the overlap kernel over the lag window at each
-    (samples per symbol, panels) level, finest last: 2j gamma dt * sum_k
+def _window_sums(link: LinkParams, pulse: PulseShape, padded: int,
+                 levels: list, z_nodes: int):
+    """Raw quadrature of the overlap kernel over the lag window, on the
+    padded window of padded symbol periods, at each (samples per symbol,
+    panels) level, finest last: 2j gamma dt * sum_k
     w_k e^(-alpha z_k) sum_t (overlap at z_k). Returns (processes, [values
     per level]). Each level is its even half (panels 0, 2, ...) plus its
     odd half (panels 1, 3, ...). With blas_workers() at 2 and two
@@ -349,7 +363,7 @@ def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
     and this process the even ones; else this process computes both. An
     odd panel count leaves the even half one panel more (3 panels: 2 here
     and 1 in the child)."""
-    setups = [_level(link, pulse, step) for step, _ in levels]
+    setups = [_level(link, pulse, padded, step) for step, _ in levels]
     nodes = [_gauss_legendre_nodes(link.length_km, panels, z_nodes)
              for _, panels in levels]
 
@@ -365,8 +379,8 @@ def _window_sums(link: LinkParams, pulse: PulseShape, levels: list,
                     "quadrature panels of each level") as (even, fh):
             raw = np.frombuffer(fh.read(), dtype=np.complex128)
         odd = raw.reshape(len(levels), *even[0].shape)
-    return workers, [(2j * link.gamma * pgrid.dt) * (e + o)
-                     for (pgrid, _, _), e, o in zip(setups, even, odd)]
+    return workers, [(2j * link.gamma * dt) * (e + o)
+                     for (_, dt, _, _, _), e, o in zip(setups, even, odd)]
 
 
 def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
@@ -390,10 +404,12 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     and under "diagnostics" the quadrature's layout (pad_factor, levels,
     nodes_evaluated, quad_workers).
 
-    The link and the pulse fix the grid: the window of _window_symbols
-    (GridError beyond its cap), padded _pad_factor-fold. The panels of
-    _initial_panels at half the pulse's samples_per_symbol are compared
-    with twice the panels at the full rate (DEFAULT_Z_NODES nodes each;
+    The link fixes the grid, derived once: the window of _window, at
+    least _MIN_WINDOW_SYMBOLS symbol periods so that the pulse's tails
+    fit, and its pad factor (GridError beyond either cap). The panels of
+    _initial_panels, which resolve the walk-off and the dispersion
+    together, at half the pulse's samples_per_symbol are compared with
+    twice the panels at the full rate (DEFAULT_Z_NODES nodes each;
     _window_sums may fork to compute each level's two halves, by panel
     parity, in two processes), and the fine level is returned. Raises
     QuadratureError when the two differ by more than DEFAULT_QUAD_RTOL
@@ -411,7 +427,7 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     Receiver w's window is this one with every lag reversed; get it with
     receiver_w_tensor.
     """
-    n_symbols = _window_symbols(link)
+    n_symbols, pad = _window(link)
     diagnostics = {"pad_factor": 1, "levels": [], "nodes_evaluated": 0,
                    "quad_workers": 1}
     report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
@@ -422,8 +438,8 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
         base_panels = _initial_panels(link, pulse)
         step, panels = pulse.samples_per_symbol, 2 * base_panels
         levels = [(step // 2, base_panels), (step, panels)]
-        workers, (coarse, fine) = _window_sums(link, pulse, levels,
-                                               DEFAULT_Z_NODES)
+        workers, (coarse, fine) = _window_sums(
+            link, pulse, n_symbols * pad, levels, DEFAULT_Z_NODES)
         scale = float(np.max(np.abs(fine)))
         change = float(np.max(np.abs(fine - coarse)))
         residual = 0.0 if scale == 0.0 else change / scale
@@ -433,7 +449,6 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
                 f"{DEFAULT_QUAD_RTOL:.1e} between {step // 2} samples per "
                 f"symbol at {base_panels} panels and {step} samples per "
                 f"symbol at {panels} panels", residual)
-        pad = _pad_factor(link, n_symbols)  # the same for both levels
         report.update(panels=panels, refinements=1, residual=residual)
         diagnostics.update(
             pad_factor=pad, quad_workers=workers,

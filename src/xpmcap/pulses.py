@@ -1,4 +1,4 @@
-"""Sampled transmit pulses and the uniform time grid they live on.
+"""Sampled transmit pulses.
 
 The coefficient engine propagates them: chromatic dispersion and walk-off
 delays are applied as all-pass filters in the frequency domain, so pulse
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +56,10 @@ class PulseShape:
         needs 16 (at 8 its residual exceeds 1e-6 at width T/3)."""
         return 16 if self.kind == "gaussian" else 8
 
-    def samples(self, grid: "TimeFreqGrid", symbol_period: float) -> np.ndarray:
-        """Complex baseband samples on the grid, unit energy (trapezoid)."""
-        t = grid.times
+    def samples(self, n: int, dt: float, symbol_period: float) -> np.ndarray:
+        """Complex baseband samples at the times (k - n//2) dt, k = 0 ..
+        n-1, unit energy (trapezoid)."""
+        t = (np.arange(n) - n // 2) * dt
         T = symbol_period
         if self.kind == "nyquist-sinc":
             g = np.sinc(t / T)
@@ -68,7 +68,7 @@ class PulseShape:
         else:
             g = np.exp(-(t ** 2) / (2.0 * self.width_s ** 2))
         g = g.astype(np.complex128)
-        energy = grid.dt * float(np.sum(np.abs(g) ** 2))
+        energy = dt * float(np.sum(np.abs(g) ** 2))
         if energy <= 0:
             raise ConfigError("pulse has no energy on this grid")
         return g / math.sqrt(energy)
@@ -95,33 +95,3 @@ def _rrc(t: np.ndarray, T: float, beta: float) -> np.ndarray:
         + (1 - 2 / np.pi) * math.cos(np.pi / (4 * beta)))
     return out
 
-
-@dataclass(frozen=True)
-class TimeFreqGrid:
-    """Uniform time grid with its FFT frequency companion.
-
-    n_samples must be a power of two; t_span is the total window (s).
-    """
-
-    n_samples: int
-    t_span: float
-
-    def __post_init__(self):
-        if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
-            raise ConfigError("n_samples must be a power of two >= 2")
-        if not (isinstance(self.t_span, (int, float)) and self.t_span > 0
-                and math.isfinite(self.t_span)):
-            raise ConfigError("t_span must be finite and > 0")
-
-    @property
-    def dt(self) -> float:
-        return self.t_span / self.n_samples
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        n = self.n_samples
-        return (np.arange(n) - n // 2) * self.dt
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)

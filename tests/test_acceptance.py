@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xpmcap as xc
-from xpmcap.coefficients import _level
+from xpmcap.coefficients import _level, _window
 
 SIGMA_SQ = 1.0e-3  # calibrated default: 2 sigma^2 = 2.0 mW
 MW = 1e-3
@@ -193,15 +193,16 @@ def test_criterion_8_coefficient_engine(monkeypatch):
     # the closed form and the linearity pair need only the centre tap, so
     # they run on the one-entry window, whose padded grid is the full one's
     one_tap = dataclasses.replace(link, memory=0)
-    step = pulse.samples_per_symbol
-    assert _level(one_tap, pulse, step)[0] == _level(link, pulse, step)[0]
+    assert _window(one_tap) == _window(link)
     link0 = dataclasses.replace(one_tap, beta2_ps2_per_km=0.0)
     gauss = xc.PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
     c0 = center_tap(link0, gauss)
-    ggrid = _level(link0, gauss, gauss.samples_per_symbol)[0]
-    g0 = gauss.samples(ggrid, link0.symbol_period)
+    n_symbols, pad = _window(link0)
+    n, dt = _level(link0, gauss, n_symbols * pad,
+                   gauss.samples_per_symbol)[:2]
+    g0 = gauss.samples(n, dt, link0.symbol_period)
     closed = 2j * link0.gamma * xc.effective_length(
-        link0.alpha_db_per_km, link0.length_km) * ggrid.dt * float(
+        link0.alpha_db_per_km, link0.length_km) * dt * float(
             np.sum(np.abs(g0) ** 4))
     assert abs(c0 - closed) / abs(closed) < 1e-6
 
@@ -217,7 +218,8 @@ def test_criterion_8_coefficient_engine(monkeypatch):
     assert abs(c000.real) <= 1e-9 * abs(c000)
 
     # doubling the sample rate moves every entry by < 1e-4 relative
-    monkeypatch.setattr(xc.PulseShape, "samples_per_symbol", 2 * step)
+    monkeypatch.setattr(xc.PulseShape, "samples_per_symbol",
+                        2 * pulse.samples_per_symbol)
     fine, _ = xc.coefficient_tensor(link, pulse)
     rel = np.abs(fine.values - coarse.values) / np.abs(fine.values)
     assert float(rel.max()) < 1e-4

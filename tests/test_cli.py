@@ -140,10 +140,11 @@ class TestCoeffsCommand:
         # the window derived from the recorded link, padded pad_factor-fold
         manifest = json.loads((out / "coeffs-manifest.json").read_text())
         pulse = PulseShape(**manifest["config"]["pulse"])
-        n_symbols = coefficients._window_symbols(
+        n_symbols, pad = coefficients._window(
             LinkParams(**manifest["config"]["link"]))
+        assert diagnostics["pad_factor"] == pad
         assert fine == {
-            "padded_n": n_symbols * diagnostics["pad_factor"]
+            "padded_n": n_symbols * pad
             * pulse.samples_per_symbol,
             "samples_per_symbol": pulse.samples_per_symbol,
             "panels": fine["panels"]}
@@ -157,7 +158,7 @@ class TestCoeffsCommand:
                     "coeffs", "--memory", "6"]) == 0
         tx = json.loads((out / "tensor_x.json").read_text())
         assert len(tx["entries"]) == 13 ** 3
-        assert coefficients._window_symbols(LinkParams(**tx["link"])) == 64
+        assert coefficients._window(LinkParams(**tx["link"]))[0] == 64
         diagnostics = json.loads(
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert diagnostics["residual"] <= 1e-6
@@ -187,7 +188,8 @@ class TestCoeffsCommand:
         assert err.count("\n") == 1 and "grid" not in err, err
 
     def test_full_rolloff_rrc_converges(self, tmp_path):
-        # roll-off 1 doubles the RRC's bandwidth; its panels follow
+        # roll-off 1 doubles the RRC's bandwidth; its panels follow, 5 for
+        # the walk-off and dispersion together
         out = tmp_path / "rrc"
         assert run([*config_file(tmp_path, "pulse: {kind: root-raised-cosine,"
                                  " rolloff: 1.0}\n"),
@@ -196,7 +198,7 @@ class TestCoeffsCommand:
             (out / "coeffs-manifest.json").read_text())["diagnostics"]
         assert diagnostics["residual"] <= 1e-6
         assert diagnostics["levels"][1] == {
-            "padded_n": 2048, "samples_per_symbol": 8, "panels": 8}
+            "padded_n": 2048, "samples_per_symbol": 8, "panels": 10}
 
     def test_two_processes_write_the_same_bytes(self, tmp_path, config_path,
                                                 monkeypatch):

@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from xpmcap import coefficients
 from xpmcap.coefficients import (CoeffTensor, coefficient_tensor,
                                  receiver_w_tensor, _gauss_legendre_nodes,
-                                 _initial_panels, _level, _pad_factor,
-                                 _panel_sums, _phases, _window_sums,
-                                 _window_symbols)
+                                 _initial_panels, _level, _panel_sums,
+                                 _phases, _window, _window_sums)
 from xpmcap.config import LinkParams, effective_length, load_config
 from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape
@@ -26,10 +25,23 @@ SINC = PulseShape()
 GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
 
 
+def padded(link):
+    """Symbol periods of the engine's padded window for the link."""
+    n_symbols, pad = _window(link)
+    return n_symbols * pad
+
+
+def level(link, pulse, step=None):
+    """The engine's level for the link, at the pulse's rate by default:
+    (n, dt, omega, step, pulse spectrum)."""
+    return _level(link, pulse, padded(link),
+                  step or pulse.samples_per_symbol)
+
+
 def window_sum(link, pulse, panels, z_nodes):
     """The engine's raw window at the pulse's rate and the given panels."""
-    level = (pulse.samples_per_symbol, panels)
-    return _window_sums(link, pulse, [level], z_nodes)[1][0]
+    levels = [(pulse.samples_per_symbol, panels)]
+    return _window_sums(link, pulse, padded(link), levels, z_nodes)[1][0]
 
 
 @pytest.fixture(scope="module")
@@ -52,29 +64,39 @@ class TestKernelLimits:
     def test_zero_dispersion_closed_form_gaussian(self):
         link = dataclasses.replace(SHORT, beta2_ps2_per_km=0.0)
         c = center_tap(link, GAUSS)
-        grid = _level(link, GAUSS, GAUSS.samples_per_symbol)[0]
-        g0 = GAUSS.samples(grid, T)
-        fourth = grid.dt * float(np.sum(np.abs(g0) ** 4))
+        n, dt = level(link, GAUSS)[:2]
+        g0 = GAUSS.samples(n, dt, T)
+        fourth = dt * float(np.sum(np.abs(g0) ** 4))
         expected = 2j * link.gamma * effective_length(
             link.alpha_db_per_km, link.length_km) * fourth
         assert c.real == pytest.approx(0.0, abs=1e-9 * abs(c))
         assert abs(c - expected) / abs(expected) < 1e-6
 
     def test_zero_dispersion_closed_form_sinc_no_memory(self):
-        # memory 0 without walk-off needs no padding: the derived window
-        # is the compute grid. Its 4 symbol periods cut the sinc's tails,
-        # which coefficient_tensor's two-level check refuses, so the
-        # closed form checks the fine level's sum
+        # memory 0 without walk-off needs no padding: the derived window,
+        # the 16-symbol floor that holds the sinc's tails, is the grid
         link = dataclasses.replace(SHORT, beta2_ps2_per_km=0.0, memory=0)
-        assert _pad_factor(link, _window_symbols(link)) == 1
-        panels = 2 * _initial_panels(link, SINC)
-        c = window_sum(link, SINC, panels, 64)[0, 0, 0]
-        grid = _level(link, SINC, SINC.samples_per_symbol)[0]
-        g0 = SINC.samples(grid, T)
+        assert _window(link) == (16, 1)
+        c = center_tap(link, SINC)
+        n, dt = level(link, SINC)[:2]
+        g0 = SINC.samples(n, dt, T)
         expected = 2j * link.gamma * effective_length(
-            link.alpha_db_per_km, link.length_km) * grid.dt * float(
+            link.alpha_db_per_km, link.length_km) * dt * float(
                 np.sum(np.abs(g0) ** 4))
         assert abs(c - expected) / abs(expected) < 1e-6
+
+    @pytest.mark.parametrize("pulse", [
+        SINC, PulseShape(kind="root-raised-cosine", rolloff=0.25)],
+        ids=["sinc", "rrc-0.25"])
+    def test_zero_dispersion_window_holds_the_tails(self, pulse):
+        # lags and spread alone ask for 4 symbol periods, which cut the
+        # slowly decaying tails (residual 3.6e-5 for the sinc, 5.9e-4 for
+        # the RRC); the floor of 16 holds them
+        link = dataclasses.replace(LinkParams(), beta2_ps2_per_km=0.0,
+                                   memory=0)
+        assert _window(link) == (16, 1)
+        _, report = coefficient_tensor(link, pulse)
+        assert report["residual"] <= 1e-6
 
     def test_gamma_linearity_exact(self):
         doubled = dataclasses.replace(SHORT, gamma=2 * SHORT.gamma)
@@ -136,14 +158,39 @@ class TestTensor:
 
 
 class TestWindow:
-    """_window_symbols: the engine's coefficient window before padding."""
+    """_window: the engine's coefficient window and its pad factor."""
 
     def test_covers_reference_span(self):
         # the reference span's dispersion spread is about 35 symbols, so
         # 16 symbol periods are too few even at memory 1; the pulse sets
         # only the sample rate
         for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
-            assert _window_symbols(LinkParams(memory=memory)) == n_symbols
+            assert _window(LinkParams(memory=memory))[0] == n_symbols
+
+    # memory -> (window, pad), and pulse -> panels at every memory, on
+    # configs/reference.yaml: the windows the floor leaves unchanged and
+    # the panels of the walk-off plus dispersion rule; the sinc rows are
+    # the benchmark's
+    SIZING = {0: (64, 4), 1: (64, 4), 5: (64, 4), 12: (128, 4)}
+    PANELS = {"sinc": 2, "rrc-0.25": 3, "rrc-1": 5, "gauss-T/3": 5,
+              "gauss-T/4": 10}
+
+    def test_sizing_table_on_reference_config(self):
+        cfg = load_config(str(Path(__file__).resolve().parents[1]
+                              / "configs" / "reference.yaml"))
+        T = cfg.link.symbol_period
+        pulses = {"sinc": PulseShape(**cfg.pulse),
+                  "rrc-0.25": PulseShape(kind="root-raised-cosine",
+                                         rolloff=0.25),
+                  "rrc-1": PulseShape(kind="root-raised-cosine", rolloff=1.0),
+                  "gauss-T/3": PulseShape(kind="gaussian", width_s=T / 3),
+                  "gauss-T/4": PulseShape(kind="gaussian", width_s=T / 4)}
+        assert cfg.pulse["kind"] == "nyquist-sinc"
+        for memory, sizing in self.SIZING.items():
+            link = dataclasses.replace(cfg.link, memory=memory)
+            assert _window(link) == sizing
+            assert {name: _initial_panels(link, pulse)
+                    for name, pulse in pulses.items()} == self.PANELS
 
     # spans and rates whose window stays within the 1024-symbol cap
     @given(length_km=st.floats(0.0, 1000.0),
@@ -155,13 +202,20 @@ class TestWindow:
         link = LinkParams(length_km=length_km,
                           beta2_ps2_per_km=beta2_sign * 21.7,
                           baud_rate=baud_rate, memory=memory)
-        n_symbols = _window_symbols(link)
-        assert n_symbols & (n_symbols - 1) == 0
-        # the lags plus the dispersion spread at the far end of the span
-        needed = (4 * (memory + 1) * link.symbol_period
-                  + link.dispersion_spread_s(length_km))
-        assert n_symbols * link.symbol_period >= needed
-        assert n_symbols // 2 * link.symbol_period < needed
+        T = link.symbol_period
+        n_symbols, pad = _window(link)
+        assert n_symbols & (n_symbols - 1) == 0 and n_symbols >= 16
+        # the lags plus the dispersion spread at the far end of the span,
+        # within the fewest of at least 16 symbol periods
+        needed = 4 * (memory + 1) * T + link.dispersion_spread_s(length_km)
+        assert n_symbols * T >= needed
+        assert n_symbols == 16 or n_symbols // 2 * T < needed
+        # the pad: room on both sides for the walk-off and the lags
+        span = n_symbols * T
+        padded = span + 2 * (abs(link.walkoff_delay_s(length_km)) + memory * T)
+        assert pad & (pad - 1) == 0
+        assert pad * span >= padded
+        assert pad == 1 or pad // 2 * span < padded
 
     @pytest.mark.parametrize("link", [
         LinkParams(memory=247),
@@ -171,8 +225,8 @@ class TestWindow:
         ids=["memory", "length", "overflow", "huge-memory"])
     def test_refuses_a_window_beyond_its_cap(self, link):
         with pytest.raises(GridError, match="required by memory"):
-            _window_symbols(link)
-        assert _window_symbols(LinkParams(memory=246)) == 1024
+            _window(link)
+        assert _window(LinkParams(memory=246))[0] == 1024
 
 
 class TestQuadrature:
@@ -197,29 +251,40 @@ class TestQuadrature:
             coefficient_tensor(SHORT, SINC)
         assert err.value.residual > 1e-2
 
+    def test_gaussian_converges_at_memory_8(self):
+        # at width T/3 the reference link's walk-off and dispersion scales
+        # add; panels sized by the larger alone left the residual at 3.8e-6
+        link = LinkParams(memory=8)
+        pulse = PulseShape(kind="gaussian", width_s=link.symbol_period / 3)
+        _, report = coefficient_tensor(link, pulse)
+        assert report["panels"] == 10
+        assert report["residual"] <= 1e-6
+
     def test_initial_panels_track_walkoff(self):
         assert _initial_panels(SHORT, SINC) == 1
         assert _initial_panels(LinkParams(), SINC) >= 2
 
     def test_initial_panels_track_gaussian_width(self):
         # a Gaussian narrower than T/2 varies faster along the span; the
-        # count is rounded up to a whole number, not a power of two
+        # count is rounded up to a whole number, not a power of two: on the
+        # reference link walk-off and dispersion add to 123 + 28 scale
+        # lengths at width T/3 and 218 + 89 at T/4
         link = LinkParams()
         sinc = _initial_panels(link, SINC)
         wide, third, narrow = (PulseShape(kind="gaussian", width_s=w * T)
                                for w in (0.5, 1 / 3, 0.25))
         assert _initial_panels(link, wide) == sinc
-        assert _initial_panels(link, third) == 2 * sinc
-        assert _initial_panels(link, narrow) == 7
+        assert _initial_panels(link, third) == 5
+        assert _initial_panels(link, narrow) == 10
 
     def test_initial_panels_track_rrc_rolloff(self):
         # roll-off beta shortens the pulse's time scale to T/(1+beta): at
-        # beta 1 the reference link needs twice the sinc's panels, at beta
-        # 0.25 one more whole panel than the sinc, and at beta 0 the RRC is
-        # the sinc
+        # beta 1 the reference link's 109 + 22 scale lengths need 5 panels,
+        # at beta 0.25 one more whole panel than the sinc, and at beta 0
+        # the RRC is the sinc
         link = LinkParams()
         assert _initial_panels(link, SINC) == 2
-        for beta, panels in ((0.0, 2), (0.25, 3), (1.0, 4)):
+        for beta, panels in ((0.0, 2), (0.25, 3), (1.0, 5)):
             rrc = PulseShape(kind="root-raised-cosine", rolloff=beta)
             assert _initial_panels(link, rrc) == panels
 
@@ -255,7 +320,7 @@ class TestTwoProcesses:
         monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
         monkeypatch.setattr(coefficients, "_panel_sums", recording)
         levels = [(4, 2), (8, 4)]
-        workers, sums = _window_sums(SHORT, SINC, levels, 8)
+        workers, sums = _window_sums(SHORT, SINC, padded(SHORT), levels, 8)
         assert workers == 2
         # one call per level: panels (0, 0), then (1, 0) and (1, 2)
         for zs, (_, panels), ks in zip(calls, levels, ([0], [0, 2]),
@@ -264,12 +329,13 @@ class TestTwoProcesses:
                 SHORT.length_km, panels, 8)[0][ks])
         monkeypatch.setattr(coefficients, "blas_workers", lambda: 1)
         assert all(np.array_equal(a, b) for a, b in zip(
-            sums, _window_sums(SHORT, SINC, levels, 8)[1]))
+            sums, _window_sums(SHORT, SINC, padded(SHORT), levels, 8)[1]))
 
     def test_one_panel_runs_inline(self, monkeypatch):
         monkeypatch.setattr(coefficients, "blas_workers", lambda: 2)
         monkeypatch.setattr(coefficients, "forked", None)
-        workers, (values,) = _window_sums(SHORT, SINC, [(8, 1)], 64)
+        workers, (values,) = _window_sums(SHORT, SINC, padded(SHORT),
+                                          [(8, 1)], 64)
         assert workers == 1
         assert np.array_equal(values, window_sum(SHORT, SINC, 1, 64))
 
@@ -280,9 +346,8 @@ def _ramp_window_sum(link, pulse, panels, z_nodes):
     FFT, and all (2M+1)^2 pair products formed."""
     T = link.symbol_period
     ls = ms = ps = range(-link.memory, link.memory + 1)
-    pgrid = _level(link, pulse, pulse.samples_per_symbol)[0]
-    spec0 = np.fft.fft(pulse.samples(pgrid, T))
-    w = pgrid.omega
+    n, dt, w, _, _ = level(link, pulse)
+    spec0 = np.fft.fft(pulse.samples(n, dt, T))
     ramp_l = np.stack([np.exp(-1j * w * (l * T)) for l in ls])
     ramp_m = np.stack([np.exp(-1j * w * (m * T)) for m in ms])
     ramp_p = np.stack([np.exp(-1j * w * (p * T)) for p in ps])
@@ -298,7 +363,7 @@ def _ramp_window_sum(link, pulse, panels, z_nodes):
         gp = np.fft.ifft(disp_w * ramp_p, axis=1)
         b = (gm[:, None, :] * np.conj(gp)[None, :, :]).reshape(-1, len(w))
         out += wz * (a @ b.T)
-    return (2j * link.gamma * pgrid.dt) * out.reshape(
+    return (2j * link.gamma * dt) * out.reshape(
         len(ls), len(ms), len(ps))
 
 
@@ -315,11 +380,10 @@ class TestKernelOracle:
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
 
-def _complex_panel_sums(link, level, zs, wq):
+def _complex_panel_sums(link, setup, zs, wq):
     """The quadrature node in complex arithmetic: rolled copies of a_l and
     b_mp, and one complex matmul of [a; conj(a)] against b per node."""
-    pgrid, step, spec0 = level
-    w = pgrid.omega
+    _, _, w, step, spec0 = setup
     side = 2 * link.memory + 1
     shifts = step * np.arange(-link.memory, link.memory + 1)
     mi, pi = np.triu_indices(side)
@@ -352,13 +416,13 @@ class TestRealArithmeticOracle:
     @pytest.mark.parametrize("pulse", [SINC, GAUSS], ids=["sinc", "gauss"])
     def test_matches_complex_node(self, pulse, memory):
         link = dataclasses.replace(SHORT, memory=memory)
-        level = _level(link, pulse, pulse.samples_per_symbol)
+        setup = level(link, pulse)
         # four panels or more, so that each half holds two or more
         zs, wq = _gauss_legendre_nodes(
             link.length_km, 4 * _initial_panels(link, pulse), 64)
         for half in (slice(0, None, 2), slice(1, None, 2)):
-            fast = _panel_sums(link, level, zs[half], wq[half])
-            slow = sum(_complex_panel_sums(link, level, zs[half], wq[half]))
+            fast = _panel_sums(link, setup, zs[half], wq[half])
+            slow = sum(_complex_panel_sums(link, setup, zs[half], wq[half]))
             assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
 
 
@@ -387,7 +451,7 @@ class TestMirroredPhases:
                                   "gaussian"])
     def test_mirror_equals_full_exponentials(self, case):
         link, pulse, step, panels = case
-        w = _level(link, pulse, step)[0].omega
+        w = level(link, pulse, step)[2]
         n = len(w)
         k = np.arange(1, n // 2)
         assert np.array_equal(w[n - k], -w[k])
@@ -453,21 +517,21 @@ class TestPairGroups:
 
     def test_small_budget_matches_one_group(self, monkeypatch):
         link = dataclasses.replace(SHORT, memory=2)
-        level = _level(link, SINC, SINC.samples_per_symbol)
+        setup = level(link, SINC)
         zs, wq = _gauss_legendre_nodes(link.length_km, 1, 16)
-        one = _panel_sums(link, level, zs, wq)
+        one = _panel_sums(link, setup, zs, wq)
         # the slab holds side = 5 rows: d = 0 | 1 | 2, 3 | 4
         monkeypatch.setattr(coefficients, "_PAIR_BYTES", 1)
-        grouped = _panel_sums(link, level, zs, wq)
+        grouped = _panel_sums(link, setup, zs, wq)
         assert np.abs(grouped - one).max() <= 1e-15 * np.abs(one).max()
 
     def test_reference_link_takes_one_group(self):
         # up to memory 12, so its tensors keep their bytes
         link = LinkParams(memory=12)
-        pgrid, _, _ = _level(link, SINC, SINC.samples_per_symbol)
+        n = level(link, SINC)[0]
         side = 2 * link.memory + 1
         npair = side * (side + 1) // 2
-        assert 2 * npair * pgrid.n_samples * 8 <= coefficients._PAIR_BYTES
+        assert 2 * npair * n * 8 <= coefficients._PAIR_BYTES
 
 
 class TestGaussianDispersionOracle:
@@ -519,8 +583,9 @@ class TestGaussianDispersionOracle:
         oracle = self.analytic(*lag)
         assert abs(engine - oracle) / abs(oracle) < 1e-5
 
-    # Six fixed examples keep this near 3 s: the costliest corner (250 km,
-    # 100 GHz, width T/4) alone runs 32 panels on an 8-fold padded grid.
+    # Six fixed examples keep this near 1 s: the costliest corner (250 km,
+    # 100 GHz, width T/4) alone runs 17 + 34 panels on an 8-fold padded
+    # grid.
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(length_km=st.floats(10.0, 250.0),
            beta2_sign=st.sampled_from([-1.0, 1.0]),

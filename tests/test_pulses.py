@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from xpmcap import coefficients
-from xpmcap.coefficients import _level, _pad_factor, _window_symbols
+from xpmcap.coefficients import _level, _window, coefficient_tensor
 from xpmcap.config import LinkParams
 from xpmcap.errors import ConfigError, GridError
-from xpmcap.pulses import PULSE_KINDS, PulseShape, TimeFreqGrid
+from xpmcap.pulses import PULSE_KINDS, PulseShape
 
 LINK = LinkParams()
 T = LINK.symbol_period
@@ -15,8 +15,11 @@ SINC = PulseShape()
 GAUSS = PulseShape(kind="gaussian", width_s=T / 3)
 
 
-def grid_energy(grid, samples):
-    return grid.dt * float(np.sum(np.abs(samples) ** 2))
+def reference_level(memory, pulse):
+    """The engine's fine level for the pulse on the reference link."""
+    link = dataclasses.replace(LINK, memory=memory)
+    n_symbols, pad = _window(link)
+    return _level(link, pulse, n_symbols * pad, pulse.samples_per_symbol)
 
 
 class TestPulseShapes:
@@ -27,9 +30,10 @@ class TestPulseShapes:
         PulseShape(kind="gaussian", width_s=T / 3),
     ])
     def test_unit_energy(self, pulse):
-        grid = TimeFreqGrid(2048, 32 * T)
-        g = pulse.samples(grid, T)
-        assert grid_energy(grid, g) == pytest.approx(1.0, abs=1e-9)
+        dt = 32 * T / 2048
+        g = pulse.samples(2048, dt, T)
+        assert dt * float(np.sum(np.abs(g) ** 2)) == pytest.approx(1.0,
+                                                                   abs=1e-9)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,7 +52,7 @@ class TestPulseShapes:
         for rolloff in rolloffs:
             pulse = PulseShape(kind=kind, rolloff=rolloff, width_s=T / 3)
             for n in (1024, 4096, 131072):
-                g = pulse.samples(TimeFreqGrid(n, n / 64 * T), T)
+                g = pulse.samples(n, n / 64 * T / n, T)
                 assert np.all(g.imag == 0)
                 assert np.array_equal(g, np.roll(g[::-1], 1))
 
@@ -69,15 +73,26 @@ class TestPulseShapes:
 
 
 class TestGrid:
+    """The grid each level of the coefficient engine builds for itself."""
+
     def test_power_of_two_required(self):
-        with pytest.raises(ConfigError):
-            TimeFreqGrid(1000, 1e-9)
+        # the engine's FFTs and half-spectrum phase mirror run on a power
+        # of two samples at every level
+        for memory in (0, 1, 5, 12):
+            for pulse in (SINC, GAUSS):
+                n = reference_level(memory, pulse)[0]
+                assert n >= 2 and n & (n - 1) == 0
 
     def test_derived_quantities(self):
-        grid = TimeFreqGrid(4096, 64 * T)
-        assert grid.dt == pytest.approx(T / 64)
-        assert grid.times.size == 4096
-        assert grid.omega.size == 4096
+        # reference link, memory 5: 64 symbol periods padded to 256, at 8
+        # samples per symbol
+        n, dt, omega, step, spec = reference_level(5, SINC)
+        assert (n, step) == (2048, 8)
+        assert dt == pytest.approx(T / 8)
+        assert omega.size == spec.size == n
+        assert np.array_equal(omega, 2.0 * np.pi * np.fft.fftfreq(n, dt))
+        assert omega[1] == pytest.approx(2.0 * np.pi / (256 * T))
+        assert np.array_equal(spec, np.fft.fft(SINC.samples(n, dt, T)))
 
     def test_for_link_default_covers_reference_span(self):
         # the grid the coefficient engine derives for a link: the reference
@@ -85,19 +100,19 @@ class TestGrid:
         # pulse only the sample rate
         for memory, n_symbols in ((1, 64), (5, 64), (12, 128)):
             link = dataclasses.replace(LINK, memory=memory)
-            pad = _pad_factor(link, n_symbols)
-            assert _window_symbols(link) == n_symbols
+            window, pad = _window(link)
+            assert window == n_symbols
             for pulse, rate in ((SINC, 8), (GAUSS, 16)):
-                grid, step, _ = _level(link, pulse, pulse.samples_per_symbol)
+                n, dt, _, step, _ = reference_level(memory, pulse)
                 assert step == rate
-                assert grid.n_samples == rate * n_symbols * pad
-                assert grid.t_span == n_symbols * pad * T
+                assert n == rate * n_symbols * pad
+                assert dt == (n_symbols * pad * T) / n
 
     def test_too_small_window_rejected(self, monkeypatch):
         # 16 symbol periods do not cover the reference link even at memory
         # 1, so a window capped there is refused before any grid is built
         monkeypatch.setattr(coefficients, "_MAX_WINDOW_SYMBOLS", 16)
         with pytest.raises(GridError, match="required by memory"):
-            _window_symbols(LINK)
+            _window(LINK)
         with pytest.raises(GridError, match="required by memory"):
-            _level(dataclasses.replace(LINK, memory=1), SINC, 8)
+            coefficient_tensor(dataclasses.replace(LINK, memory=1), SINC)
