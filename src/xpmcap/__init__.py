@@ -11,7 +11,7 @@ from .bounds import (BoundSet, EffectiveCoefficient, awgn_capacity,
                      outer_bound_sum, outer_bound_u1, outer_bound_u2, sweep)
 from .channel import (SampleBatch, full_channel, real_imag_decompose,
                       sample_cscg, simulate_batch, spawn_seeds)
-from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
+from .coefficients import CoeffTensor, coefficient_tensor
 from .config import (LinkParams, NoiseParams, PowerPair, ase_noise_variance,
                      dbm_to_watts, effective_length, load_config)
 from .errors import (BoundDomainError, ConfigError, GridError,
@@ -32,7 +32,7 @@ __all__ = [
     "outer_bound_u1", "outer_bound_u2", "sweep",
     "SampleBatch", "full_channel", "real_imag_decompose", "sample_cscg",
     "simulate_batch", "spawn_seeds",
-    "CoeffTensor", "coefficient_tensor", "receiver_w_tensor",
+    "CoeffTensor", "coefficient_tensor",
     "LinkParams", "NoiseParams", "PowerPair", "ase_noise_variance",
     "dbm_to_watts", "effective_length", "load_config",
     "BoundDomainError", "ConfigError", "GridError", "NoDominantFaceError",

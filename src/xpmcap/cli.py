@@ -29,7 +29,7 @@ from . import __version__
 from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
                      sweep_rows)
 from .channel import csv_workers, simulate_batch, write_batch_csv
-from .coefficients import CoeffTensor, coefficient_tensor, receiver_w_tensor
+from .coefficients import CoeffTensor, coefficient_tensor
 from .config import ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      ToolkitError)
@@ -170,10 +170,7 @@ class RunContext:
 def _load_tensor(ctx: RunContext, path, user: str) -> CoeffTensor | None:
     if not path:
         return None
-    tensor = CoeffTensor.load(path)
-    if tensor.user != user:
-        raise ConfigError(f"{path} holds receiver {tensor.user}'s tensor, "
-                          f"not receiver {user}'s")
+    tensor = CoeffTensor.load(path, user)
     ctx.note_input(path)
     return tensor
 
@@ -202,9 +199,14 @@ def cmd_coeffs(args, ctx: RunContext) -> int:
         ctx.config = dataclasses.replace(cfg, link=link)
     pulse = PulseShape(**cfg.pulse)
     tx, report = coefficient_tensor(link, pulse)
-    for tensor in (tx, receiver_w_tensor(tx)):
-        ctx.write(f"tensor_{tensor.user}.json",
-                  _json_text(tensor.to_json_dict()))
+    # Receiver w sees the interferer walk off the other way. For a real,
+    # even pulse (every kind in PULSE_KINDS samples to one) the
+    # substitution t -> -t maps the overlap kernel with walk-off tau onto
+    # the one with walk-off -tau and every lag negated, so receiver w's
+    # window is receiver x's lag reversal, c_w[l,m,p] = c_x[-l,-m,-p].
+    tw = dataclasses.replace(tx, values=tx.values[::-1, ::-1, ::-1])
+    for user, tensor in (("x", tx), ("w", tw)):
+        ctx.write(f"tensor_{user}.json", _json_text(tensor.to_json_dict(user)))
     # The quadrature's layout is run telemetry: the manifest, not the file.
     ctx.diagnostics = report.pop("diagnostics")
     ctx.diagnostics.update(residual=report["residual"],
@@ -339,7 +341,7 @@ def cmd_simulate(args, ctx: RunContext) -> int:
                 {"g_real_per_mw": _PER_MW, "g_imag_per_mw": _PER_MW}))
         else:
             g_x = coeffs_x.get(0, 0, 0)
-        coeffs_x = CoeffTensor(user="x", memory=0, values=[[[g_x]]])
+        coeffs_x = CoeffTensor(memory=0, values=[[[g_x]]])
     elif coeffs_x is None:
         raise ConfigError("full-model simulation requires --coeffs-x")
 

@@ -10,9 +10,8 @@ profile e^(-alpha z) and integrated along the span,
 where g is the channel-of-interest pulse and gw the interfering-channel
 pulse, additionally delayed by the accumulated walk-off between the two
 carriers as seen by receiver x. coefficient_tensor evaluates receiver x's
-whole (2M+1)^3 window in one quadrature; receiver w's window is its lag
-reversal (receiver_w_tensor). The distance integral uses composite
-Gauss-Legendre panels (_initial_panels) and the time integral a
+whole (2M+1)^3 window in one quadrature. The distance integral uses
+composite Gauss-Legendre panels (_initial_panels) and the time integral a
 trapezoid sum on a grid sized once per tensor from the link: the window
 and pad factor of _window, sampled at the pulse's samples_per_symbol by
 each level (_level). One two-level comparison checks both, the coarse
@@ -50,8 +49,6 @@ from .errors import ConfigError, GridError, QuadratureError
 from .pulses import PulseShape
 from .workers import blas_workers, forked
 
-USERS = ("x", "w")
-
 DEFAULT_Z_NODES = 64
 DEFAULT_QUAD_RTOL = 1e-6
 
@@ -73,22 +70,24 @@ _MAX_PAD_FACTOR = 32
 _PAIR_BYTES = 1 << 26
 
 
+class _OtherReceiver(ConfigError):
+    """A tensor document tagged for another receiver; load names it."""
+
+
 @dataclass(frozen=True)
 class CoeffTensor:
-    """Dense window of complex coefficients for one receiver.
+    """Dense window of receiver x's complex coefficients.
 
     values[l+M, m+M, p+M] holds c[l,m,p] in 1/W for lags in -M..M.
-    Immutable: fields cannot be rebound and values is read-only.
+    Immutable: fields cannot be rebound and values is read-only. The
+    receiver a window belongs to is a tag of its JSON document only.
     """
 
-    user: str
     memory: int
     values: np.ndarray
     link: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.user not in USERS:
-            raise ConfigError(f"user must be one of {USERS}")
         if self.memory < 0:
             raise ConfigError("memory must be >= 0")
         side = 2 * self.memory + 1
@@ -127,18 +126,24 @@ class CoeffTensor:
 
     # -- JSON round trip ----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, user: str = "x") -> dict:
+        """The tensor document, tagged as receiver user's window."""
         # Entries in (l, m, p) row-major order, the order of values.
         lags = itertools.product(self.lags(), repeat=3)
         entries = [{"l": l, "m": m, "p": p, "re": c.real, "im": c.imag}
                    for (l, m, p), c in zip(lags, self.values.ravel().tolist())]
-        return {"user": self.user, "memory": self.memory,
+        return {"user": user, "memory": self.memory,
                 "link": dict(self.link), "entries": entries}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "CoeffTensor":
+    def from_json_dict(cls, doc: dict, user: str = "x") -> "CoeffTensor":
+        """The window of a document tagged as receiver user's; ConfigError
+        for a malformed document or another tag."""
         try:
-            user, memory, link = doc["user"], doc["memory"], doc.get("link", {})
+            if (tag := doc["user"]) != user:
+                raise _OtherReceiver(f"holds receiver {tag}'s tensor, "
+                                     f"not receiver {user}'s")
+            memory, link = doc["memory"], doc.get("link", {})
             if type(memory) is not int:  # not isinstance: refuses bool
                 raise ConfigError(f"non-integer tensor memory {memory!r}")
             if not isinstance(link, dict):
@@ -168,13 +173,16 @@ class CoeffTensor:
             raise ConfigError(f"malformed tensor document: {exc}") from exc
         if np.any(np.isnan(values.view(np.float64))):
             raise ConfigError("tensor document does not fill the full window")
-        return cls(user=user, memory=memory, values=values, link=link)
+        return cls(memory=memory, values=values, link=link)
 
     @classmethod
-    def load(cls, path: str) -> "CoeffTensor":
+    def load(cls, path: str, user: str = "x") -> "CoeffTensor":
+        """from_json_dict of the document at path; its errors name path."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return cls.from_json_dict(json.load(fh))
+                return cls.from_json_dict(json.load(fh), user)
+            except _OtherReceiver as exc:
+                raise ConfigError(f"{path} {exc}") from exc
             except (ConfigError, ValueError, RecursionError) as exc:
                 # ValueError: bad JSON or text; RecursionError: deep nesting
                 raise ConfigError(f"{path}: {exc}") from exc
@@ -383,21 +391,6 @@ def _window_sums(link: LinkParams, pulse: PulseShape, padded: int,
                      for (_, dt, _, _, _), e, o in zip(setups, even, odd)]
 
 
-def receiver_w_tensor(tx: CoeffTensor) -> CoeffTensor:
-    """Receiver w's window from receiver x's: c_w[l,m,p] = c_x[-l,-m,-p].
-
-    Receiver w sees the interferer walk off the other way. For a real,
-    even pulse (every kind in PULSE_KINDS samples to one) the substitution
-    t -> -t maps the overlap kernel with walk-off tau onto the one with
-    walk-off -tau and every lag negated, so the two windows are exact lag
-    reversals of each other and one quadrature serves both receivers.
-    """
-    if tx.user != "x":
-        raise ConfigError("lag reversal maps a receiver-x tensor")
-    return CoeffTensor(user="w", memory=tx.memory,
-                       values=tx.values[::-1, ::-1, ::-1], link=tx.link)
-
-
 def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     """Receiver x's full (2M+1)^3 coefficient window and the report of its
     two-level quadrature: z_nodes, panels, refinements, residual and rtol,
@@ -424,8 +417,8 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     at 4 per symbol, still above the band, so only leakage from the
     truncated window is left; the Gaussian's unbounded spectrum takes 16.
 
-    Receiver w's window is this one with every lag reversed; get it with
-    receiver_w_tensor.
+    Receiver w's window is this one with every lag reversed (see
+    cli.cmd_coeffs, which writes both).
     """
     n_symbols, pad = _window(link)
     diagnostics = {"pad_factor": 1, "levels": [], "nodes_evaluated": 0,
@@ -455,5 +448,5 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
             nodes_evaluated=(base_panels + panels) * DEFAULT_Z_NODES,
             levels=[{"padded_n": pad * n_symbols * s, "panels": p,
                      "samples_per_symbol": s} for s, p in levels])
-    return CoeffTensor(user="x", memory=link.memory, values=fine,
+    return CoeffTensor(memory=link.memory, values=fine,
                        link=link.to_dict()), report

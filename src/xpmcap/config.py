@@ -298,8 +298,9 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
 
     noise_raw = sections["noise"]
     if "sigma_sq_w" in noise_raw:
-        noise = NoiseParams(sigma_sq=noise_raw["sigma_sq_w"],
-                            nsp=noise_raw.get("nsp"))
+        _require("nsp" not in noise_raw, "noise.sigma_sq_w and noise.nsp "
+                 "both set the noise variance; give one")
+        noise = NoiseParams(sigma_sq=noise_raw["sigma_sq_w"])
     elif "nsp" in noise_raw:
         noise = ase_noise_variance(link, nsp=noise_raw["nsp"])
     else:

@@ -24,8 +24,8 @@ class PulseShape:
     """Transmit pulse family; sampled pulses are normalized to unit energy.
 
     Every kind is real and even in t, and samples to a real array with
-    g[k] == g[-k mod n] exactly; the coefficient engine derives receiver
-    w's window from receiver x's by lag reversal on that basis.
+    g[k] == g[-k mod n] exactly; `coeffs` writes receiver w's window as
+    receiver x's lag reversal on that basis.
 
     kind     one of ``nyquist-sinc``, ``root-raised-cosine``, ``gaussian``
     rolloff  excess-bandwidth factor for root-raised-cosine (0..1)

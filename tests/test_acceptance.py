@@ -153,7 +153,7 @@ def test_criterion_7_simulator_equivalence():
     for trial in range(100):
         values = rng.standard_normal((side,) * 3) \
             + 1j * rng.standard_normal((side,) * 3)
-        coeffs = xc.CoeffTensor(user="x", memory=M, values=values)
+        coeffs = xc.CoeffTensor(memory=M, values=values)
         x = xc.sample_cscg(n, 1e-3, 5000 + trial)
         w = xc.sample_cscg(n, 2e-3, 6000 + trial)
         fast = xc.full_channel(x, w, coeffs, 0.0)
@@ -171,7 +171,7 @@ def test_criterion_7_simulator_equivalence():
     g = 0.25 - 0.6j
     values = np.zeros((side,) * 3, complex)
     values[M, M, M] = g
-    center_only = xc.CoeffTensor(user="x", memory=M, values=values)
+    center_only = xc.CoeffTensor(memory=M, values=values)
     x = xc.sample_cscg(512, 1e-3, 42)
     w = xc.sample_cscg(512, 1e-3, 43)
     for sigma_sq, seed in [(0.0, None), (1e-3, 99)]:

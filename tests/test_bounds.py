@@ -135,7 +135,7 @@ class TestJensenDirection:
 
 class TestInterferenceVariance:
     def test_zero_tensor(self):
-        coeffs = CoeffTensor(user="x", memory=1,
+        coeffs = CoeffTensor(memory=1,
                              values=np.zeros((3, 3, 3), complex))
         assert interference_variance(coeffs, PowerPair(1e-3, 1e-3)) == 0.0
 
@@ -143,7 +143,7 @@ class TestInterferenceVariance:
         c = 0.3 + 0.4j
         values = np.zeros((7, 7, 7), complex)
         values[1 + 3, 2 + 3, 3 + 3] = c  # all lags distinct
-        coeffs = CoeffTensor(user="x", memory=3, values=values)
+        coeffs = CoeffTensor(memory=3, values=values)
         pp = PowerPair(2e-3, 3e-3)
         expected = abs(c) ** 2 * pp.p1 * pp.p2 ** 2
         assert interference_variance(coeffs, pp) == pytest.approx(expected)
@@ -152,7 +152,7 @@ class TestInterferenceVariance:
         # coherent part removed: same unit multiplier as distinct lags
         values = np.zeros((3, 3, 3), complex)
         values[1, 1, 1] = 2.0j
-        coeffs = CoeffTensor(user="x", memory=1, values=values)
+        coeffs = CoeffTensor(memory=1, values=values)
         pp = PowerPair(1e-3, 1e-3)
         assert interference_variance(coeffs, pp) == pytest.approx(
             4.0 * pp.p1 * pp.p2 ** 2)
@@ -162,21 +162,21 @@ class TestInterferenceVariance:
         side = 5
         values = 5.0 * (rng.standard_normal((side,) * 3)
                         + 1j * rng.standard_normal((side,) * 3))
-        coeffs = CoeffTensor(user="x", memory=2, values=values)
+        coeffs = CoeffTensor(memory=2, values=values)
         pp = PowerPair(1e-3, 2e-3)
         analytic = interference_variance(coeffs, pp)
         estimate, stderr = interference_variance_mc(coeffs, pp, 10 ** 6, 99)
         assert abs(estimate - analytic) <= 5 * stderr
 
     def test_mc_sample_budget(self):
-        coeffs = CoeffTensor(user="x", memory=2,
+        coeffs = CoeffTensor(memory=2,
                              values=np.ones((5, 5, 5), complex))
         with pytest.raises(SampleBudgetError):
             interference_variance_mc(coeffs, PowerPair(1e-3, 1e-3), 10, 1)
 
     @pytest.mark.parametrize("blocks", [1, 0, -1])
     def test_mc_needs_two_blocks(self, blocks):
-        coeffs = CoeffTensor(user="x", memory=1,
+        coeffs = CoeffTensor(memory=1,
                              values=np.ones((3, 3, 3), complex))
         with pytest.raises(SampleBudgetError):
             interference_variance_mc(coeffs, PowerPair(1e-3, 1e-3), 10 ** 4,

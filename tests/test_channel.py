@@ -34,7 +34,7 @@ def random_tensor(memory, rng, scale=1.0):
     side = 2 * memory + 1
     values = scale * (rng.standard_normal((side, side, side))
                       + 1j * rng.standard_normal((side, side, side)))
-    return CoeffTensor(user="x", memory=memory, values=values)
+    return CoeffTensor(memory=memory, values=values)
 
 
 def brute_force_output(x, w, coeffs):
@@ -142,7 +142,7 @@ class TestMemorylessChannel:
 class TestFullChannel:
     def test_zero_tensor_is_awgn(self):
         rng = np.random.default_rng(0)
-        coeffs = CoeffTensor(user="x", memory=2,
+        coeffs = CoeffTensor(memory=2,
                              values=np.zeros((5, 5, 5), complex))
         x = sample_cscg(64, 1e-3, 1)
         w = sample_cscg(64, 1e-3, 2)
@@ -155,7 +155,7 @@ class TestFullChannel:
         g = 0.3 - 0.7j
         values = np.zeros((5, 5, 5), complex)
         values[2, 2, 2] = g
-        coeffs = CoeffTensor(user="x", memory=2, values=values)
+        coeffs = CoeffTensor(memory=2, values=values)
         x = sample_cscg(256, 1e-3, 21)
         w = sample_cscg(256, 2e-3, 22)
         for sigma_sq, seed in [(0.0, None), (1e-3, 1234)]:
@@ -175,7 +175,7 @@ class TestFullChannel:
 
     def test_memory_zero_equals_memoryless_for_any_seed(self):
         g = 0.1 + 0.2j
-        coeffs = CoeffTensor(user="x", memory=0,
+        coeffs = CoeffTensor(memory=0,
                              values=np.array([[[g]]], complex))
         for seed in (1, 2, 3):
             x = sample_cscg(64, 1e-3, seed)
@@ -333,7 +333,7 @@ class TestBatchIO:
     def test_simulate_and_round_trip(self, tmp_path):
         batch = simulate_batch(n=128, p1=1e-3, p2=2e-3, sigma_sq=1e-3,
                                master_seed=2024, coeffs=CoeffTensor(
-                                   user="x", memory=0, values=[[[0.05j]]]))
+                                   memory=0, values=[[[0.05j]]]))
         path = tmp_path / "batch.csv"
         write_batch_csv(batch, str(path))
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -369,7 +369,7 @@ class TestBatchIO:
         coeffs = random_tensor(1, np.random.default_rng(8), scale=0.1)
         for window, channel, tap in (
                 (coeffs, full_channel, coeffs),
-                (CoeffTensor(user="x", memory=0, values=[[[0.05j]]]),
+                (CoeffTensor(memory=0, values=[[[0.05j]]]),
                  memoryless_channel, 0.05j)):
             sx, sw, sy = np.random.SeedSequence(seed).spawn(3)
             x = sample_cscg(n, p1, sx)
@@ -382,7 +382,7 @@ class TestBatchIO:
 
     def test_same_master_seed_is_reproducible(self):
         kw = dict(n=64, p1=1e-3, p2=1e-3, sigma_sq=1e-3, master_seed=5,
-                  coeffs=CoeffTensor(user="x", memory=0, values=[[[0.1j]]]))
+                  coeffs=CoeffTensor(memory=0, values=[[[0.1j]]]))
         a, b = simulate_batch(**kw), simulate_batch(**kw)
         assert np.array_equal(a.y, b.y)
 

@@ -340,7 +340,7 @@ class TestSweepCommand:
             values = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal(
                 (3, 3, 3))
             (tmp_path / f"t{user}.json").write_text(json.dumps(CoeffTensor(
-                user=user, memory=1, values=values).to_json_dict()))
+                memory=1, values=values).to_json_dict(user)))
         base = ["--out-dir", str(tmp_path), "--quiet", "sweep",
                 "--powers-dbm", "-5", "0", "5",
                 "--coeffs-x", str(tmp_path / "tx.json")]
@@ -414,8 +414,8 @@ def _random_tensor(path, user, seed, scale=300.0):
     rng = np.random.default_rng(seed)
     values = scale * (rng.standard_normal((3, 3, 3))
                       + 1j * rng.standard_normal((3, 3, 3)))
-    tensor = CoeffTensor(user=user, memory=1, values=values)
-    path.write_text(json.dumps(tensor.to_json_dict()))
+    tensor = CoeffTensor(memory=1, values=values)
+    path.write_text(json.dumps(tensor.to_json_dict(user)))
     return tensor
 
 
@@ -659,9 +659,9 @@ class TestSimulateCommand:
             values = 0.1 * (rng.standard_normal((3, 3, 3))
                             + 1j * rng.standard_normal((3, 3, 3)))
             paths[user] = str(tmp_path / f"tensor_{user}.json")
-            tensor = CoeffTensor(user=user, memory=1, values=values)
+            tensor = CoeffTensor(memory=1, values=values)
             with open(paths[user], "w", encoding="utf-8") as fh:
-                json.dump(tensor.to_json_dict(), fh)
+                json.dump(tensor.to_json_dict(user), fh)
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
 
@@ -936,6 +936,11 @@ MALFORMED = {
     "simulate-coeffs-w-holds-receiver-x": (
         {"t.json": _tensor_text(re=1.0)},
         ["simulate", "--n", "4", "--coeffs-w", "@t.json"]),
+    # The tag names a receiver; any other value is refused too.
+    "sweep-coeffs-x-holds-receiver-y": (
+        {"t.json": json.dumps({**json.loads(_tensor_text(re=1.0)),
+                               "user": "y"})},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
     "sweep-power-not-a-number": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "abc"]),
     # Finite powers whose watts, or whose bounds, overflow a float.
@@ -1026,6 +1031,10 @@ MALFORMED = {
         ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
     "config-noise-center-freq-is-unknown": (
         {"c.yaml": "noise: {nsp: 1.5, center_freq_hz: 1.9e14}\n" + ZERO_G},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
+    # One source for the noise variance: the value or the amplifier's nsp.
+    "config-noise-sigma-sq-and-nsp": (
+        {"c.yaml": "noise: {sigma_sq_w: 1.0e-3, nsp: 1.5}\n" + ZERO_G},
         ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "coeffs-removed-length-km-flag": (
         {}, ["coeffs", "--length-km", "0"]),
@@ -1120,8 +1129,14 @@ NAMES_INPUT_FILE = {
 # config number at load under its section.key, a sweep CSV field or a
 # region overlay under its column, a dBm flag under its name; an unknown
 # config key under its section, an unknown section by its name; half an
-# overlay under both flags.
+# overlay, or a noise variance given twice, under both; a tensor tagged
+# for another receiver after the file's name, with no colon between.
 SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
+        "config-noise-sigma-sq-and-nsp": "noise.sigma_sq_w and noise.nsp",
+        "sweep-coeffs-x-holds-receiver-w":
+            "t.json holds receiver w's tensor, not receiver x's",
+        "simulate-coeffs-w-holds-receiver-x":
+            "t.json holds receiver x's tensor, not receiver w's",
         "config-simulation-g-imag-inf":
             "simulation.g_imag_per_mw must be finite",
         "sweep-csv-field-not-finite": "ian1 must be finite",
@@ -1307,7 +1322,7 @@ class TestBenchmarkSteps:
                             + 1j * rng.standard_normal((3, 3, 3)))
             path = tmp_path / f"tensor_{user}.json"
             path.write_text(json.dumps(CoeffTensor(
-                user=user, memory=1, values=values).to_json_dict()))
+                memory=1, values=values).to_json_dict(user)))
             paths += [f"--coeffs-{user}", str(path)]
         return paths
 
@@ -1338,7 +1353,7 @@ class TestBenchmarkSteps:
                          + 1j * rng.standard_normal((3, 3, 3)))
         tensor = tmp_path / "tensor_x.json"
         tensor.write_text(json.dumps(CoeffTensor(
-            user="x", memory=1, values=values).to_json_dict()))
+            memory=1, values=values).to_json_dict()))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "coeffs": str(tensor), "p1_dbm": 0.0, "p2_dbm": 0.0, "n": 600,
