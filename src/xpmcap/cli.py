@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -26,18 +27,32 @@ import tempfile
 import time
 
 from . import __version__
-from .bounds import (EffectiveCoefficient, read_sweep_csv, sweep, sweep_csv,
-                     sweep_rows)
-from .channel import csv_workers, simulate_batch, write_batch_csv
-from .coefficients import CoeffTensor, coefficient_tensor
 from .config import ToolkitConfig, load_config, dbm_to_watts
 from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      ToolkitError)
 from .pulses import PulseShape
-from .regions import build_region, dominant_face_midpoint, excess_area
-from .svgout import render_curves, render_regions
-from .verify import run_suite
 from .workers import blas_threads, cpu_workers
+
+#: The library names the commands call, each with its module. main() binds
+#: only those of its command's `layers`, so `region` and usage errors start
+#: without numpy; before that, __getattr__ resolves them from outside.
+_LIBRARY = {name: module for module, names in (
+    ("bounds", "EffectiveCoefficient sweep sweep_rows"),
+    ("channel", "csv_workers simulate_batch write_batch_csv"),
+    ("coefficients", "CoeffTensor coefficient_tensor"),
+    ("regions", "build_region dominant_face_midpoint excess_area"),
+    ("svgout", "render_curves render_regions"),
+    ("sweepcsv", "read_sweep_csv sweep_csv"),
+    ("verify", "run_suite"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LIBRARY[name]}", __package__)
+    return getattr(module, name)
+
 
 DEFAULT_MASTER_SEED = 12345
 
@@ -404,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="compute per-user coefficient tensors")
     p.add_argument("--memory", type=int, help="override link memory window")
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(func=cmd_coeffs, layers=("coefficients",))
 
     p = sub.add_parser("sweep", help="evaluate bounds along a power sweep")
     p.add_argument("--powers-dbm", type=dbm, nargs="+", dest="powers_dbm")
@@ -417,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--json", help="also write full-precision JSON rows")
     p.add_argument("--svg", help="also write a static curve plot")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep,
+                   layers=("bounds", "coefficients", "svgout", "sweepcsv"))
 
     p = sub.add_parser("region", help="build a rate-region polygon")
     p.add_argument("--u1", type=float)
@@ -433,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ian2", type=float, help="overlay box, user-2 rate")
     p.add_argument("--out", default="region.json")
     p.add_argument("--svg", help="also write an overlay figure")
-    p.set_defaults(func=cmd_region)
+    p.set_defaults(func=cmd_region, layers=("regions", "svgout", "sweepcsv"))
 
     p = sub.add_parser("simulate", help="simulate receiver x's view of a "
                                         "block and export CSV")
@@ -448,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "manifest, but does not affect the batch (receiver "
                         "x's view)")
     p.add_argument("--out", default="batch.csv")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, layers=("channel", "coefficients"))
 
     p = sub.add_parser("verify", help="run the inequality check suites")
     p.add_argument("--suite", default="all",
                    choices=("all", "conv4", "conv6", "moments", "dettrace"))
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--out", default="verify-report.json")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, layers=("verify",))
 
     return parser
 
@@ -468,6 +484,9 @@ def main(argv=None) -> int:
         args.argv = argv  # the manifest records what was parsed
         command += f" {args.command}"
         ctx = RunContext(args)
+        for name, module in _LIBRARY.items():
+            if module in args.layers:  # keeps a replacement set from outside
+                globals().setdefault(name, __getattr__(name))
         code = args.func(args, ctx)
         ctx.finish()
         return code

@@ -9,6 +9,7 @@ appear only at CLI boundaries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError, NumericalError
@@ -320,11 +321,19 @@ def load_config(path: str) -> ToolkitConfig:
     """Load and validate a YAML configuration file."""
     import yaml
 
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            # YAML would keep a repeated key's last value: refuse it instead
+            keys = Counter(str(key.value) for key, _ in node.value)
+            twice = sorted(key for key, count in keys.items() if count > 1)
+            _require(not twice, f"{path}: repeated key(s): {', '.join(twice)}")
+            return super().construct_mapping(node, deep)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nesting
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     return config_from_dict(raw, source_path=path)

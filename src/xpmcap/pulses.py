@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 PULSE_KINDS = ("nyquist-sinc", "root-raised-cosine", "gaussian")
@@ -59,6 +57,7 @@ class PulseShape:
     def samples(self, n: int, dt: float, symbol_period: float) -> np.ndarray:
         """Complex baseband samples at the times (k - n//2) dt, k = 0 ..
         n-1, unit energy (trapezoid)."""
+        import numpy as np  # here: config imports PulseShape without numpy
         t = (np.arange(n) - n // 2) * dt
         T = symbol_period
         if self.kind == "nyquist-sinc":
@@ -76,6 +75,7 @@ class PulseShape:
 
 def _rrc(t: np.ndarray, T: float, beta: float) -> np.ndarray:
     """Root-raised-cosine impulse response (any normalization)."""
+    import numpy as np
     if beta == 0.0:
         return np.sinc(t / T)
     x = t / T

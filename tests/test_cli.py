@@ -1048,6 +1048,20 @@ MALFORMED = {
     "config-keys-of-mixed-types": (
         {"c.yaml": "link: {1: 2, foo: 3}\n"},
         ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
+    # PyYAML raises RecursionError on lists nested this deep.
+    "config-nested-too-deep": (
+        {"c.yaml": "link: " + "[" * 5000 + "]" * 5000 + "\n"},
+        ["--config", "@c.yaml", "region", "--u1", "1", "--u2", "1",
+         "--usum", "1"]),
+    # YAML keeps a repeated key's last value; a config refuses it, as it
+    # refuses an unknown key.
+    "config-link-key-repeated": (
+        {"c.yaml": "link: {memory: 5, memory: 7}\n"},
+        ["--config", "@c.yaml", "region", "--u1", "1", "--u2", "1",
+         "--usum", "1"]),
+    "config-sweep-section-repeated": (
+        {"c.yaml": ZERO_G + "link: {memory: 1}\n" + ZERO_G},
+        ["--config", "@c.yaml", "sweep", "--powers-dbm", "0"]),
     "config-not-utf-8": (
         {"c.yaml": b"link: {length_km: 80}\n# \xff\n"},
         ["--config", "@c.yaml", "verify", "--suite", "dettrace"]),
@@ -1128,11 +1142,14 @@ NAMES_INPUT_FILE = {
 # What the error says, for cases refused under a name: a non-finite
 # config number at load under its section.key, a sweep CSV field or a
 # region overlay under its column, a dBm flag under its name; an unknown
-# config key under its section, an unknown section by its name; half an
-# overlay, or a noise variance given twice, under both; a tensor tagged
-# for another receiver after the file's name, with no colon between.
+# config key under its section, an unknown section by its name, a repeated
+# key or section by its name; half an overlay, or a noise variance given
+# twice, under both; a tensor tagged for another receiver after the
+# file's name, with no colon between.
 SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "config-noise-sigma-sq-and-nsp": "noise.sigma_sq_w and noise.nsp",
+        "config-link-key-repeated": "repeated key(s): memory",
+        "config-sweep-section-repeated": "repeated key(s): sweep",
         "sweep-coeffs-x-holds-receiver-w":
             "t.json holds receiver w's tensor, not receiver x's",
         "simulate-coeffs-w-holds-receiver-x":
