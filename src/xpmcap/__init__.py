@@ -21,8 +21,7 @@ _EXPORTS = {name: module for module, names in (
                "NumericalError QuadratureError SampleBudgetError "
                "ToolkitError"),
     ("pulses", "PulseShape"),
-    ("regions", "Region2D build_region dominant_face_midpoint excess_area "
-                "intersect"),
+    ("regions", "Region2D build_region dominant_face_midpoint excess_area"),
     ("verify", "CheckReport det_trace_check joint_covariance_check "
                "moment_identity_check run_suite single_user_covariance_check"),
 ) for name in names.split()}

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import LinkParams
 from .errors import ConfigError, GridError, QuadratureError
 from .pulses import PulseShape
-from .workers import blas_workers, forked
+from .workers import blas_threads, blas_workers, forked
 
 DEFAULT_Z_NODES = 64
 DEFAULT_QUAD_RTOL = 1e-6
@@ -395,7 +395,8 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     """Receiver x's full (2M+1)^3 coefficient window and the report of its
     two-level quadrature: z_nodes, panels, refinements, residual and rtol,
     and under "diagnostics" the quadrature's layout (pad_factor, levels,
-    nodes_evaluated, quad_workers).
+    nodes_evaluated, quad_workers, and blas_threads, the BLAS setting
+    that decides quad_workers).
 
     The link fixes the grid, derived once: the window of _window, at
     least _MIN_WINDOW_SYMBOLS symbol periods so that the pulse's tails
@@ -422,7 +423,7 @@ def coefficient_tensor(link: LinkParams, pulse: PulseShape):
     """
     n_symbols, pad = _window(link)
     diagnostics = {"pad_factor": 1, "levels": [], "nodes_evaluated": 0,
-                   "quad_workers": 1}
+                   "quad_workers": 1, "blas_threads": blas_threads()}
     report = {"z_nodes": DEFAULT_Z_NODES, "panels": 1, "refinements": 0,
               "residual": 0.0, "rtol": DEFAULT_QUAD_RTOL,
               "diagnostics": diagnostics}

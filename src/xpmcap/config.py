@@ -206,7 +206,7 @@ class ToolkitConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     sweep: dict = field(default_factory=dict)
     simulation: dict = field(default_factory=dict)
-    pulse: dict = field(default_factory=dict)
+    pulse: PulseShape = field(default_factory=PulseShape)
     source_path: str | None = None
 
     def echo(self) -> dict:
@@ -216,7 +216,7 @@ class ToolkitConfig:
             "noise": {"sigma_sq_w": self.noise.sigma_sq, "nsp": self.noise.nsp},
             "sweep": dict(self.sweep),
             "simulation": dict(self.simulation),
-            "pulse": dict(self.pulse),
+            "pulse": asdict(self.pulse),
         }
 
 
@@ -293,7 +293,7 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
         raise ConfigError("configuration root must be a mapping of sections")
     _refuse_unknown("section(s)", raw, _SECTIONS)
     sections = {name: _section(raw, name) for name in _SECTIONS}
-    PulseShape(**sections["pulse"])  # checks kind, rolloff and width_s
+    pulse = PulseShape(**sections["pulse"])  # checks kind, rolloff and width_s
 
     link = LinkParams(**sections["link"])
 
@@ -312,7 +312,7 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
         noise=noise,
         sweep=sections["sweep"],
         simulation=sections["simulation"],
-        pulse=sections["pulse"],
+        pulse=pulse,
         source_path=source_path,
     )
 

@@ -99,12 +99,8 @@ def dominant_face_midpoint(region: Region2D):
     return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
-def intersect(a: Region2D, b: Region2D) -> Region2D:
-    """Intersection of two regions: the region of the smaller triple."""
-    return Region2D(min(a.u1, b.u1), min(a.u2, b.u2),
-                    min(a.u_sum, b.u_sum), "custom")
-
-
 def excess_area(a: Region2D, b: Region2D) -> float:
-    """Area of a not covered by b (bits^2): area(a) - area(a intersect b)."""
-    return a.area() - intersect(a, b).area()
+    """Area of a not covered by b (bits^2): area(a) less the area of their
+    intersection, the region of the element-wise smaller triple."""
+    return a.area() - Region2D(min(a.u1, b.u1), min(a.u2, b.u2),
+                               min(a.u_sum, b.u_sum)).area()

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -534,6 +535,12 @@ class TestRegionCommand:
         svg = (tmp_path / "r.svg").read_text()
         assert "excess area" in svg
 
+    def test_manifest_records_the_default_pulse(self, tmp_path):
+        assert run(["--out-dir", str(tmp_path), "--quiet", "region",
+                    "--u1", "1", "--u2", "1", "--usum", "1.5"]) == 0
+        manifest = json.loads((tmp_path / "region-manifest.json").read_text())
+        assert manifest["config"]["pulse"] == dataclasses.asdict(PulseShape())
+
     def test_rectangle_json(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--quiet", "region",
                     "--u1", "1", "--u2", "1", "--usum", "3",
@@ -820,7 +827,7 @@ class TestVerifyCommand:
         import xpmcap.cli as climod
         from xpmcap.verify import CheckReport
 
-        def fake_suite(suite, n, seed, seconds):
+        def fake_suite(suite, n, seed, diagnostics):
             return [CheckReport(name="forced", n_samples=1, estimate=2.0,
                                 bound=1.0, stderr=0.0, verdict="fail",
                                 seed=seed, kind="one-sided")]
@@ -836,7 +843,7 @@ class TestVerifyCommand:
                                           capsys):
         import xpmcap.cli as climod
 
-        def huge_suite(suite, n, seed, seconds):
+        def huge_suite(suite, n, seed, diagnostics):
             raise MemoryError
 
         monkeypatch.setattr(climod, "run_suite", huge_suite)

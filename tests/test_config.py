@@ -134,6 +134,11 @@ class TestConfigFile:
         echo = cfg.echo()
         assert echo["link"]["gamma"] == 1.2
 
+    def test_echo_holds_every_field_of_the_pulse(self):
+        cfg = config_from_dict({"pulse": {"kind": "root-raised-cosine"}})
+        assert cfg.echo()["pulse"] == {"kind": "root-raised-cosine",
+                                       "rolloff": 0.1, "width_s": None}
+
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_dict({"link": {"gamm": 1.2}})

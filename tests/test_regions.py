@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from xpmcap.errors import ConfigError, NoDominantFaceError
 from xpmcap.regions import (Region2D, build_region, dominant_face_midpoint,
-                            excess_area, intersect)
+                            excess_area)
 
 bounds_strategy = st.floats(min_value=0.0, max_value=10.0)
 
@@ -106,11 +106,15 @@ class TestDominantFace:
 
 
 class TestIntersect:
+    """The intersection excess_area takes out of a: the region of the
+    element-wise smaller triple, so area(a) - excess_area(a, b) is the
+    area the two regions share."""
+
     def test_subset_returns_subset(self):
         small = build_region(0.5, 0.5, 2.0)
         large = build_region(2.0, 2.0, 10.0)
-        got = intersect(small, large)
-        assert got.vertices == small.vertices
+        assert excess_area(small, large) == 0.0
+        assert large.area() - excess_area(large, small) == small.area()
 
     @pytest.mark.parametrize("ta,tb", [
         ((1.0, 1.0, 1e-3), (1.0, 1.0, 1e-9)),
@@ -119,30 +123,27 @@ class TestIntersect:
         ((1.0, 1.19e-12, 0.0), (1.0, 1.0, 1.0)),
     ])
     def test_tiny_edges_clip_without_slack_blowup(self, ta, tb):
-        # Edge-plane normals scale with edge length, so the containment
-        # slack must be a distance, and a vertex admitted by the slack
-        # alone must not push a crossing past its edge (a negative vertex).
+        # A tiny bound leaves a tiny shared area, never a negative one.
         a, b = build_region(*ta), build_region(*tb)
-        ab, ba = intersect(a, b), intersect(b, a)
         scale = max(a.area(), b.area())
-        bound = min(a.area(), b.area())
-        assert ab.area() <= bound + 1e-9 * scale
-        assert ba.area() == pytest.approx(ab.area(), rel=1e-9, abs=1e-30)
-        assert intersect(a, a).vertices == a.vertices
-        assert intersect(b, b).vertices == b.vertices
+        ab = a.area() - excess_area(a, b)
+        ba = b.area() - excess_area(b, a)
+        assert -1e-15 * scale <= ab <= min(a.area(), b.area()) + 1e-15 * scale
+        assert ba == pytest.approx(ab, abs=1e-15 * scale)
+        assert excess_area(a, a) == excess_area(b, b) == 0.0
 
     @settings(max_examples=200)
     @given(st.tuples(bounds_strategy, bounds_strategy, bounds_strategy),
            st.tuples(bounds_strategy, bounds_strategy, bounds_strategy))
     def test_commutative_idempotent_and_bounded(self, ta, tb):
-        a = build_region(*ta)
-        b = build_region(*tb)
-        ab = intersect(a, b)
-        ba = intersect(b, a)
-        assert ab.area() == pytest.approx(ba.area(), abs=1e-9)
-        assert ab.area() <= min(a.area(), b.area()) + 1e-9
-        assert intersect(a, a).vertices == a.vertices
-        assert ab.vertices == build_region(*map(min, ta, tb)).vertices
+        a, b = build_region(*ta), build_region(*tb)
+        smaller = build_region(*map(min, ta, tb))
+        excess = excess_area(a, b)
+        assert excess == a.area() - smaller.area()
+        assert -1e-9 <= excess <= a.area() + 1e-9
+        assert a.area() - excess == pytest.approx(
+            b.area() - excess_area(b, a), abs=1e-9)
+        assert excess_area(a, a) == excess_area(smaller, a) == 0.0
 
 
 class TestExcessArea:

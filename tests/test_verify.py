@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import threading
@@ -351,12 +352,23 @@ class TestConcurrentSuite:
         return started
 
     def test_costliest_checks_start_first(self, monkeypatch):
+        # run_suite sets the order of pool.submit; the order in which two
+        # pool threads then begin is the scheduler's.
+        submitted = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(super().submit(fn, *args, **kwargs))
+                return submitted[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recording)
         started = self._record_starts(monkeypatch)
         monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
         names = [r.name for r in run_suite("all", 100_000, 4)]
-        sampling = [name for name, _ in started if name]
-        assert sampling[:7] == ["conv6"] * 3 + ["conv4"] * 3 + ["moments"]
-        assert not any(on_main for _, on_main in started)
+        assert [f.result().name.split("-")[0] for f in submitted] == \
+            ["conv6"] * 3 + ["conv4"] * 3 + ["moments"] + ["dettrace"] * 3
+        assert started and not any(on_main for _, on_main in started)
         assert [n.split("-")[0] for n in names] == \
             ["dettrace"] * 3 + ["conv4"] * 3 + ["conv6"] * 3 + ["moments"]
 
