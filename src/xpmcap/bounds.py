@@ -5,6 +5,10 @@ variances are watts. The single-user upper bounds take an effective
 single-tap coefficient through its real part and squared modulus only,
 which is all the formulas consume; the pair may be supplied directly,
 fitted from published curve samples, or taken from a computed tensor.
+
+The formulas are plain math: bounds loads no numpy at import, and the
+Monte Carlo's kernels sample_cscg and interference_terms resolve on first
+access (PEP 562), so a replacement set from outside is the one it calls.
 """
 
 from __future__ import annotations
@@ -12,13 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import _lag_stack, interference_terms, sample_cscg, spawn_seeds
-from .coefficients import CoeffTensor
 from .config import PowerPair, dbm_to_watts
 from .errors import BoundDomainError, ConfigError, SampleBudgetError
 from .sweepcsv import SWEEP_CSV_HEADER, read_sweep_csv, sweep_csv  # noqa: F401
+
+_MC_KERNELS = ("sample_cscg", "interference_terms")
+
+
+def __getattr__(name: str):
+    if name not in _MC_KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import channel
+    return getattr(channel, name)
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,10 @@ def interference_variance_mc(coeffs: CoeffTensor, pp: PowerPair, n: int,
         raise SampleBudgetError(
             f"n={n} too small: need at least {blocks * (2 * M + 1)} samples "
             f"for {blocks} blocks of window {2 * M + 1}")
+    import numpy as np
+    from .channel import _lag_stack, spawn_seeds
+    for name in _MC_KERNELS:  # keeps a replacement set from outside
+        globals().setdefault(name, __getattr__(name))
     gains = coeffs.coherent_gains()
     seeds = spawn_seeds(seed, 2 * blocks)
     means = np.empty(blocks)
@@ -161,6 +174,7 @@ def fit_effective_coefficient(points, sigma_sq: float) -> EffectiveCoefficient:
     b = 2 |g|^2. Published curves may not admit a physical pair; see
     EffectiveCoefficient.is_physical.
     """
+    import numpy as np
     if len(points) != 2:
         raise ConfigError("exactly two curve samples are required")
     rows, rhs = [], []

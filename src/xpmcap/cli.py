@@ -32,7 +32,7 @@ from .errors import (ConfigError, NoDominantFaceError, NumericalError,
                      ToolkitError)
 
 #: The library names the commands call, each with its module. main() binds
-#: only those of its command's `layers`, so `region` and usage errors start
+#: only its command's `layers`, so `region`, `sweep` and usage errors start
 #: without numpy; before that, __getattr__ resolves them from outside.
 _LIBRARY = {name: module for module, names in (
     ("bounds", "EffectiveCoefficient sweep sweep_rows"),
@@ -41,6 +41,7 @@ _LIBRARY = {name: module for module, names in (
     ("regions", "build_region dominant_face_midpoint excess_area"),
     ("svgout", "render_curves render_regions"),
     ("sweepcsv", "read_sweep_csv sweep_csv"),
+    ("tensorjson", "read_tensor sum_abs_sq"),
     ("verify", "run_suite"),
 ) for name in names.split()}
 
@@ -180,10 +181,12 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
-def _load_tensor(ctx: RunContext, path, user: str) -> CoeffTensor | None:
+def _load_tensor(ctx: RunContext, path, user: str, load):
+    """load(path, user), read_tensor or CoeffTensor.load (one validator),
+    with path recorded as an input; None without a path."""
     if not path:
         return None
-    tensor = CoeffTensor.load(path, user)
+    tensor = load(path, user)
     ctx.note_input(path)
     return tensor
 
@@ -236,9 +239,9 @@ def cmd_sweep(args, ctx: RunContext) -> int:
         raise ConfigError("no powers given: pass --powers-dbm or set "
                           "sweep.powers_dbm in the config")
 
-    coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
+    coeffs_x = _load_tensor(ctx, args.coeffs_x, "x", read_tensor)
     # --coeffs-w is only validated and recorded; --coeffs-x serves both.
-    _load_tensor(ctx, args.coeffs_w, "w")
+    _load_tensor(ctx, args.coeffs_w, "w", read_tensor)
     # The tensor gives every coefficient it holds: the center tap, which
     # lag reversal (receiver x's window -> receiver w's) fixes, and kappa.
     source = "config" if coeffs_x is None else "tensor"
@@ -249,8 +252,9 @@ def cmd_sweep(args, ctx: RunContext) -> int:
         if kappa is not None:
             kappa *= _PER_MW2
     else:
-        g = EffectiveCoefficient.from_complex(coeffs_x.get(0, 0, 0))
-        kappa = coeffs_x.sum_abs_sq()
+        _, _, values = coeffs_x  # (l, m, p) row-major: c[0,0,0] mid-list
+        g = EffectiveCoefficient.from_complex(values[len(values) // 2])
+        kappa = sum_abs_sq(values)
     bound_sets = sweep(powers, g, ctx.config.noise.sigma_sq,
                        p2_dbm=args.p2_dbm, kappa=kappa)
 
@@ -339,9 +343,9 @@ def cmd_region(args, ctx: RunContext) -> int:
 
 
 def cmd_simulate(args, ctx: RunContext) -> int:
-    coeffs_x = _load_tensor(ctx, args.coeffs_x, "x")
+    coeffs_x = _load_tensor(ctx, args.coeffs_x, "x", CoeffTensor.load)
     # --coeffs-w is only validated and recorded; the batch is receiver x's.
-    _load_tensor(ctx, args.coeffs_w, "w")
+    _load_tensor(ctx, args.coeffs_w, "w", read_tensor)
     source = "config" if coeffs_x is None else "tensor"
     if args.model == "memoryless":
         # The full channel over the one-tap window: the tensor's center
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write full-precision JSON rows")
     p.add_argument("--svg", help="also write a static curve plot")
     p.set_defaults(func=cmd_sweep,
-                   layers=("bounds", "coefficients", "svgout", "sweepcsv"))
+                   layers=("bounds", "svgout", "sweepcsv", "tensorjson"))
 
     p = sub.add_parser("region", help="build a rate-region polygon")
     p.add_argument("--u1", type=float)
@@ -458,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "manifest, but does not affect the batch (receiver "
                         "x's view)")
     p.add_argument("--out", default="batch.csv")
-    p.set_defaults(func=cmd_simulate, layers=("channel", "coefficients"))
+    p.set_defaults(func=cmd_simulate,
+                   layers=("channel", "coefficients", "tensorjson"))
 
     p = sub.add_parser("verify", help="run the inequality check suites")
     p.add_argument("--suite", default="all",

@@ -31,19 +31,20 @@ periodic transform cannot wrap the interferer onto the channel of
 interest. The pulse is sampled and renormalised across all of it, not
 zero-padded, so the tensor depends on the pad factor (reference config,
 pad 4 -> 8: c[0,0,0] scales by 0.999208).
+
+CoeffTensor's JSON round trip and kappa delegate to tensorjson, which
+owns the tensor document and loads no numpy.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import tensorjson
 from .config import LinkParams
 from .errors import ConfigError, GridError, QuadratureError
 from .pulses import PulseShape
@@ -68,10 +69,6 @@ _MAX_PAD_FACTOR = 32
 #: if more), so the buffer stays bounded at any memory. The reference
 #: link takes one group up to memory 12.
 _PAIR_BYTES = 1 << 26
-
-
-class _OtherReceiver(ConfigError):
-    """A tensor document tagged for another receiver; load names it."""
 
 
 @dataclass(frozen=True)
@@ -110,13 +107,11 @@ class CoeffTensor:
             raise IndexError(f"lag ({l},{m},{p}) outside window +-{M}")
         return complex(self.values[l + M, m + M, p + M])
 
-    def lags(self) -> range:
-        return range(-self.memory, self.memory + 1)
-
     def sum_abs_sq(self) -> float:
-        """Sum of |c|^2 over the whole window (1/W^2); the cubic
-        interference-power coefficient for Gaussian inputs."""
-        return float(np.sum(np.abs(self.values) ** 2))
+        """Sum of |c|^2 over the whole window (1/W^2), exactly rounded
+        (tensorjson.sum_abs_sq); the cubic interference-power coefficient
+        for Gaussian inputs."""
+        return tensorjson.sum_abs_sq(self.values.ravel().tolist())
 
     def coherent_gains(self) -> np.ndarray:
         """s[l] = sum_m c[l,m,m]: gains of the signal-proportional part of
@@ -124,68 +119,25 @@ class CoeffTensor:
         side = 2 * self.memory + 1
         return np.array([np.trace(self.values[i]) for i in range(side)])
 
-    # -- JSON round trip ----------------------------------------------------
+    # -- JSON round trip: the document is tensorjson's ---------------------
 
     def to_json_dict(self, user: str = "x") -> dict:
         """The tensor document, tagged as receiver user's window."""
-        # Entries in (l, m, p) row-major order, the order of values.
-        lags = itertools.product(self.lags(), repeat=3)
-        entries = [{"l": l, "m": m, "p": p, "re": c.real, "im": c.imag}
-                   for (l, m, p), c in zip(lags, self.values.ravel().tolist())]
-        return {"user": user, "memory": self.memory,
-                "link": dict(self.link), "entries": entries}
+        return tensorjson.tensor_document(
+            self.memory, self.values.ravel().tolist(), self.link, user)
 
     @classmethod
     def from_json_dict(cls, doc: dict, user: str = "x") -> "CoeffTensor":
         """The window of a document tagged as receiver user's; ConfigError
         for a malformed document or another tag."""
-        try:
-            if (tag := doc["user"]) != user:
-                raise _OtherReceiver(f"holds receiver {tag}'s tensor, "
-                                     f"not receiver {user}'s")
-            memory, link = doc["memory"], doc.get("link", {})
-            if type(memory) is not int:  # not isinstance: refuses bool
-                raise ConfigError(f"non-integer tensor memory {memory!r}")
-            if not isinstance(link, dict):
-                raise ConfigError(f"tensor link {link!r} is not a mapping")
-            entries = doc["entries"]
-            side = 2 * memory + 1
-            # Checked before the window is allocated, so a large memory
-            # with too few entries cannot size the allocation.
-            if memory < 0 or len(entries) != side ** 3:
-                raise ConfigError(
-                    f"tensor document does not fill the full window: "
-                    f"{len(entries)} entries for memory {memory}")
-            values = np.full((side, side, side), np.nan + 0j,
-                             dtype=np.complex128)
-            for e in entries:
-                l, m, p = lags = e["l"], e["m"], e["p"]
-                if any(type(v) is not int or abs(v) > memory for v in lags):
-                    raise ConfigError(
-                        f"entry lag {lags} is not an integer in the window")
-                parts = e["re"], e["im"]
-                if any(type(v) not in (int, float)  # bool is not a number
-                       or not abs(v) <= sys.float_info.max for v in parts):
-                    raise ConfigError(
-                        f"entry {lags}: re and im must be finite numbers")
-                values[l + memory, m + memory, p + memory] = complex(*parts)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed tensor document: {exc}") from exc
-        if np.any(np.isnan(values.view(np.float64))):
-            raise ConfigError("tensor document does not fill the full window")
-        return cls(memory=memory, values=values, link=link)
+        memory, link, values = tensorjson.parse_tensor_document(doc, user)
+        return cls(memory, np.reshape(values, (2 * memory + 1,) * 3), link)
 
     @classmethod
     def load(cls, path: str, user: str = "x") -> "CoeffTensor":
         """from_json_dict of the document at path; its errors name path."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json_dict(json.load(fh), user)
-            except _OtherReceiver as exc:
-                raise ConfigError(f"{path} {exc}") from exc
-            except (ConfigError, ValueError, RecursionError) as exc:
-                # ValueError: bad JSON or text; RecursionError: deep nesting
-                raise ConfigError(f"{path}: {exc}") from exc
+        memory, link, values = tensorjson.read_tensor(path, user)
+        return cls(memory, np.reshape(values, (2 * memory + 1,) * 3), link)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import xpmcap
+import xpmcap.cli as climod
 from xpmcap import coefficients
 from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
                            read_sweep_csv)
@@ -374,6 +375,24 @@ class TestSweepCommand:
             ian = ian_rate(pp, 1e-3, interference_variance(tensor, pp))
             assert row["ian1"] == pytest.approx(ian, rel=1e-12)
             assert row["ian2"] == row["ian1"] < row["awgn"]
+
+    def test_kappa_is_the_tensors_sum_bit_for_bit(self, tmp_path,
+                                                  monkeypatch):
+        # sweep reads the tensor without CoeffTensor; its kappa is still
+        # CoeffTensor's exactly rounded sum.
+        _random_tensor(tmp_path / "tx.json", "x", 8)
+        kappas = []
+
+        def sweep(*args, kappa, **kwargs):
+            kappas.append(kappa)
+            return xpmcap.bounds.sweep(*args, kappa=kappa, **kwargs)
+
+        monkeypatch.setattr(climod, "sweep", sweep)
+        assert run(["--out-dir", str(tmp_path), "--quiet", "sweep",
+                    "--powers-dbm", "0", "--coeffs-x",
+                    str(tmp_path / "tx.json")]) == 0
+        kappa = CoeffTensor.load(str(tmp_path / "tx.json")).sum_abs_sq()
+        assert [k.hex() for k in kappas] == [kappa.hex()]
 
     def test_coeffs_w_is_recorded_but_leaves_sweep_unchanged(self, tmp_path):
         _random_tensor(tmp_path / "tx.json", "x", 6)
@@ -1188,17 +1207,21 @@ SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
             "unknown key(s) in section 'simulation': model"}
 
 
+def _malformed_args(case, tmp_path):
+    """MALFORMED[case]'s arguments, its input files written to tmp_path."""
+    files, args = MALFORMED[case]
+    for name, text in files.items():
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    return [str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_usage_error_with_one_line(self, case, tmp_path, capsys):
-        files, args = MALFORMED[case]
-        for name, text in files.items():
-            if isinstance(text, bytes):
-                (tmp_path / name).write_bytes(text)
-            else:
-                (tmp_path / name).write_text(text, encoding="utf-8")
-        args = [str(tmp_path / a[1:]) if a.startswith("@") else a
-                for a in args]
+        args = _malformed_args(case, tmp_path)
         code = run(["--out-dir", str(tmp_path / "out"), "--quiet", *args])
         err = capsys.readouterr().err
         assert code == 2
@@ -1211,6 +1234,23 @@ class TestMalformedInputs:
                 (".json", ".csv", ".yaml")
             (path,) = [a for a in args if a.endswith(at_fault)]
             assert path in err, err
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case in MALFORMED if case.startswith("tensor-")))
+    def test_sweep_and_simulate_refuse_a_tensor_alike(self, case, tmp_path,
+                                                      capsys):
+        # One validator: sweep's numpy-free read and simulate's
+        # CoeffTensor.load give the same line for the same file.
+        args = _malformed_args(case, tmp_path)
+        tensor = args[args.index("--coeffs-x") + 1]
+        errors = []
+        for command in (["sweep", "--powers-dbm", "0"],
+                        ["simulate", "--n", "4"]):
+            assert run(["--out-dir", str(tmp_path / "out"), "--quiet",
+                        *command, "--coeffs-x", tensor]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
 
 
 class TestReadme:
@@ -1359,9 +1399,13 @@ class TestBenchmarkSteps:
         spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
         assert {"channel.simulate_batch", "channel.full_channel",
                 "channel.write_batch_csv"} <= {s["name"] for s in spans}
+        # perfbench's coefficients.tensor_load_ms: receiver x's tensor is
+        # the one simulate builds a CoeffTensor of.
+        assert [s["name"] for s in spans].count(
+            "coefficients.tensor_load") == 1
 
     def test_traced_tensor_sweep_step(self, tmp_path):
-        # perfbench computes coefficients.tensor_load_ms from these spans.
+        # sweep reads its tensors without CoeffTensor.load.
         proc = self._step(tmp_path, "cli", "--quiet", "--out-dir",
                           str(tmp_path), "sweep", "--powers-dbm", "-5", "0",
                           *self._tensors(tmp_path))
@@ -1369,7 +1413,7 @@ class TestBenchmarkSteps:
         names = [s["name"] for s in json.loads(
             (tmp_path / "spans.json").read_text())["spans"]]
         assert "bounds.sweep" in names
-        assert names.count("coefficients.tensor_load") == 2
+        assert "coefficients.tensor_load" not in names
 
     def test_traced_ianmc_step(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -1386,6 +1430,11 @@ class TestBenchmarkSteps:
         assert proc.returncode == 0, proc.stderr
         result = json.loads((tmp_path / "ianmc.json").read_text())
         assert result["blocks"] == 10 and result["estimate"] > 0
+        # perfbench's wraps of bounds' channel kernels are the ones called.
+        names = [s["name"] for s in json.loads(
+            (tmp_path / "spans.json").read_text())["spans"]]
+        assert names.count("channel.sample_cscg") == 2 * 10
+        assert names.count("channel.interference_terms") == 10
 
 
 class TestEntryPoint:

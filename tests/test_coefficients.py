@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -125,8 +126,9 @@ class TestTensor:
     def test_l0_skew_symmetry(self, short_pair):
         tensor, _ = short_pair
         scale = abs(tensor.get(0, 0, 0))
-        for m in tensor.lags():
-            for p in tensor.lags():
+        lags = range(-tensor.memory, tensor.memory + 1)
+        for m in lags:
+            for p in lags:
                 diff = abs(tensor.get(0, m, p) + np.conj(tensor.get(0, p, m)))
                 assert diff <= 1e-9 * scale
 
@@ -718,6 +720,23 @@ class TestSincFrequencyOracle:
         assert padded(link) == 64
         _, err = self.scaled_oracle_error(link, SINC)
         assert err <= DEFAULT_QUAD_RTOL, err
+
+
+class TestKappa:
+    def test_exactly_rounded_and_the_same_for_both_receivers(self):
+        # Receiver w's window is receiver x's lag reversal: the same |c|^2
+        # in another order, which a pairwise sum can round differently.
+        rng = np.random.default_rng(17)
+        for memory in range(1, 8):
+            shape = (2 * memory + 1,) * 3
+            for _ in range(30):
+                v = rng.standard_normal(shape) + 1j * rng.standard_normal(
+                    shape)
+                kappa = CoeffTensor(memory=memory, values=v).sum_abs_sq()
+                assert kappa == math.fsum(
+                    abs(c) ** 2 for c in v.ravel().tolist())
+                assert CoeffTensor(memory=memory, values=v[::-1, ::-1, ::-1]
+                                   ).sum_abs_sq() == kappa
 
 
 class TestJsonRoundTrip:

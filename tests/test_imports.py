@@ -91,8 +91,56 @@ class TestImportContract:
         proc, modules = _cli(tmp_path, "--quiet", "coeffs", "--memory", "0")
         assert proc.returncode == 0, proc.stderr
         assert "numpy" in modules
-        assert _layers(modules) == BASE_LAYERS | {"xpmcap.coefficients",
-                                                  "xpmcap.workers"}
+        assert _layers(modules) == BASE_LAYERS | {
+            "xpmcap.coefficients", "xpmcap.tensorjson", "xpmcap.workers"}
+
+    def test_tensor_sweep_loads_no_numpy_or_yaml(self, tmp_path):
+        tensor = xpmcap.CoeffTensor(memory=1, values=[
+            [[0.01j * (9 * l + 3 * m + p) for p in range(3)]
+             for m in range(3)] for l in range(3)])
+        for user, name in (("x", "t.json"), ("w", "w.json")):
+            (tmp_path / name).write_text(json.dumps(
+                tensor.to_json_dict(user)))
+        proc, modules = _cli(tmp_path, "--quiet", "sweep", "--powers-dbm",
+                             "-5", "0", "--coeffs-x", "t.json", "--coeffs-w",
+                             "w.json", "--json", "s.json", "--svg", "s.svg")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads((tmp_path / "s.json").read_text())) == 2
+        assert not {"numpy", "yaml"} & modules
+        assert _layers(modules) == BASE_LAYERS | {
+            "xpmcap.bounds", "xpmcap.svgout", "xpmcap.sweepcsv",
+            "xpmcap.tensorjson"}
+
+    def test_config_sweep_loads_yaml_but_no_numpy(self, tmp_path):
+        (tmp_path / "g.yaml").write_text(CENTER_TAPS, encoding="utf-8")
+        proc, modules = _cli(tmp_path, "--quiet", "--config", "g.yaml",
+                             "sweep", "--powers-dbm", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sweep.csv").exists()
+        assert "yaml" in modules and "numpy" not in modules
+
+    def test_bounds_loads_numpy_when_the_monte_carlo_runs(self, tmp_path):
+        # The tensor's module loads numpy; the call loads the channel
+        # kernels, and binds bounds' names to them.
+        proc = _fresh(tmp_path, "-c", "import json, sys\n"
+                      "import xpmcap.bounds as bounds\n"
+                      "seen = [sorted(sys.modules)]\n"
+                      "from xpmcap import CoeffTensor, PowerPair\n"
+                      "t = CoeffTensor(memory=0, values=[[[0.1j]]])\n"
+                      "seen.append(sorted(sys.modules))\n"
+                      "bounds.interference_variance_mc(\n"
+                      "    t, PowerPair(1.0, 1.0), 40, seed=1, blocks=4)\n"
+                      "from xpmcap import channel\n"
+                      "assert bounds.sample_cscg is channel.sample_cscg\n"
+                      "assert bounds.interference_terms is \\\n"
+                      "    channel.interference_terms\n"
+                      "print(json.dumps(seen))")
+        assert proc.returncode == 0, proc.stderr
+        at_import, before_call = json.loads(proc.stdout.splitlines()[-1])
+        assert not {"numpy", "xpmcap.channel"} & set(at_import)
+        assert _layers(at_import) == BASE_LAYERS | {"xpmcap.bounds",
+                                                    "xpmcap.sweepcsv"}
+        assert "xpmcap.channel" not in before_call
 
 
 # The names perfbench/steps.py wraps as attributes of xpmcap.cli
