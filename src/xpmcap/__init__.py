@@ -17,9 +17,8 @@ _EXPORTS = {name: module for module, names in (
     ("coefficients", "CoeffTensor coefficient_tensor"),
     ("config", "LinkParams NoiseParams PowerPair ase_noise_variance "
                "dbm_to_watts effective_length load_config"),
-    ("errors", "BoundDomainError ConfigError GridError NoDominantFaceError "
-               "NumericalError QuadratureError SampleBudgetError "
-               "ToolkitError"),
+    ("errors", "BoundDomainError ConfigError GridError NumericalError "
+               "QuadratureError SampleBudgetError ToolkitError"),
     ("pulses", "PulseShape"),
     ("regions", "Region2D build_region dominant_face_midpoint excess_area"),
     ("verify", "CheckReport det_trace_check joint_covariance_check "

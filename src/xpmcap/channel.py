@@ -12,13 +12,16 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import CoeffTensor
 from .errors import ConfigError
 from .workers import cpu_workers, forked
+
+if TYPE_CHECKING:  # annotations only: verify loads no coefficient engine
+    from .coefficients import CoeffTensor
 
 BATCH_CSV_HEADER = ("k", "x_re", "x_im", "w_re", "w_im", "y_re", "y_im")
 

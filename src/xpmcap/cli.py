@@ -28,8 +28,7 @@ import time
 
 from . import __version__
 from .config import ToolkitConfig, load_config, dbm_to_watts
-from .errors import (ConfigError, NoDominantFaceError, NumericalError,
-                     ToolkitError)
+from .errors import ConfigError, NumericalError, ToolkitError
 
 #: The library names the commands call, each with its module. main() binds
 #: only its command's `layers`, so `region`, `sweep` and usage errors start
@@ -253,8 +252,11 @@ def cmd_sweep(args, ctx: RunContext) -> int:
             kappa *= _PER_MW2
     else:
         _, _, values = coeffs_x  # (l, m, p) row-major: c[0,0,0] mid-list
-        g = EffectiveCoefficient.from_complex(values[len(values) // 2])
-        kappa = sum_abs_sq(values)
+        try:  # |c|^2 of an entry, or their sum, beyond the largest float
+            g = EffectiveCoefficient.from_complex(values[len(values) // 2])
+            kappa = sum_abs_sq(values)
+        except OverflowError:
+            raise ConfigError(f"{args.coeffs_x}: sum |c|^2 overflows a float")
     bound_sets = sweep(powers, g, ctx.config.noise.sigma_sq,
                        p2_dbm=args.p2_dbm, kappa=kappa)
 
@@ -313,27 +315,28 @@ def cmd_region(args, ctx: RunContext) -> int:
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     region = build_region(u1, u2, u_sum)
-    doc = region.to_json_dict()
-    try:
-        doc["dominant_face_midpoint"] = list(dominant_face_midpoint(region))
-    except NoDominantFaceError:
-        doc["dominant_face_midpoint"] = None
-    doc["area"] = region.area()
-    ctx.write(args.out, _json_text(doc))
+    try:  # JSON has no inf or NaN; a * b overflows to inf, a square raises
+        if not math.isfinite(area := region.area()):
+            raise OverflowError
+    except OverflowError:
+        raise ConfigError(f"the region's area overflows a float: u1 {u1}, "
+                          f"u2 {u2}, usum {u_sum}") from None
+    ctx.write(args.out, _json_text({
+        "tag": "theorem1", "vertices": region.vertices, "area": area,
+        "dominant_face_midpoint": dominant_face_midpoint(region)}))
 
     if args.svg:
         layers = []
         annotations = []
         if awgn is not None:
-            box = build_region(awgn, awgn, 2 * awgn + 1.0, tag="awgn-box")
+            box = build_region(awgn, awgn, 2 * awgn + 1.0)
             layers.append((box, "red", 0.15, "awgn box"))
             annotations.append(
                 f"excess area: awgn box outside bound region = "
                 f"{excess_area(box, region):.4g} bits^2")
         layers.append((region, "green", 0.35, "outer bound"))
         if ian1 is not None:
-            ian_box = build_region(ian1, ian2, ian1 + ian2 + 1.0,
-                                   tag="ian-box")
+            ian_box = build_region(ian1, ian2, ian1 + ian2 + 1.0)
             layers.append((ian_box, "blue", 0.35, "interference as noise"))
             annotations.append(
                 f"excess area: bound region outside ian box = "

@@ -127,15 +127,10 @@ class CoeffTensor:
             self.memory, self.values.ravel().tolist(), self.link, user)
 
     @classmethod
-    def from_json_dict(cls, doc: dict, user: str = "x") -> "CoeffTensor":
-        """The window of a document tagged as receiver user's; ConfigError
-        for a malformed document or another tag."""
-        memory, link, values = tensorjson.parse_tensor_document(doc, user)
-        return cls(memory, np.reshape(values, (2 * memory + 1,) * 3), link)
-
-    @classmethod
     def load(cls, path: str, user: str = "x") -> "CoeffTensor":
-        """from_json_dict of the document at path; its errors name path."""
+        """The window of the document at path, tagged as receiver user's
+        (tensorjson.read_tensor); ConfigError, naming path, for a
+        malformed document or another tag."""
         memory, link, values = tensorjson.read_tensor(path, user)
         return cls(memory, np.reshape(values, (2 * memory + 1,) * 3), link)
 

@@ -33,9 +33,5 @@ class BoundDomainError(NumericalError):
     """Rate-bound bracket left the domain of the logarithm."""
 
 
-class NoDominantFaceError(ToolkitError):
-    """The region has no sum-rate edge of slope -1."""
-
-
 class SampleBudgetError(ToolkitError):
     """Monte-Carlo sample count below the minimum for the requested check."""

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, NoDominantFaceError
+from .errors import ConfigError
 
 _DEDUP_TOL = 1e-12
-
-REGION_TAGS = ("theorem1", "awgn-box", "ian-box", "custom")
 
 
 def _vertices(u1: float, u2: float, s: float) -> tuple:
@@ -42,12 +40,12 @@ def _vertices(u1: float, u2: float, s: float) -> tuple:
 
 @dataclass(frozen=True)
 class Region2D:
-    """Rate region of a bound triple; equal when vertices and tag are."""
+    """Rate region of a bound triple; regions are equal when their
+    vertices are."""
 
     u1: float = field(compare=False)
     u2: float = field(compare=False)
     u_sum: float = field(compare=False)
-    tag: str = "custom"
     vertices: tuple = field(init=False)
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class Region2D:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0")
             object.__setattr__(self, name, value)
-        if self.tag not in REGION_TAGS:
-            raise ConfigError(f"tag must be one of {REGION_TAGS}")
         object.__setattr__(self, "vertices",
                            _vertices(self.u1, self.u2, self.u_sum))
 
@@ -67,36 +63,28 @@ class Region2D:
         a, b = min(self.u1, self.u_sum), min(self.u2, self.u_sum)
         return a * b - max(0.0, a + b - self.u_sum) ** 2 / 2.0
 
-    def to_json_dict(self) -> dict:
-        return {"tag": self.tag,
-                "vertices": [[x, y] for x, y in self.vertices]}
 
-
-def build_region(u1: float, u2: float, u_sum: float,
-                 tag: str = "theorem1") -> Region2D:
+def build_region(u1: float, u2: float, u_sum: float) -> Region2D:
     """Region of {R1,R2 >= 0, R1 <= u1, R2 <= u2, R1+R2 <= u_sum}.
 
     A rectangle when the sum constraint is slack, a pentagon when it cuts
     one corner, a triangle when it binds alone, and a segment or the
     point (0, 0) at zero bounds.
     """
-    return Region2D(u1, u2, u_sum, tag)
+    return Region2D(u1, u2, u_sum)
 
 
 def dominant_face_midpoint(region: Region2D):
     """Midpoint of the slope -1 (sum-rate) edge, from (min(u1, s),
     max(0, s - u1)) to (max(0, s - u2), min(u2, s)) with s = u_sum.
 
-    Raises NoDominantFaceError when that edge has no length, e.g. for
-    rectangles whose sum constraint is slack.
+    None when that edge has no length, e.g. for rectangles whose sum
+    constraint is slack.
     """
     u1, u2, s = region.u1, region.u2, region.u_sum
     x0, y0 = min(u1, s), max(0.0, s - u1)
     x1, y1 = max(0.0, s - u2), min(u2, s)
-    if not x1 < x0:
-        raise NoDominantFaceError(
-            "no dominant face: region has no slope -1 edge")
-    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0) if x1 < x0 else None
 
 
 def excess_area(a: Region2D, b: Region2D) -> float:

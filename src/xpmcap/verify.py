@@ -331,7 +331,6 @@ def run_suite(suite: str, n: int, master_seed: int,
     if suite != "all" and suite not in suites:
         raise ConfigError(f"unknown suite '{suite}'; expected one of "
                           f"{('all',) + tuple(suites)}")
-    names = list(suites) if suite == "all" else [suite]
     seconds: dict[str, float] = {}
 
     def timed(check) -> CheckReport:
@@ -340,9 +339,11 @@ def run_suite(suite: str, n: int, master_seed: int,
         seconds[report.name] = time.perf_counter() - start
         return report
 
-    checks = [(suites[name][0], partial(timed, check))
-              for i, name in enumerate(names)
-              for check in suites[name][1](n, master_seed + i)]
+    # Suite i of the table draws from master_seed + i, run alone or in all.
+    checks = [(cost, partial(timed, check))
+              for i, (name, (cost, run)) in enumerate(suites.items())
+              if suite in ("all", name)
+              for check in run(n, master_seed + i)]
     workers = cpu_workers(sum(cost > 0 for cost, _ in checks))
     if diagnostics is not None:
         diagnostics.update(check_workers=workers, check_s=seconds)

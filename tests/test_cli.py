@@ -888,6 +888,15 @@ def _tensor_text(**entry):
     return json.dumps(doc)
 
 
+def _window_text(centre, other):
+    """A memory-1 tensor document: c[0,0,0] = centre, every other entry
+    other."""
+    entries = [{"l": l, "m": m, "p": p, "im": 0.0,
+                "re": centre if l == m == p == 0 else other}
+               for l in (-1, 0, 1) for m in (-1, 0, 1) for p in (-1, 0, 1)]
+    return json.dumps({"user": "x", "memory": 1, "entries": entries})
+
+
 # The center tap from a config file, for cases that need one to reach
 # the fault they test.
 G_FILES = {"g.yaml": ZERO_G + IMAG_G}
@@ -967,6 +976,18 @@ MALFORMED = {
         {"t.json": json.dumps({**json.loads(_tensor_text(re=1.0)),
                                "user": "y"})},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    # Finite entries whose |c|^2, or the sum of them (kappa), overflows
+    # a float: the center tap's alone, the sum of 27 that each fit, one
+    # beside a center tap that fits. simulate takes these windows.
+    "sweep-coeffs-x-center-tap-squared-overflows": (
+        {"t.json": _tensor_text(re=1e200)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "sweep-coeffs-x-kappa-overflows": (
+        {"t.json": _window_text(1e154, 1e154)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
+    "sweep-coeffs-x-side-tap-squared-overflows": (
+        {"t.json": _window_text(1.0, 1e160)},
+        ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
     "sweep-power-not-a-number": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "abc"]),
     # Finite powers whose watts, or whose bounds, overflow a float.
@@ -1034,6 +1055,13 @@ MALFORMED = {
     "region-awgn-nan": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--awgn",
              "nan"]),
+    # Finite bounds whose area overflows a float: a * b is inf and the
+    # cut corner's square raises, or inf - inf is NaN, which JSON lacks.
+    "region-area-overflows": (
+        {}, ["region", "--u1", "1e200", "--u2", "1e200", "--usum",
+             "1.5e200"]),
+    "region-area-not-a-number": (
+        {}, ["region", "--u1", "1e308", "--u2", "1e308", "--usum", "1e308"]),
     "region-at-dbm-without-from-sweep": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--at-dbm", "3"]),
@@ -1171,7 +1199,8 @@ NAMES_INPUT_FILE = {
 # config key under its section, an unknown section by its name, a repeated
 # key or section by its name; half an overlay, or a noise variance given
 # twice, under both; a tensor tagged for another receiver after the
-# file's name, with no colon between.
+# file's name, with no colon between; an area or a sum |c|^2 beyond the
+# largest float as an overflow.
 SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "config-noise-sigma-sq-and-nsp": "noise.sigma_sq_w and noise.nsp",
         "config-link-key-repeated": "repeated key(s): memory",
@@ -1184,6 +1213,13 @@ SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
             "simulation.g_imag_per_mw must be finite",
         "sweep-csv-field-not-finite": "ian1 must be finite",
         "region-awgn-nan": "awgn must be finite",
+        "region-area-overflows": "area overflows a float",
+        "region-area-not-a-number": "area overflows a float",
+        "sweep-coeffs-x-center-tap-squared-overflows":
+            "sum |c|^2 overflows a float",
+        "sweep-coeffs-x-kappa-overflows": "sum |c|^2 overflows a float",
+        "sweep-coeffs-x-side-tap-squared-overflows":
+            "sum |c|^2 overflows a float",
         "simulate-p1-inf": "argument --p1-dbm: power in dBm must be finite",
         "sweep-p2-nan": "argument --p2-dbm: power in dBm must be finite",
         "sweep-power-nan": "argument --powers-dbm: power in dBm must be finite",

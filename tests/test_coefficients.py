@@ -759,22 +759,22 @@ class TestJsonRoundTrip:
                     f"not receiver {other}'s")
             with pytest.raises(ConfigError, match=re.escape(said)):
                 CoeffTensor.load(str(path), other)
-            with pytest.raises(ConfigError, match="receiver"):
-                CoeffTensor.from_json_dict(doc, other)
         with pytest.raises(ConfigError):  # load(path) reads receiver x's
             CoeffTensor.load(str(tmp_path / "tensor_w.json"))
 
-    def test_incomplete_document_rejected(self):
-        doc = {"user": "x", "memory": 1,
-               "entries": [{"l": 0, "m": 0, "p": 0, "re": 1.0, "im": 0.0}]}
+    def test_incomplete_document_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"user": "x", "memory": 1, "entries": [
+            {"l": 0, "m": 0, "p": 0, "re": 1.0, "im": 0.0}]}))
         with pytest.raises(ConfigError, match="fill"):
-            CoeffTensor.from_json_dict(doc)
+            CoeffTensor.load(str(path))
 
-    def test_out_of_window_entry_rejected(self):
-        doc = {"user": "x", "memory": 0,
-               "entries": [{"l": 1, "m": 0, "p": 0, "re": 1.0, "im": 0.0}]}
+    def test_out_of_window_entry_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"user": "x", "memory": 0, "entries": [
+            {"l": 1, "m": 0, "p": 0, "re": 1.0, "im": 0.0}]}))
         with pytest.raises(ConfigError, match="window"):
-            CoeffTensor.from_json_dict(doc)
+            CoeffTensor.load(str(path))
 
     def test_values_are_an_owned_read_only_copy(self):
         raw = np.ones((3, 3, 3), dtype=complex)

@@ -94,6 +94,15 @@ class TestImportContract:
         assert _layers(modules) == BASE_LAYERS | {
             "xpmcap.coefficients", "xpmcap.tensorjson", "xpmcap.workers"}
 
+    def test_verify_loads_no_coefficient_engine(self, tmp_path):
+        # channel names CoeffTensor in annotations only.
+        proc, modules = _cli(tmp_path, "--quiet", "verify", "--suite",
+                             "dettrace")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "verify-report.json").exists()
+        assert _layers(modules) == BASE_LAYERS | {
+            "xpmcap.channel", "xpmcap.verify", "xpmcap.workers"}
+
     def test_tensor_sweep_loads_no_numpy_or_yaml(self, tmp_path):
         tensor = xpmcap.CoeffTensor(memory=1, values=[
             [[0.01j * (9 * l + 3 * m + p) for p in range(3)]
@@ -213,7 +222,8 @@ class TestAttributeContract:
 
 
 # xpmcap.__all__ when the package imported every layer eagerly, by module,
-# less regions.intersect, which excess_area absorbed.
+# less regions.intersect, which excess_area absorbed, and
+# NoDominantFaceError, which dominant_face_midpoint's None replaced.
 PUBLIC = {
     "bounds": ["BoundSet", "EffectiveCoefficient", "awgn_capacity",
                "evaluate_bounds", "fit_cubic_interference",
@@ -228,8 +238,8 @@ PUBLIC = {
                "ase_noise_variance", "dbm_to_watts", "effective_length",
                "load_config"],
     "errors": ["BoundDomainError", "ConfigError", "GridError",
-               "NoDominantFaceError", "NumericalError", "QuadratureError",
-               "SampleBudgetError", "ToolkitError"],
+               "NumericalError", "QuadratureError", "SampleBudgetError",
+               "ToolkitError"],
     "pulses": ["PulseShape"],
     "regions": ["Region2D", "build_region", "dominant_face_midpoint",
                 "excess_area"],

@@ -19,8 +19,7 @@ SERIES = [
     ("flat", "blue", None, [-20.0, 10.3], [1.0, 1.0]),
 ]
 LAYERS = [
-    (build_region(0.39, 0.39, 0.78 + 1.0, tag="awgn-box"), "red", 0.15,
-     "awgn box"),
+    (build_region(0.39, 0.39, 0.78 + 1.0), "red", 0.15, "awgn box"),
     (build_region(0.39, 0.39, 0.494233), "green", 0.35, "outer bound"),
     (build_region(0.0, 0.0, 0.0), "blue", 0.35, "a point"),
 ]

@@ -309,6 +309,18 @@ class TestSuiteRunner:
         with pytest.raises(ConfigError):
             run_suite("conv5", N, 1)
 
+    def test_suite_alone_reproduces_its_rows_of_all(self):
+        # A suite's seed is its place in the suite table, not in the
+        # requested list.
+        every = [r.to_dict() for r in run_suite("all", 100_000, 7)]
+        rows = []
+        for suite in ("dettrace", "conv4", "conv6", "moments"):
+            alone = [r.to_dict() for r in run_suite(suite, 100_000, 7)]
+            assert alone == [r for r in every
+                             if r["name"].startswith(suite + "-")], suite
+            rows += alone
+        assert rows == every
+
     def test_reports_serialize(self):
         report = det_trace_check(np.eye(3))
         doc = report.to_dict()
