@@ -141,24 +141,35 @@ def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex, out=None,
         y_r = (1 + |w|^2 Re g) Re x - |w|^2 Im g Im x,
         y_i = (1 + |w|^2 Re g) Im x + |w|^2 Im g Re x,
     whose recombination y_r + j y_i equals (1 + g |w|^2) x, written into
-    the real arrays out=(y_r, y_i) when given. work=(a, b), two more real
-    arrays of the output's shape, is scratch for the factors 1 + |w|^2 Re g
-    and |w|^2 Im g, so that with out and work the call allocates nothing.
+    the real arrays out=(y_r, y_i) when given; with work=(a, b), two more
+    of the output's shape, it allocates nothing (decompose_quadratures).
     """
-    x = np.asarray(x, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
+    x, w = np.asarray(x, np.complex128), np.asarray(w, np.complex128)
     shape = np.broadcast_shapes(x.shape, w.shape)
-    y_r, y_i = (np.empty(shape), np.empty(shape)) if out is None else out
-    a, b = (np.empty(shape), np.empty(shape)) if work is None else work
-    np.multiply(w.real, w.real, out=b)
-    b += np.multiply(w.imag, w.imag, out=a)  # |w|^2
-    np.multiply(b, g.real, out=a)
-    a += 1.0
-    b *= g.imag
-    np.subtract(np.multiply(a, x.real, out=y_r),
-                np.multiply(b, x.imag, out=y_i), out=y_r)
-    np.add(np.multiply(a, x.imag, out=y_i),
-           np.multiply(b, x.real, out=b), out=y_i)
+    return decompose_quadratures(
+        (x.real, x.imag), (w.real, w.imag), g,
+        (np.empty(shape), np.empty(shape)) if out is None else out,
+        (np.empty(shape), np.empty(shape)) if work is None else work)
+
+
+def decompose_quadratures(x, w, g: complex, out, work):
+    """real_imag_decompose of quadrature pairs x = (Re x, Im x) and w into
+    out = (y_r, y_i), with work = (a, b) scratch of out's shape. The factors
+    take w's shape (floats for w a pair of floats); for g = 0, y = x."""
+    (xr, xi), (wr, wi), (y_r, y_i), (a, b) = x, w, out, work
+    if g == 0:
+        y_r[...], y_i[...] = xr, xi
+        return y_r, y_i
+    if np.ndim(wr):  # |w|^2 in b, then the factors in a and b
+        np.add(np.multiply(wr, wr, out=b), np.multiply(wi, wi, out=a), out=b)
+        fa = np.add(np.multiply(b, g.real, out=a), 1.0, out=a)
+        fb = np.multiply(b, g.imag, out=b)
+    else:
+        fa, fb = (q := wr * wr + wi * wi) * g.real + 1.0, q * g.imag
+    np.subtract(np.multiply(fa, xr, out=y_r),
+                np.multiply(fb, xi, out=y_i), out=y_r)
+    np.add(np.multiply(fa, xi, out=y_i),
+           np.multiply(fb, xr, out=b), out=y_i)
     return y_r, y_i
 
 

@@ -314,35 +314,44 @@ def cmd_region(args, ctx: RunContext) -> int:
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
-    region = build_region(u1, u2, u_sum)
-    try:  # JSON has no inf or NaN; a * b overflows to inf, a square raises
-        if not math.isfinite(area := region.area()):
-            raise OverflowError
-    except OverflowError:
-        raise ConfigError(f"the region's area overflows a float: u1 {u1}, "
-                          f"u2 {u2}, usum {u_sum}") from None
+    region, area = _measured(build_region(u1, u2, u_sum), lambda r: r.area(),
+                             f"the region's area overflows a float: u1 {u1},"
+                             f" u2 {u2}, usum {u_sum}")
+    # Every overlay is built before the first write, so none is left behind.
+    layers, annotations = [(region, "green", 0.35, "outer bound")], []
+    if awgn is not None:
+        box, excess = _measured((awgn, awgn, 2 * awgn + 1.0),
+                                lambda box: excess_area(box, region),
+                                f"--awgn {awgn}: awgn box overflows a float")
+        layers.insert(0, (box, "red", 0.15, "awgn box"))
+        annotations.append(f"excess area: awgn box outside bound region = "
+                           f"{excess:.4g} bits^2")
+    if ian1 is not None:
+        box, excess = _measured((ian1, ian2, ian1 + ian2 + 1.0),
+                                lambda box: excess_area(region, box),
+                                f"--ian1 {ian1}, --ian2 {ian2}: ian box "
+                                f"overflows a float")
+        layers.append((box, "blue", 0.35, "interference as noise"))
+        annotations.append(f"excess area: bound region outside ian box = "
+                           f"{excess:.4g} bits^2")
     ctx.write(args.out, _json_text({
         "tag": "theorem1", "vertices": region.vertices, "area": area,
         "dominant_face_midpoint": dominant_face_midpoint(region)}))
-
     if args.svg:
-        layers = []
-        annotations = []
-        if awgn is not None:
-            box = build_region(awgn, awgn, 2 * awgn + 1.0)
-            layers.append((box, "red", 0.15, "awgn box"))
-            annotations.append(
-                f"excess area: awgn box outside bound region = "
-                f"{excess_area(box, region):.4g} bits^2")
-        layers.append((region, "green", 0.35, "outer bound"))
-        if ian1 is not None:
-            ian_box = build_region(ian1, ian2, ian1 + ian2 + 1.0)
-            layers.append((ian_box, "blue", 0.35, "interference as noise"))
-            annotations.append(
-                f"excess area: bound region outside ian box = "
-                f"{excess_area(region, ian_box):.4g} bits^2")
         ctx.write(args.svg, render_regions(layers, annotations))
     return EXIT_OK
+
+
+def _measured(bounds, measure, message: str) -> tuple:
+    """(region, measure(region)) of a region or a bound triple, refused
+    with message when either overflows a float (JSON has no inf or NaN)."""
+    try:  # a sum bound of inf is refused; a * b is inf; a square raises
+        region = build_region(*bounds) if type(bounds) is tuple else bounds
+        if math.isfinite(value := measure(region)):
+            return region, value
+    except (ConfigError, OverflowError):
+        pass
+    raise ConfigError(message)
 
 
 def cmd_simulate(args, ctx: RunContext) -> int:

@@ -317,6 +317,20 @@ class TestRealImagDecompose:
         assert np.vstack(real_imag_decompose(x, w, g)).tobytes() == \
             want.tobytes()
 
+    @pytest.mark.parametrize("scalar_w", [False, True])
+    def test_zero_coefficient_keeps_the_whole_array_arithmetic(self,
+                                                               scalar_w):
+        # For g = 0 the map copies x; the factors 1 and 0 give x too,
+        # wherever no quadrature of x is a zero of either sign.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        w = 0.3 - 0.8j if scalar_w else rng.standard_normal(1000) * 1j
+        q = np.asarray(w).real ** 2 + np.asarray(w).imag ** 2
+        a, b = 1.0 + q * 0.0, q * 0.0
+        want = np.vstack([a * x.real - b * x.imag, a * x.imag + b * x.real])
+        assert np.vstack(real_imag_decompose(x, w, 0j)).tobytes() == \
+            want.tobytes()
+
     @settings(max_examples=200)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_recombination_identity(self, seed):

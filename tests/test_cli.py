@@ -1062,6 +1062,17 @@ MALFORMED = {
              "1.5e200"]),
     "region-area-not-a-number": (
         {}, ["region", "--u1", "1e308", "--u2", "1e308", "--usum", "1e308"]),
+    # An overlay box, or its excess area, beyond the largest float: the
+    # sum bound 2 awgn + 1 or ian1 + ian2 + 1 is inf, or a * b is.
+    "region-awgn-sum-overflows": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--awgn",
+             "1e308", "--svg", "r.svg"]),
+    "region-awgn-area-overflows": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--awgn",
+             "1e200", "--svg", "r.svg"]),
+    "region-ian-sum-overflows": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--ian1",
+             "1e308", "--ian2", "1e308", "--svg", "r.svg"]),
     "region-at-dbm-without-from-sweep": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--at-dbm", "3"]),
@@ -1215,6 +1226,12 @@ SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "region-awgn-nan": "awgn must be finite",
         "region-area-overflows": "area overflows a float",
         "region-area-not-a-number": "area overflows a float",
+        "region-awgn-sum-overflows":
+            "--awgn 1e+308: awgn box overflows a float",
+        "region-awgn-area-overflows":
+            "--awgn 1e+200: awgn box overflows a float",
+        "region-ian-sum-overflows":
+            "--ian1 1e+308, --ian2 1e+308: ian box overflows a float",
         "sweep-coeffs-x-center-tap-squared-overflows":
             "sum |c|^2 overflows a float",
         "sweep-coeffs-x-kappa-overflows": "sum |c|^2 overflows a float",
@@ -1263,6 +1280,7 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert ".tmp-" not in err, err  # an output is named, not its temp
+        assert not (tmp_path / "out" / "region.json").exists()
         if case in SAYS:
             assert SAYS[case] in err, err
         if case in NAMES_INPUT_FILE:

@@ -232,7 +232,7 @@ class TestConv4Signal:
     memory from the same seeds."""
 
     @pytest.mark.parametrize("n", [1, 65536, 200_003])
-    @pytest.mark.parametrize("split", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("split", [0.3, 0.5, 0.8, 0.0, 1.0])
     def test_equals_whole_array_form_bitwise(self, n, split, monkeypatch):
         got = _streamed_rows(monkeypatch, single_user_covariance_check,
                              50.0j, 0.1, 2 * MW, MW, n, seed=n,
@@ -413,7 +413,8 @@ class TestConcurrentSuite:
 class TestNoisyRows:
     """The streamed rows equal the whole-array construction bit for bit."""
 
-    @pytest.mark.parametrize("n", [1000, BLOCK, 2 * BLOCK + 123])
+    # 40977 = 5 * 8192 + 17: no whole number of sub-blocks
+    @pytest.mark.parametrize("n", [1000, BLOCK, 2 * BLOCK + 123, 40_977])
     def test_joint_rows_equal_whole_array_form(self, n, monkeypatch):
         args = (30.0 + 40.0j, -5.0 + 2.0j, PowerPair(MW, 2 * MW), 0.7 * MW)
         got = _streamed_rows(monkeypatch, joint_covariance_check, *args, n,
@@ -427,6 +428,58 @@ class TestNoisyRows:
                              50.0j, w, MW, 1.3 * MW, n, seed=1)
         want = _conv4_rows(n, 1, 50.0j, np.full(n, w), MW, 1.3 * MW, 0.5)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gs, pp", [
+        ((30.0 + 40.0j, -5.0 + 2.0j), PowerPair(0.0, 0.0)),
+        ((0.0j, 0.0j), PowerPair(0.0, 0.0)),
+        ((0.0j, 0.0j), PowerPair(MW, 2 * MW))])
+    def test_joint_rows_at_zero_power_or_coefficients(self, gs, pp,
+                                                      monkeypatch):
+        # At zero power the oracle's inputs are 0 * N(0, 1), -0.0 for a
+        # negative draw, where undrawn inputs hold +0.0: the noise on every
+        # row erases the sign. At g = 0 both maps pass their input through.
+        args = (*gs, pp, 0.7 * MW)
+        got = _streamed_rows(monkeypatch, joint_covariance_check, *args,
+                             BLOCK + 123, seed=2)
+        assert got.tobytes() == _conv6_rows(BLOCK + 123, 2, *args).tobytes()
+
+
+class TestWorkingSet:
+    """What the streamed checks draw and hold, beyond their rows."""
+
+    def test_zero_power_draws_only_the_noise(self, monkeypatch):
+        class Counting:
+            def __init__(self, gen):
+                self.gen, self.drawn = gen, 0
+
+            def standard_normal(self, *args, **kwargs):
+                z = self.gen.standard_normal(*args, **kwargs)
+                self.drawn += z.size
+                return z
+
+        gens, streams = [], verify._streams
+
+        def counting(seed, count):
+            gens.extend(map(Counting, streams(seed, count)))
+            return gens
+
+        monkeypatch.setattr(verify, "_streams", counting)
+        n = 150_000
+        joint_covariance_check(0.0j, 0.0j, PowerPair(0.0, 0.0), MW, n, seed=3)
+        # x's and w's quadratures, then the four rows' noise
+        assert [g.drawn for g in gens] == [0] * 4 + [n] * 4
+
+    def test_joint_check_holds_little_beyond_its_rows(self):
+        args = (30.0 + 40.0j, 30.0 + 40.0j, PowerPair(MW, MW), MW)
+        joint_covariance_check(*args, 100_000, seed=7)  # one-time imports
+        tracemalloc.start()
+        try:
+            joint_covariance_check(*args, 10 ** 6, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the four BLOCK-long float rows, and a quarter of that for the rest
+        assert peak < 1.25 * 4 * BLOCK * 8
 
 
 class TestCoMoments:
