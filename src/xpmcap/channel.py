@@ -133,23 +133,20 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     return acc
 
 
-def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex, out=None,
-                        work=None):
+def real_imag_decompose(x: np.ndarray, w: np.ndarray, g: complex):
     """Quadrature form of the single-tap map, before noise.
 
-    Returns (y_r, y_i) with
+    Returns new real arrays (y_r, y_i) with
         y_r = (1 + |w|^2 Re g) Re x - |w|^2 Im g Im x,
         y_i = (1 + |w|^2 Re g) Im x + |w|^2 Im g Re x,
-    whose recombination y_r + j y_i equals (1 + g |w|^2) x, written into
-    the real arrays out=(y_r, y_i) when given; with work=(a, b), two more
-    of the output's shape, it allocates nothing (decompose_quadratures).
+    whose recombination y_r + j y_i equals (1 + g |w|^2) x. To fill given
+    arrays without allocating, call decompose_quadratures.
     """
     x, w = np.asarray(x, np.complex128), np.asarray(w, np.complex128)
     shape = np.broadcast_shapes(x.shape, w.shape)
     return decompose_quadratures(
         (x.real, x.imag), (w.real, w.imag), g,
-        (np.empty(shape), np.empty(shape)) if out is None else out,
-        (np.empty(shape), np.empty(shape)) if work is None else work)
+        (np.empty(shape), np.empty(shape)), (np.empty(shape), np.empty(shape)))
 
 
 def decompose_quadratures(x, w, g: complex, out, work):
@@ -194,12 +191,17 @@ def simulate_batch(n: int, p1: float, p2: float, sigma_sq: float,
 
     The memoryless model is the memory-0 window [[[g]]], for which
     full_channel is the single-tap map bit for bit. Child streams (x, w,
-    noise_y) are spawned from the master seed, in that order.
+    noise_y) are spawned from the master seed, in that order. ConfigError
+    when a sample of y overflows a float.
     """
     seeds = spawn_seeds(master_seed, 3)
     x = sample_cscg(n, p1, seeds[0])
     w = sample_cscg(n, p2, seeds[1])
-    y = full_channel(x, w, coeffs, sigma_sq, seeds[2])
+    with np.errstate(over="ignore", invalid="ignore"):  # y is checked below
+        y = full_channel(x, w, coeffs, sigma_sq, seeds[2])
+    if not np.isfinite(y).all():
+        raise ConfigError(f"the channel output overflows a float at "
+                          f"P1 {p1} W, P2 {p2} W")
     return SampleBatch(n=n, x=x, w=w, y=y)
 
 

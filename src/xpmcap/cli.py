@@ -281,12 +281,11 @@ def cmd_sweep(args, ctx: RunContext) -> int:
 
 
 def cmd_region(args, ctx: RunContext) -> int:
-    awgn = args.awgn
-    ian1, ian2 = args.ian1, args.ian2
+    values = (args.u1, args.u2, args.usum, args.awgn, args.ian1, args.ian2)
     if args.from_sweep:
-        if (args.u1, args.u2, args.usum) != (None, None, None):
-            raise ConfigError("give the bound triple by --u1/--u2/--usum "
-                              "or by --from-sweep, not both")
+        if values != (None,) * 6:
+            raise ConfigError("give the values by --u1/--u2/--usum/--awgn/"
+                              "--ian1/--ian2 or by --from-sweep, not both")
         if args.at_dbm is None:
             raise ConfigError("--from-sweep requires --at-dbm")
         rows = read_sweep_csv(args.from_sweep)
@@ -296,25 +295,24 @@ def cmd_region(args, ctx: RunContext) -> int:
             raise ConfigError(
                 f"no sweep row at {args.at_dbm} dBm; available: "
                 f"{sorted(r['p_dbm'] for r in rows)}")
-        row = match[0]
-        u1, u2, u_sum = row["u1"], row["u2"], row["u_sum"]
-        awgn = row["awgn"] if awgn is None else awgn
-        ian1 = row["ian1"] if ian1 is None else ian1
-        ian2 = row["ian2"] if ian2 is None else ian2
+        # the row's columns, in SWEEP_CSV_HEADER's order
+        p_dbm, u1, u2, u_sum, awgn, ian1, ian2 = match[0].values()
+        source, flag = f"{args.from_sweep} at {p_dbm:g} dBm: ", ""
     else:
-        if None in (args.u1, args.u2, args.usum):
+        if None in values[:3]:
             raise ConfigError("provide either --u1/--u2/--usum or "
                               "--from-sweep with --at-dbm")
         if args.at_dbm is not None:
             raise ConfigError("--at-dbm requires --from-sweep")
-        if (ian1 is None) != (ian2 is None):
+        if (args.ian1 is None) != (args.ian2 is None):
             raise ConfigError("--ian1 and --ian2 go together")
-        u1, u2, u_sum = args.u1, args.u2, args.usum
-    for name, value in (("awgn", awgn), ("ian1", ian1), ("ian2", ian2)):
+        (u1, u2, u_sum, awgn, ian1, ian2), source, flag = values, "", "--"
+    for name, value in zip(("u1", "u2", "u_sum", "awgn", "ian1", "ian2"),
+                           (u1, u2, u_sum, awgn, ian1, ian2)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
-    region, area = _measured(build_region(u1, u2, u_sum), lambda r: r.area(),
+    region, area = _measured((u1, u2, u_sum), lambda r: r.area(),
                              f"the region's area overflows a float: u1 {u1},"
                              f" u2 {u2}, usum {u_sum}")
     # Every overlay is built before the first write, so none is left behind.
@@ -322,15 +320,16 @@ def cmd_region(args, ctx: RunContext) -> int:
     if awgn is not None:
         box, excess = _measured((awgn, awgn, 2 * awgn + 1.0),
                                 lambda box: excess_area(box, region),
-                                f"--awgn {awgn}: awgn box overflows a float")
+                                f"{source}{flag}awgn {awgn}: awgn box "
+                                f"overflows a float")
         layers.insert(0, (box, "red", 0.15, "awgn box"))
         annotations.append(f"excess area: awgn box outside bound region = "
                            f"{excess:.4g} bits^2")
     if ian1 is not None:
         box, excess = _measured((ian1, ian2, ian1 + ian2 + 1.0),
                                 lambda box: excess_area(region, box),
-                                f"--ian1 {ian1}, --ian2 {ian2}: ian box "
-                                f"overflows a float")
+                                f"{source}{flag}ian1 {ian1}, {flag}ian2 "
+                                f"{ian2}: ian box overflows a float")
         layers.append((box, "blue", 0.35, "interference as noise"))
         annotations.append(f"excess area: bound region outside ian box = "
                            f"{excess:.4g} bits^2")
@@ -343,11 +342,10 @@ def cmd_region(args, ctx: RunContext) -> int:
 
 
 def _measured(bounds, measure, message: str) -> tuple:
-    """(region, measure(region)) of a region or a bound triple, refused
-    with message when either overflows a float (JSON has no inf or NaN)."""
+    """(region, measure(region)) of a bound triple's region, refused with
+    message when either overflows a float (JSON has no inf or NaN)."""
     try:  # a sum bound of inf is refused; a * b is inf; a square raises
-        region = build_region(*bounds) if type(bounds) is tuple else bounds
-        if math.isfinite(value := measure(region)):
+        if math.isfinite(value := measure(region := build_region(*bounds))):
             return region, value
     except (ConfigError, OverflowError):
         pass

@@ -273,20 +273,13 @@ def _refuse_unknown(what: str, given: dict, known: dict) -> None:
 
 
 def config_from_dict(raw: dict, source_path: str | None = None) -> ToolkitConfig:
-    """Build a validated ToolkitConfig from a parsed mapping.
+    """Build a validated ToolkitConfig from a parsed mapping, with
+    source_path recorded as the file it came from.
 
     Unknown sections or keys, wrongly typed values and a pulse
-    PulseShape refuses are hard errors; each names source_path if given.
+    PulseShape refuses are hard errors (ConfigError); load_config puts
+    the file's path in front of their message.
     """
-    try:
-        return _build_config(raw, source_path)
-    except ConfigError as exc:
-        if source_path is None:
-            raise
-        raise ConfigError(f"{source_path}: {exc}") from exc
-
-
-def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -318,7 +311,8 @@ def _build_config(raw: dict, source_path: str | None) -> ToolkitConfig:
 
 
 def load_config(path: str) -> ToolkitConfig:
-    """Load and validate a YAML configuration file."""
+    """Load and validate a YAML configuration file; every ConfigError
+    names path."""
     import yaml
 
     class Loader(yaml.SafeLoader):
@@ -336,4 +330,7 @@ def load_config(path: str) -> ToolkitConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nesting
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    return config_from_dict(raw, source_path=path)
+    try:
+        return config_from_dict(raw, source_path=path)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -11,10 +11,6 @@ import sys
 from .errors import ConfigError
 
 
-class _OtherReceiver(ConfigError):
-    """A tensor document tagged for another receiver; read_tensor names it."""
-
-
 def tensor_document(memory: int, values, link: dict, user: str = "x") -> dict:
     """The document of the window values, tagged as receiver user's."""
     lags = itertools.product(range(-memory, memory + 1), repeat=3)
@@ -29,8 +25,8 @@ def parse_tensor_document(doc: dict, user: str = "x"):
     ConfigError for a malformed document or another tag."""
     try:
         if (tag := doc["user"]) != user:
-            raise _OtherReceiver(f"holds receiver {tag}'s tensor, "
-                                 f"not receiver {user}'s")
+            raise ConfigError(f"holds receiver {tag}'s tensor, "
+                              f"not receiver {user}'s")
         memory, link = doc["memory"], doc.get("link", {})
         if type(memory) is not int:  # not isinstance: refuses bool
             raise ConfigError(f"non-integer tensor memory {memory!r}")
@@ -69,8 +65,6 @@ def read_tensor(path: str, user: str = "x"):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_tensor_document(json.load(fh), user)
-        except _OtherReceiver as exc:
-            raise ConfigError(f"{path} {exc}") from exc
         except (ConfigError, ValueError, RecursionError) as exc:
             # ValueError: bad JSON or text; RecursionError: deep nesting
             raise ConfigError(f"{path}: {exc}") from exc

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from xpmcap import channel as xch
 from xpmcap.channel import (_CHUNK, _CSV_BLOCK_ROWS, _CSV_SPLIT_ROWS,
-                            BATCH_CSV_HEADER, SampleBatch, full_channel,
+                            BATCH_CSV_HEADER, SampleBatch,
+                            decompose_quadratures, full_channel,
                             interference_terms, real_imag_decompose,
                             sample_cscg, simulate_batch, spawn_seeds,
                             write_batch_csv)
@@ -270,6 +271,12 @@ class TestFullChannel:
         assert peak <= 16 * n + 1.25 * 16 * side * side * _CHUNK
 
 
+def _pair(v):
+    """(Re v, Im v), the quadrature pair decompose_quadratures reads."""
+    v = np.asarray(v, np.complex128)
+    return v.real, v.imag
+
+
 class TestRealImagDecompose:
     def test_direct_arithmetic(self):
         y_r, y_i = real_imag_decompose(np.array([1.0 + 0j]),
@@ -294,7 +301,8 @@ class TestRealImagDecompose:
         want = real_imag_decompose(x, w, g)
         rows = np.full((2, n), np.nan)
         y_r, y_i = rows
-        got = real_imag_decompose(x, w, g, out=(y_r, y_i))
+        got = decompose_quadratures(_pair(x), _pair(w), g, (y_r, y_i),
+                                    np.empty((2, n)))
         assert got[0] is y_r and got[1] is y_i
         assert rows.tobytes() == np.vstack(want).tobytes()
 
@@ -312,7 +320,7 @@ class TestRealImagDecompose:
         a, b = 1.0 + q * g.real, q * g.imag
         want = np.vstack([a * x.real - b * x.imag, a * x.imag + b * x.real])
         rows, work = np.full((2, n), np.nan), np.full((2, n), np.nan)
-        real_imag_decompose(x, w, g, out=rows, work=work)
+        decompose_quadratures(_pair(x), _pair(w), g, rows, work)
         assert rows.tobytes() == want.tobytes()
         assert np.vstack(real_imag_decompose(x, w, g)).tobytes() == \
             want.tobytes()

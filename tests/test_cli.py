@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -661,6 +662,17 @@ class TestSimulateCommand:
         assert lines[0] == "k,x_re,x_im,w_re,w_im,y_re,y_im"
         assert len(lines) == 65
 
+    def test_overflowing_batch_leaves_no_file_and_no_warning(self, tmp_path,
+                                                             capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would raise
+            code = run([*config_file(tmp_path, IMAG_G), "--out-dir",
+                        str(tmp_path), "--quiet", "simulate", "--n", "4",
+                        "--p1-dbm", "100", "--p2-dbm", "3080"])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "batch.csv").exists()
+
     def test_full_model_requires_tensor(self, tmp_path, config_path):
         code = run(["--config", config_path, "--out-dir", str(tmp_path),
                     "--quiet", "simulate", "--model", "full"])
@@ -946,6 +958,20 @@ MALFORMED = {
         {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,0.1,0.1\n"},
         ["region", "--from-sweep", "@s.csv", "--at-dbm", "0",
          "--u1", "5", "--u2", "5", "--usum", "9"]),
+    # --from-sweep gives all six values: it takes no value flag either.
+    "region-awgn-and-from-sweep": (
+        {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,0.1,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0",
+         "--awgn", "0.3"]),
+    "region-ian-and-from-sweep": (
+        {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,0.1,0.1,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0",
+         "--ian1", "0.2", "--ian2", "0.2"]),
+    # A row's overlay that overflows is named by the file and its power.
+    "sweep-csv-awgn-box-overflows": (
+        {"s.csv": SWEEP_HEADER + "0,0.1,0.2,0.25,1e+308,0.1,0.1\n"},
+        ["region", "--from-sweep", "@s.csv", "--at-dbm", "0", "--svg",
+         "r.svg"]),
     "tensor-entry-without-re": (
         {"t.json": _tensor_text()},
         ["sweep", "--powers-dbm", "0", "--coeffs-x", "@t.json"]),
@@ -1000,6 +1026,10 @@ MALFORMED = {
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "2100"]),
     "simulate-p1-overflows": (
         G_FILES, [*G_CONFIG, "simulate", "--n", "8", "--p1-dbm", "4000"]),
+    # Powers whose watts fit a float, but whose channel output does not.
+    "simulate-output-overflows": (
+        G_FILES, [*G_CONFIG, "simulate", "--n", "4", "--p1-dbm", "100",
+                  "--p2-dbm", "3080"]),
     "sweep-removed-receiver-w-flag": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--g-w-real",
                   "1"]),
@@ -1210,16 +1240,17 @@ NAMES_INPUT_FILE = {
 # config key under its section, an unknown section by its name, a repeated
 # key or section by its name; half an overlay, or a noise variance given
 # twice, under both; a tensor tagged for another receiver after the
-# file's name, with no colon between; an area or a sum |c|^2 beyond the
-# largest float as an overflow.
+# file's name, like every tensor fault; an area, a sum |c|^2 or a
+# channel output beyond the largest float as an overflow, an overlay's
+# under its flag or its sweep row.
 SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "config-noise-sigma-sq-and-nsp": "noise.sigma_sq_w and noise.nsp",
         "config-link-key-repeated": "repeated key(s): memory",
         "config-sweep-section-repeated": "repeated key(s): sweep",
         "sweep-coeffs-x-holds-receiver-w":
-            "t.json holds receiver w's tensor, not receiver x's",
+            "t.json: holds receiver w's tensor, not receiver x's",
         "simulate-coeffs-w-holds-receiver-x":
-            "t.json holds receiver x's tensor, not receiver w's",
+            "t.json: holds receiver x's tensor, not receiver w's",
         "config-simulation-g-imag-inf":
             "simulation.g_imag_per_mw must be finite",
         "sweep-csv-field-not-finite": "ian1 must be finite",
@@ -1232,6 +1263,12 @@ SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
             "--awgn 1e+200: awgn box overflows a float",
         "region-ian-sum-overflows":
             "--ian1 1e+308, --ian2 1e+308: ian box overflows a float",
+        "sweep-csv-awgn-box-overflows":
+            "s.csv at 0 dBm: awgn 1e+308: awgn box overflows a float",
+        "region-awgn-and-from-sweep": "or by --from-sweep, not both",
+        "region-ian-and-from-sweep": "or by --from-sweep, not both",
+        "simulate-output-overflows": "the channel output overflows a float "
+                                     "at P1 10000000.0 W, P2 1e+305 W",
         "sweep-coeffs-x-center-tap-squared-overflows":
             "sum |c|^2 overflows a float",
         "sweep-coeffs-x-kappa-overflows": "sum |c|^2 overflows a float",

@@ -17,7 +17,7 @@ from xpmcap.coefficients import (DEFAULT_QUAD_RTOL, CoeffTensor,
                                  _window_sums)
 from xpmcap.config import LinkParams, effective_length, load_config
 from xpmcap.errors import ConfigError, GridError, QuadratureError
-from xpmcap.pulses import PulseShape
+from xpmcap.pulses import PulseShape, _rrc
 
 # Short span keeps the dispersion spread small so unit tests run on a
 # 16-symbol window, padded to 64, in milliseconds; the default setup is
@@ -642,7 +642,7 @@ def _sinc_oracle(link, x_nodes=16, y_nodes=24):
     2 Omega], and over y = |mu| in [0, 2 Omega - x] by one Gauss-Legendre
     rule. At memory 5 on configs/reference.yaml, 16 x-nodes per panel and
     24 y-nodes are 1.35e-8 from 48 and 96 (max-norm relative)."""
-    T, M = link.symbol_period, link.memory
+    T = link.symbol_period
     omega = np.pi / T
     edges = np.concatenate([[0.0], 2 * omega * 2.0 ** -np.arange(8, 0, -1),
                             omega * (1 + np.arange(1, 5) / 4)])
@@ -654,6 +654,15 @@ def _sinc_oracle(link, x_nodes=16, y_nodes=24):
     top = (2 * omega - x)[:, None]
     y, wy = top * (v + 1) / 2, top * wv / 2  # one row of y-nodes per x
     width = top - y
+    return _overlap_oracle(link, x, wx, y, wy, lambda k: width * np.sinc(
+        k * T * width / (2 * np.pi)))
+
+
+def _overlap_oracle(link, x, wx, y, wy, band):
+    """The window from nodes and weights x, wx of |nu| and rows y, wy of
+    |mu| (one per x), with band(k) the w1 band integral of each node,
+    over T^2, for k = l + m - p (see _sinc_oracle)."""
+    T, M = link.symbol_period, link.memory
     # k, a = l - m - p and b = m - l - p each run over -3M .. 3M
     shifts = np.arange(-3 * M, 3 * M + 1)
     total = np.zeros((len(shifts),) * 3, dtype=np.complex128)  # [k, a, b]
@@ -662,14 +671,100 @@ def _sinc_oracle(link, x_nodes=16, y_nodes=24):
         for mu in (y, -y):
             s = link.alpha_np_per_km + 1j * nu[:, None] * (
                 link.beta2_s2_per_km * mu + link.walkoff_delay_s(1.0))
-            h = wy * width * (1 - np.exp(-s * link.length_km)) / s
+            h = wy * (1 - np.exp(-s * link.length_km)) / s
             eb = np.exp(0.5j * T * mu[..., None] * shifts)
             for i, k in enumerate(shifts):  # over y into (x, b), x into (a, b)
-                f = h * np.sinc(k * T * width / (2 * np.pi))
-                total[i] += ea.T @ np.einsum("xy,xyb->xb", f, eb)
+                total[i] += ea.T @ np.einsum("xy,xyb->xb", h * band(k), eb)
     l, m, p = np.meshgrid(*[np.arange(-M, M + 1)] * 3, indexing="ij")
     c = total[l + m - p + 3 * M, l - m - p + 3 * M, m - l - p + 3 * M]
     return 2j * link.gamma * T ** 2 / (2 * np.pi) ** 3 * c
+
+
+def _panels(edges, nodes):
+    """Gauss-Legendre nodes and weights of the panels between consecutive
+    edges along the last axis, one row of nodes per leading index."""
+    u, wu = np.polynomial.legendre.leggauss(nodes)
+    half = np.diff(edges, axis=-1)[..., None] / 2
+    mid = (edges[..., 1:] + edges[..., :-1])[..., None] / 2
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * u).reshape(shape), (half * wu).reshape(shape)
+
+
+def _rrc_oracle(link, rolloff, x_nodes=16, y_nodes=12, s_nodes=16):
+    """_sinc_oracle for the unit-energy, untruncated root-raised cosine of
+    roll-off beta, whose spectrum over sqrt(T) is G(w) = 1 to |w| = lo,
+    cos((|w| - lo) T / (4 beta)) to hi and 0 beyond, lo and hi = (1 -+
+    beta) Omega. Its w1 band integral has no closed form: with w1 = s +
+    (nu + mu)/2, a = (x + y)/2 and b = |x - y|/2, x = |nu| and y = |mu|,
+
+        band_k = 2 * integral over 0 < s < hi - a of G(s + a) G(s - a)
+                 * G(s + b) G(s - b) cos(k T s),
+
+    which is width * sinc(k T width / 2 pi) at beta = 0. The s-integral
+    runs by Gauss-Legendre panels between the roll-off edges of the four
+    spectra, |lo - a|, lo + a, |lo - b| and lo + b. band_k has kinks where
+    two of them meet, on x, y or x + y = 2 beta Omega, 2 lo or 2 Omega and
+    on |x - y| = 2 lo, so these lines are panel edges too: each y-row is
+    split at them, and the x panels, _sinc_oracle's on the diamond grown
+    by 1 + beta, at each crossing of two of them. At roll-off 0.25, 16
+    x-nodes, 12 y-nodes and 16 s-nodes per panel are 3.1e-14 from 32, 24
+    and 24 at memory 2 on the 50 km test link and 5.7e-11 at memory 1 on
+    configs/reference.yaml (max-norm relative)."""
+    T = link.symbol_period
+    omega = np.pi / T
+    lo, hi = (1 - rolloff) * omega, (1 + rolloff) * omega
+    top = 2 * hi
+    cuts = np.array([c for c in (2 * rolloff * omega, 2 * lo, 2 * omega)
+                     if c > 0])
+    ends = np.concatenate([[0.0], cuts, [top]])
+    cross = np.abs(np.add.outer(ends, np.concatenate([ends, -ends]))).ravel()
+    cross = np.concatenate([cross, cross / 2])
+    x, wx = _panels(np.unique(np.concatenate([
+        [0.0], top * 2.0 ** -np.arange(8, 0, -1),
+        hi * (1 + np.arange(1, 5) / 4), cross[(cross > 0) & (cross < top)]])),
+        x_nodes)
+    xc = x[:, None]
+    ytop = top - xc
+    y_edges = np.concatenate([np.zeros_like(xc), ytop,
+                              np.tile(cuts, (x.size, 1)), cuts - xc,
+                              xc - 2 * lo, xc + 2 * lo], axis=1)
+    y, wy = _panels(np.sort(np.clip(y_edges, 0, ytop), axis=1), y_nodes)
+    a, b = (xc + y)[..., None] / 2, np.abs(xc - y)[..., None] / 2
+    end = hi - a
+    s_edges = np.concatenate([np.zeros_like(a), end, np.abs(lo - a),
+                              lo + a, np.abs(lo - b), lo + b], axis=-1)
+    s, ws = _panels(np.sort(np.clip(s_edges, 0, end), axis=-1), s_nodes)
+    if rolloff:
+        for shift in (a, -a, b, -b):
+            ws = ws * np.cos(np.maximum(np.abs(s + shift) - lo, 0)
+                             * (T / (4 * rolloff)))
+    # cos(k T s) by the Chebyshev recurrence, k = 0 .. 3M
+    c1, ck, prev, band = np.cos(T * s), np.ones_like(s), None, []
+    for k in range(3 * link.memory + 1):
+        band.append(2 * np.einsum("xys,xys->xy", ws, ck))
+        ck, prev = (c1 if k == 0 else 2 * c1 * ck - prev), ck
+    return _overlap_oracle(link, x, wx, y, wy, lambda k: band[abs(k)])
+
+
+def _scaled_oracle_error(link, pulse, oracle):
+    """(s, the engine's max-norm relative distance from s times oracle),
+    s = E_W^-2 from the engine's padded grid (TestSincFrequencyOracle), for
+    the sinc or the root-raised cosine (_rrc gives either at energy T)."""
+    engine, _ = coefficient_tensor(link, pulse)
+    n, dt = level(link, pulse)[:2]
+    T = link.symbol_period
+    t = (np.arange(n) - n // 2) * dt
+    rolloff = pulse.rolloff if pulse.kind == "root-raised-cosine" else 0.0
+    scale = (dt / T * np.sum(_rrc(t, T, rolloff) ** 2)) ** -2
+    oracle = scale * oracle
+    return scale, np.abs(engine.values - oracle).max() / np.abs(
+        oracle).max()
+
+
+def _reference_link(memory):
+    cfg = load_config(str(Path(__file__).resolve().parents[1]
+                          / "configs" / "reference.yaml"))
+    return cfg, dataclasses.replace(cfg.link, memory=memory)
 
 
 class TestSincFrequencyOracle:
@@ -684,26 +779,12 @@ class TestSincFrequencyOracle:
     1 and 7.05e-9 at memory 5 against a converged oracle (1.6e-8 at memory
     5 against this one's 16 and 24 nodes)."""
 
-    @staticmethod
-    def scaled_oracle_error(link, pulse):
-        """(s, the engine's max-norm relative distance from s times the
-        oracle), s from the engine's padded grid."""
-        engine, _ = coefficient_tensor(link, pulse)
-        n, dt = level(link, pulse)[:2]
-        T = link.symbol_period
-        t = (np.arange(n) - n // 2) * dt
-        scale = (dt / T * np.sum(np.sinc(t / T) ** 2)) ** -2
-        oracle = scale * _sinc_oracle(link)
-        return scale, np.abs(engine.values - oracle).max() / np.abs(
-            oracle).max()
-
     @pytest.mark.parametrize("memory", [1, 5])
     def test_engine_is_scaled_oracle(self, memory):
-        cfg = load_config(str(Path(__file__).resolve().parents[1]
-                              / "configs" / "reference.yaml"))
+        cfg, link = _reference_link(memory)
         assert cfg.pulse.kind == "nyquist-sinc"
-        link = dataclasses.replace(cfg.link, memory=memory)
-        scale, err = self.scaled_oracle_error(link, cfg.pulse)
+        scale, err = _scaled_oracle_error(link, cfg.pulse,
+                                          _sinc_oracle(link))
         # the cut tail holds 2/(pi^2 W) of the energy, W = 256 here
         W = padded(link)
         assert scale - 1 == pytest.approx(1.58502e-3, abs=1e-8)
@@ -718,8 +799,52 @@ class TestSincFrequencyOracle:
         # both levels share the truncated window.
         link = dataclasses.replace(SHORT, memory=memory)
         assert padded(link) == 64
-        _, err = self.scaled_oracle_error(link, SINC)
+        _, err = _scaled_oracle_error(link, SINC, _sinc_oracle(link))
         assert err <= DEFAULT_QUAD_RTOL, err
+
+
+RRC = PulseShape(kind="root-raised-cosine", rolloff=0.25)
+
+
+@pytest.fixture(scope="module")
+def rrc_short_oracle():
+    """_rrc_oracle at memory 2 on the 50 km test link; the windows of
+    memory 0 and 1 are its centre."""
+    return _rrc_oracle(dataclasses.replace(SHORT, memory=2), RRC.rolloff)
+
+
+class TestRrcFrequencyOracle:
+    """The engine's root-raised-cosine window against _rrc_oracle, scaled
+    by the grid renormalisation as the sinc's is. The RRC's tails fall as
+    1/t^2, so its truncated window leaks far less than the sinc's: the
+    engine is 1.6e-13 or less from s times the oracle at memory 0 to 2 on
+    the 50 km test link. At memory 1 on configs/reference.yaml it is
+    5.7e-11, the oracle's own quadrature error (5.4e-15 against 32, 24 and
+    24 nodes per panel)."""
+
+    def test_rolloff_zero_is_the_sinc_oracle(self):
+        # On _sinc_oracle's nodes (24 per y-row) the band integral by
+        # quadrature is its closed form.
+        link = dataclasses.replace(SHORT, memory=2)
+        rrc, sinc = _rrc_oracle(link, 0.0, y_nodes=24), _sinc_oracle(link)
+        assert np.abs(rrc - sinc).max() <= 1e-12 * np.abs(sinc).max()
+
+    @pytest.mark.parametrize("memory", [0, 1, 2])
+    def test_short_link_is_scaled_oracle(self, memory, rrc_short_oracle):
+        link = dataclasses.replace(SHORT, memory=memory)
+        assert padded(link) == 64
+        window = slice(2 - memory, 3 + memory)
+        scale, err = _scaled_oracle_error(
+            link, RRC, rrc_short_oracle[window, window, window])
+        # s - 1 is 20 times the tolerance here: the scale is tested too
+        assert scale - 1 == pytest.approx(2.0597e-6, rel=1e-4)
+        assert err <= 1e-7, err
+
+    def test_reference_link_is_scaled_oracle(self):
+        _, link = _reference_link(memory=1)
+        _, err = _scaled_oracle_error(link, RRC,
+                                      _rrc_oracle(link, RRC.rolloff))
+        assert err <= 1e-7, err
 
 
 class TestKappa:
@@ -755,7 +880,7 @@ class TestJsonRoundTrip:
             assert np.array_equal(back.values, tensor.values)
             assert back.link == tensor.link
             other = "w" if user == "x" else "x"
-            said = (f"{path} holds receiver {user}'s tensor, "
+            said = (f"{path}: holds receiver {user}'s tensor, "
                     f"not receiver {other}'s")
             with pytest.raises(ConfigError, match=re.escape(said)):
                 CoeffTensor.load(str(path), other)
