@@ -118,6 +118,7 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     if n < side:
         raise ConfigError(f"block of {n} symbols is shorter than the "
                           f"coefficient window ({side})")
+    # batch.csv pins this form; from 2**14 elements numpy runs conj(w) * w.
     acc = (coeffs.values[M, M, M] * (w * np.conj(w))) * x
     rest = coeffs.values.copy()
     rest[M, M, M] = 0

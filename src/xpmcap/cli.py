@@ -2,10 +2,11 @@
 
 Commands: coeffs, sweep, region, simulate, verify. `main` runs each
 command inside one RunContext, which loads the configuration, resolves
-the master seed and creates --out-dir before the command runs, and writes
-the run manifest (effective configuration, input and output digests,
-wall time, peak memory, master seed and diagnostics) after it returns.
-Outputs are written atomically (write-then-rename).
+the master seed and creates --out-dir. The command stages its outputs;
+then finish() stages the run manifest (configuration, input and output
+digests, wall time, peak memory, seed and diagnostics) and renames each
+file into place, its `wrote` line after the command's own stdout. A
+refused command leaves no file; a crash between renames can leave some.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, an unreadable input or unwritable output, or out of memory,
@@ -15,6 +16,7 @@ error, an unreadable input or unwritable output, or out of memory,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
@@ -23,7 +25,6 @@ import math
 import os
 import resource
 import sys
-import tempfile
 import time
 
 from . import __version__
@@ -63,24 +64,15 @@ _PER_MW = 1e3  # 1/mW -> 1/W
 _PER_MW2 = 1e6  # 1/mW^2 -> 1/W^2
 
 
-def _atomic_write(path: str, fill) -> None:
-    """Write-then-rename: fill(tmp) streams the output into a temporary
-    file beside path, which replaces path once fill returns."""
-    directory, tmp = os.path.dirname(os.path.abspath(path)), None
+@contextlib.contextmanager
+def _naming(path: str):
+    """An OSError raised inside names output path, not its staged file."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                                   suffix=os.path.basename(path))
-        os.close(fd)
-        os.umask(umask := os.umask(0))  # the only way to read it
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give it
-        fill(tmp)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            raise OSError(exc.errno, exc.strerror, path) from None  # not tmp
-        raise
+        yield
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -129,7 +121,7 @@ class RunContext:
         self.master_seed = args.seed
         self.t0 = time.monotonic()
         self.inputs: dict[str, str] = {}
-        self.outputs: list[str] = []
+        self.staged: list[tuple[str, str]] = []  # (temporary, output)
         self.diagnostics: dict = {}  # numbers that back the outputs
         os.makedirs(args.out_dir, exist_ok=True)
         if self.config.source_path:
@@ -138,18 +130,17 @@ class RunContext:
     def note_input(self, path: str) -> None:
         self.inputs[path] = _sha256_file(path)
 
-    def out_path(self, name: str) -> str:
-        return os.path.join(self.args.out_dir, name)
-
     def write(self, name: str, text: str) -> str:
         return self.write_with(name, lambda tmp: _write_text(tmp, text))
 
     def write_with(self, name: str, fill) -> str:
-        """Atomically write output `name`; fill(tmp) writes its contents."""
-        path = self.out_path(name)
-        _atomic_write(path, fill)
-        self.outputs.append(path)
-        self.say(f"wrote {path}")
+        """Stage output `name`: fill(tmp) writes it, finish() renames it."""
+        path = os.path.join(self.args.out_dir, name)
+        tmp = f"{path}.tmp-{os.getpid()}-{len(self.staged)}"
+        with _naming(path):
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            self.staged.append((tmp, path))
+            fill(tmp)
         return path
 
     def say(self, message: str) -> None:
@@ -165,14 +156,19 @@ class RunContext:
             "config_path": self.config.source_path,
             "config": self.config.echo(),
             "inputs": self.inputs,
-            "outputs": {p: _sha256_file(p) for p in self.outputs},
+            "outputs": {path: _sha256_file(tmp) for tmp, path in self.staged},
             "wall_time_s": time.monotonic() - self.t0,
             "peak_rss_mb": _peak_rss_mb(),
             "diagnostics": self.diagnostics,
         }
-        text = _json_text(manifest)
-        _atomic_write(self.out_path(f"{self.args.command}-manifest.json"),
-                      lambda tmp: _write_text(tmp, text))
+        outputs = len(self.staged)
+        self.write_with(f"{self.args.command}-manifest.json",
+                        lambda tmp: _write_text(tmp, _json_text(manifest)))
+        for i, (tmp, path) in enumerate(self.staged):
+            with _naming(path):
+                os.replace(tmp, path)
+            if i < outputs:
+                self.say(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,6 @@ def cmd_region(args, ctx: RunContext) -> int:
     region, area = _measured((u1, u2, u_sum), lambda r: r.area(),
                              f"the region's area overflows a float: u1 {u1},"
                              f" u2 {u2}, usum {u_sum}")
-    # Every overlay is built before the first write, so none is left behind.
     layers, annotations = [(region, "green", 0.35, "outer bound")], []
     if awgn is not None:
         box, excess = _measured((awgn, awgn, 2 * awgn + 1.0),
@@ -487,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = "xpmcap"
+    command, ctx = "xpmcap", None
     try:
         args = build_parser().parse_args(argv)
         args.argv = argv  # the manifest records what was parsed
@@ -508,6 +503,10 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: {command}: out of memory", file=sys.stderr)
         return EXIT_USAGE
+    finally:  # what a refused command or a failed rename left staged
+        for tmp, _ in ctx.staged if ctx else ():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -638,17 +639,38 @@ class TestOutputModes:
         assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} \
             == dict.fromkeys(names, mode)
 
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
-        from xpmcap.cli import _atomic_write
-
-        def fill(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def half_then_disk_full(batch, path):
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write("half")
-            raise OSError("disk full")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        with pytest.raises(OSError, match="disk full"):
-            _atomic_write(str(tmp_path / "out.csv"), fill)
-        assert list(tmp_path.iterdir()) == []
+        # As in a fresh process: the name not bound by an earlier main().
+        monkeypatch.delitem(vars(climod), "write_batch_csv", raising=False)
+        monkeypatch.setattr(climod, "write_batch_csv", half_then_disk_full)
+        out = tmp_path / "out"
+        assert run([*config_file(tmp_path, IMAG_G), "--out-dir", str(out),
+                    "--quiet", "simulate", "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'batch.csv'}'" in err and ".tmp-" not in err, err
+        assert list(out.iterdir()) == []
+
+    def test_late_failure_lands_no_earlier_output(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def render_curves(*args):
+            raise MemoryError
+
+        monkeypatch.delitem(vars(climod), "render_curves", raising=False)
+        monkeypatch.setattr(climod, "render_curves", render_curves)
+        out = tmp_path / "out"
+        assert run([*config_file(tmp_path, ZERO_G), "--out-dir", str(out),
+                    "sweep", "--powers-dbm", "0", "--json", "s.json",
+                    "--svg", "s.svg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: xpmcap sweep: out of memory\n"
+        assert captured.out == ""  # no `wrote` line for sweep.csv
+        assert list(out.iterdir()) == []
 
 
 class TestSimulateCommand:
@@ -1220,9 +1242,13 @@ MALFORMED = {
     "region-out-in-missing-directory": (
         {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5",
              "--out", "nodir/r.json"]),
+    # A later output that cannot be written lands no earlier one.
     "sweep-svg-in-missing-directory": (
         G_FILES, [*G_CONFIG, "sweep", "--powers-dbm", "0", "--svg",
                   "nodir/x.svg"]),
+    "region-svg-in-missing-directory": (
+        {}, ["region", "--u1", "1", "--u2", "1", "--usum", "1.5", "--svg",
+             "nodir/r.svg"]),
 }
 
 
@@ -1291,6 +1317,7 @@ SAYS = {"config-sweep-g-real-nan": "sweep.g_real_per_mw must be finite",
         "region-ian2-without-ian1": "--ian1 and --ian2 go together",
         "region-out-in-missing-directory": "/out/nodir/r.json'",
         "sweep-svg-in-missing-directory": "/out/nodir/x.svg'",
+        "region-svg-in-missing-directory": "/out/nodir/r.svg'",
         "config-simulation-seed-is-unknown":
             "unknown key(s) in section 'simulation': seed",
         "config-simulation-model-unknown":
@@ -1317,7 +1344,9 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert ".tmp-" not in err, err  # an output is named, not its temp
-        assert not (tmp_path / "out" / "region.json").exists()
+        out = tmp_path / "out"  # a refused command leaves no file at all
+        assert not out.exists() or list(out.iterdir()) == []
+        assert [p for p in tmp_path.rglob("*") if ".tmp-" in p.name] == []
         if case in SAYS:
             assert SAYS[case] in err, err
         if case in NAMES_INPUT_FILE:
