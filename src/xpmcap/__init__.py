@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("bounds", "BoundSet EffectiveCoefficient awgn_capacity evaluate_bounds "
                "fit_cubic_interference fit_effective_coefficient ian_rate "
-               "interference_variance interference_variance_mc "
-               "outer_bound_sum outer_bound_u1 outer_bound_u2 sweep"),
+               "interference_variance_mc outer_bound_sum outer_bound_u1 "
+               "outer_bound_u2 sweep"),
     ("channel", "SampleBatch full_channel real_imag_decompose sample_cscg "
                 "simulate_batch spawn_seeds"),
     ("coefficients", "CoeffTensor coefficient_tensor"),

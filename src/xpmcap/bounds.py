@@ -114,22 +114,10 @@ def ian_rate(pp: PowerPair, sigma_sq: float, p_int: float) -> float:
     return math.log2(1.0 + pp.p1 / (2.0 * sigma_sq + p_int))
 
 
-def interference_variance(coeffs: CoeffTensor, pp: PowerPair) -> float:
-    """Noise power of the trilinear interference under CSCG inputs, with
-    the signal-proportional (coherent) component removed.
-
-    For independent CSCG inputs the fourth-moment pairings split each
-    coinciding-index term into a coherent part, cancelled exactly by the
-    removed conditional mean, and a noise part with unit multiplier, so
-
-        Var = P1 * P2^2 * sum |c[l,m,p]|^2 .
-    """
-    return pp.p1 * pp.p2 ** 2 * coeffs.sum_abs_sq()
-
-
 def interference_variance_mc(coeffs: CoeffTensor, pp: PowerPair, n: int,
                              seed: int, blocks: int = 50):
-    """Monte-Carlo estimate of the same quantity.
+    """Monte-Carlo estimate of the trilinear interference's noise power
+    under CSCG inputs, analytically P1 P2^2 kappa (sweep's kappa term).
 
     Draws ``blocks`` independent cyclic blocks totalling ~n symbols,
     subtracts the coherent (conditional-mean given the signal) component
@@ -253,8 +241,8 @@ def sweep(powers_dbm, g: EffectiveCoefficient, sigma_sq: float,
     tracks the first (a symmetric sweep). Receiver w's window is receiver
     x's with its lags reversed, so both receivers share the center tap g
     and kappa = sum |c|^2 (1/W^2). kappa gives both interference-as-noise
-    terms through the analytic variance P1 P2^2 kappa
-    (interference_variance); None means no interference.
+    terms through their analytic variance P1 P2^2 kappa under CSCG inputs,
+    the coherent part removed; None means no interference.
     """
     powers_dbm = list(powers_dbm)
     if not powers_dbm:

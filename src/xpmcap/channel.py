@@ -233,7 +233,8 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
     is 2, a forked child formats rows [n//2, n) into an unnamed file
     beside path (workers.forked) while this process writes the rows
     before, then appends the child's file in 1 MiB pieces: the same
-    bytes, one half of the rows per process.
+    bytes, one half of the rows per process. A failed child raises an
+    OSError naming its rows, not path (the caller names its output).
     """
     n = batch.n
     mid = n // 2 if csv_workers(n) == 2 else n
@@ -244,6 +245,6 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
             return
         with forked(lambda tail: _write_rows(tail, batch, mid, n),
                     lambda: _write_rows(fh, batch, 0, mid),
-                    f"{path}: the process formatting rows {mid}..{n - 1}",
+                    f"the process formatting rows {mid}..{n - 1}",
                     os.path.dirname(os.path.abspath(path))) as (_, tail):
             shutil.copyfileobj(tail, fh, 1 << 20)

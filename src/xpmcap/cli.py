@@ -70,8 +70,8 @@ def _naming(path: str):
     try:
         yield
     except OSError as exc:
-        if exc.errno is None:
-            raise
+        if exc.errno is None:  # as a failed CSV child's: keep its text
+            raise OSError(f"{path}: {exc}") from None
         raise OSError(exc.errno, exc.strerror, path) from None
 
 

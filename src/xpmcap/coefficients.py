@@ -32,8 +32,8 @@ interest. The pulse is sampled and renormalised across all of it, not
 zero-padded, so the tensor depends on the pad factor (reference config,
 pad 4 -> 8: c[0,0,0] scales by 0.999208).
 
-CoeffTensor's JSON round trip and kappa delegate to tensorjson, which
-owns the tensor document and loads no numpy.
+CoeffTensor's JSON round trip delegates to tensorjson, which owns the
+tensor document and loads no numpy.
 """
 
 from __future__ import annotations
@@ -106,12 +106,6 @@ class CoeffTensor:
         if max(abs(l), abs(m), abs(p)) > M:
             raise IndexError(f"lag ({l},{m},{p}) outside window +-{M}")
         return complex(self.values[l + M, m + M, p + M])
-
-    def sum_abs_sq(self) -> float:
-        """Sum of |c|^2 over the whole window (1/W^2), exactly rounded
-        (tensorjson.sum_abs_sq); the cubic interference-power coefficient
-        for Gaussian inputs."""
-        return tensorjson.sum_abs_sq(self.values.ravel().tolist())
 
     def coherent_gains(self) -> np.ndarray:
         """s[l] = sum_m c[l,m,m]: gains of the signal-proportional part of

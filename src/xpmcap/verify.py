@@ -6,14 +6,15 @@ an inequality is being verified, two-sided for moment identities. Under a
 correct implementation each one-sided check passes with probability at
 least 1 - 1e-6 at desk-scale sample counts.
 
-Stochastic checks run in fixed memory, whatever the sample count. Each
-draws BLOCK samples at a time into buffers it reuses for every block,
-with one seeded generator per real variate stream, so the draws do not
-depend on the block size. Of each block it keeps only co-moments: a
-count, a mean vector and the centred sums of products, merged pairwise
-per batch and over the whole sample (Chan, Golub & LeVeque, Am. Stat.
-37(3), 1983). Every check owns its generators, so run_suite runs two
-checks at once and still returns a serial run's reports, bit for bit.
+Stochastic checks run in fixed memory, whatever the sample count. All
+draw through one sampler, _noisy_blocks: BLOCK samples at a time into
+rows reused for every block, one seeded generator per real variate
+stream (none drawn at zero power), so the draws do not depend on the
+block size. Of each block a check keeps only co-moments: a count, a
+mean vector and the centred sums of products, merged pairwise per batch
+and over the whole sample (Chan, Golub & LeVeque, Am. Stat. 37(3),
+1983). Every check owns its generators, so run_suite runs two checks at
+once and still returns a serial run's reports, bit for bit.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def _noisy_blocks(n: int, seed: int, scales, maps, noise: float):
     block: y_r, y_i of decompose_quadratures(x, w, g) per (x, w, g) in
     maps(inputs), each plus noise * N(0, 1). Input j is the quadrature pair
     scales[j] * N(0, 1). Each quadrature, then each row's noise, has its
-    own generator of _streams(seed, ...); one of scale 0 holds +0, undrawn.
-    Rows are filled a sub-block at a time: only they are BLOCK long."""
+    own generator of _streams(seed, ...); a stream of scale 0 (noise 0
+    included) adds +0 and is not drawn. Rows are filled a sub-block at a
+    time: only they are BLOCK long."""
     sub, nq = min(n, _SUB), 2 * len(scales)
     inputs, work = np.zeros((len(scales), 2, sub)), np.empty((2, sub))
     rows = np.empty((2 * len(maps(inputs)), min(n, BLOCK)))
@@ -191,7 +193,7 @@ def _noisy_blocks(n: int, seed: int, scales, maps, noise: float):
                 np.multiply(scale, gen.standard_normal(out=a), out=q[:k])
             for i, (x, w, g) in enumerate(maps(v)):
                 decompose_quadratures(x, w, g, y[2 * i:2 * i + 2], (a, b))
-            for gen, row in zip(gens[nq:], y):
+            for gen, row in zip(gens[nq:] if noise else (), y):
                 row += np.multiply(noise, gen.standard_normal(out=a), out=a)
         yield rows[:, :m]
 
@@ -247,52 +249,31 @@ def joint_covariance_check(g_x: complex, g_w: complex, pp: PowerPair,
 
 
 def moment_identity_check(p: float, n: int, seed: int,
-                          distribution: str = "cscg",
                           name: str = "moments") -> CheckReport:
-    """Verify E|W|^4 = 2 (E|W|^2)^2, reported as the ratio against 1.
-
-    The identity holds for CSCG inputs; a uniform-phase constant-modulus
-    input gives ratio 1/2 and a fail verdict, demonstrating it is
-    distribution-specific.
-    """
+    """Verify E|W|^4 = 2 (E|W|^2)^2 for CSCG W at power p, as the ratio
+    against 1: W from _noisy_blocks (quadrature scales sqrt(p/2), g = 0, no
+    noise), |w|^4 in place per block, the blocks' means and M2 merged."""
     if n < MIN_SAMPLES:
         raise SampleBudgetError(f"need n >= {MIN_SAMPLES}, got {n}")
     if p < 0:
         raise ConfigError("power must be >= 0")
     if p == 0.0:
         return _report(name, n, 0.0, 0.0, 0.0, seed, "identity")
-    if distribution not in ("cscg", "constant-modulus"):
-        raise ConfigError("distribution must be 'cscg' or 'constant-modulus'")
-    _, mean, m2 = reduce(_merge, map(_comoments, _fourth_powers(
-        n, seed, p, distribution == "cscg")))
-    target = 2.0 * p * p
-    stderr = math.sqrt(m2[0, 0] / (n - 1)) / (target * math.sqrt(n))
-    return _report(name, n, mean[0] / target, 1.0, stderr, seed, "identity")
 
-
-def _fourth_powers(n: int, seed: int, p: float, cscg: bool):
-    """(1, m) blocks of |w|^4 over n samples of w at power p, BLOCK at a
-    time in one reused buffer: CSCG, each quadrature from its own generator
-    of _streams(seed, 2), or of constant modulus and a uniform phase from
-    the first."""
-    gens = _streams(seed, 2)
-    buf = np.empty((2, min(n, BLOCK)))
-    for start in range(0, n, BLOCK):
-        m = min(BLOCK, n - start)
-        re, im = buf[:, :m]
-        if cscg:
-            for gen, part in zip(gens, (re, im)):
-                np.multiply(math.sqrt(p / 2.0), gen.standard_normal(out=part),
-                            out=part)
-        else:
-            phase = np.multiply(2.0 * math.pi, gens[0].random(out=im), out=im)
-            np.multiply(math.sqrt(p), np.cos(phase, out=re), out=re)
-            np.multiply(math.sqrt(p), np.sin(phase, out=im), out=im)
+    def fourth_powers(rows) -> tuple:
+        re, im = rows
         re *= re
         im *= im
         re += im
         re *= re
-        yield buf[:1, :m]
+        return _comoments(rows[:1])
+
+    scale = math.sqrt(p / 2.0)
+    _, mean, m2 = reduce(_merge, map(fourth_powers, _noisy_blocks(
+        n, seed, [(scale, scale)], lambda v: [(v[0], (0.0, 0.0), 0j)], 0.0)))
+    target = 2.0 * p * p
+    stderr = math.sqrt(m2[0, 0] / (n - 1)) / (target * math.sqrt(n))
+    return _report(name, n, mean[0] / target, 1.0, stderr, seed, "identity")
 
 
 # ---------------------------------------------------------------------------

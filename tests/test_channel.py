@@ -502,12 +502,14 @@ class TestSplitWriter:
 
         monkeypatch.setattr(xch, "cpu_workers", lambda k: 2)
         monkeypatch.setattr(xch, "_write_rows", write_rows)
-        path = str(tmp_path / "batch.csv")
+        path, n = str(tmp_path / "batch.csv"), _CSV_SPLIT_ROWS
         error = OSError if failing == "child" else RuntimeError
         with pytest.raises(error) as info:
-            write_batch_csv(odd_batch(_CSV_SPLIT_ROWS), path)
-        if failing == "child":
-            assert path in str(info.value)
+            write_batch_csv(odd_batch(n), path)
+        if failing == "child":  # its rows; the caller names its output
+            assert info.value.errno is None
+            assert str(info.value).startswith(
+                f"the process formatting rows {n // 2}..{n - 1} failed")
         assert [p.name for p in tmp_path.iterdir()] == ["batch.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -17,13 +17,13 @@ import pytest
 
 import xpmcap
 import xpmcap.cli as climod
-from xpmcap import coefficients
-from xpmcap.bounds import (SWEEP_CSV_HEADER, ian_rate, interference_variance,
-                           read_sweep_csv)
+from xpmcap import channel, coefficients
+from xpmcap.bounds import SWEEP_CSV_HEADER, ian_rate, read_sweep_csv
 from xpmcap.cli import build_parser, main
 from xpmcap.coefficients import CoeffTensor
 from xpmcap.config import _SECTIONS, LinkParams, PowerPair, load_config
 from xpmcap.pulses import PulseShape
+from xpmcap.tensorjson import read_tensor, sum_abs_sq
 from xpmcap.workers import blas_threads, blas_workers, cpu_workers
 
 REPO = Path(__file__).resolve().parents[1]
@@ -364,7 +364,8 @@ class TestSweepCommand:
         # Receiver w's window is receiver x's lag reversal, so one
         # kappa = sum |c|^2 gives both interference-as-noise rates; the
         # config's kappa_per_mw2 must not replace it for receiver w.
-        tensor = _random_tensor(tmp_path / "tx.json", "x", 6)
+        _random_tensor(tmp_path / "tx.json", "x", 6)
+        kappa = sum_abs_sq(read_tensor(str(tmp_path / "tx.json"))[2])
         config = ["--config", str(REPO / "configs" / "reference.yaml")]
         assert run([*(config if with_config else []), "--out-dir",
                     str(tmp_path), "--quiet", "sweep",
@@ -374,14 +375,14 @@ class TestSweepCommand:
         rows = json.loads((tmp_path / "s.json").read_text())
         for row in rows:
             pp = PowerPair(row["p1_w"], row["p2_w"])
-            ian = ian_rate(pp, 1e-3, interference_variance(tensor, pp))
+            ian = ian_rate(pp, 1e-3, pp.p1 * pp.p2 ** 2 * kappa)
             assert row["ian1"] == pytest.approx(ian, rel=1e-12)
             assert row["ian2"] == row["ian1"] < row["awgn"]
 
     def test_kappa_is_the_tensors_sum_bit_for_bit(self, tmp_path,
                                                   monkeypatch):
-        # sweep reads the tensor without CoeffTensor; its kappa is still
-        # CoeffTensor's exactly rounded sum.
+        # sweep reads the tensor without CoeffTensor; its kappa is the
+        # exactly rounded sum of the document's entries.
         _random_tensor(tmp_path / "tx.json", "x", 8)
         kappas = []
 
@@ -393,7 +394,7 @@ class TestSweepCommand:
         assert run(["--out-dir", str(tmp_path), "--quiet", "sweep",
                     "--powers-dbm", "0", "--coeffs-x",
                     str(tmp_path / "tx.json")]) == 0
-        kappa = CoeffTensor.load(str(tmp_path / "tx.json")).sum_abs_sq()
+        kappa = sum_abs_sq(read_tensor(str(tmp_path / "tx.json"))[2])
         assert [k.hex() for k in kappas] == [kappa.hex()]
 
     def test_coeffs_w_is_recorded_but_leaves_sweep_unchanged(self, tmp_path):
@@ -654,6 +655,29 @@ class TestOutputModes:
                     "--quiet", "simulate", "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert f"{out / 'batch.csv'}'" in err and ".tmp-" not in err, err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(channel.csv_workers(20000) == 1,
+                        reason="one process formats the whole batch.csv")
+    def test_failed_csv_child_names_the_output(self, tmp_path, capsys,
+                                               monkeypatch):
+        write_rows = channel._write_rows
+
+        def fails_in_the_child(fh, batch, start, stop):
+            if start > 0:  # the forked child's half of the rows
+                raise RuntimeError("child failed")
+            write_rows(fh, batch, start, stop)
+
+        monkeypatch.setattr(channel, "_write_rows", fails_in_the_child)
+        out = tmp_path / "out"
+        assert run(["--config", str(REFERENCE), "--out-dir", str(out),
+                    "--quiet", "simulate", "--n", "20000",
+                    "--model", "memoryless"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"error: {out / 'batch.csv'}: the process "
+                              "formatting rows 10000..19999 failed"), err
+        assert ".tmp-" not in err, err
         assert list(out.iterdir()) == []
 
     def test_late_failure_lands_no_earlier_output(self, tmp_path, capsys,

@@ -18,6 +18,7 @@ from xpmcap.coefficients import (DEFAULT_QUAD_RTOL, CoeffTensor,
 from xpmcap.config import LinkParams, effective_length, load_config
 from xpmcap.errors import ConfigError, GridError, QuadratureError
 from xpmcap.pulses import PulseShape, _rrc
+from xpmcap.tensorjson import sum_abs_sq
 
 # Short span keeps the dispersion spread small so unit tests run on a
 # 16-symbol window, padded to 64, in milliseconds; the default setup is
@@ -857,11 +858,11 @@ class TestKappa:
             for _ in range(30):
                 v = rng.standard_normal(shape) + 1j * rng.standard_normal(
                     shape)
-                kappa = CoeffTensor(memory=memory, values=v).sum_abs_sq()
+                kappa = sum_abs_sq(v.ravel().tolist())
                 assert kappa == math.fsum(
                     abs(c) ** 2 for c in v.ravel().tolist())
-                assert CoeffTensor(memory=memory, values=v[::-1, ::-1, ::-1]
-                                   ).sum_abs_sq() == kappa
+                assert sum_abs_sq(v[::-1, ::-1, ::-1].ravel().tolist()) \
+                    == kappa
 
 
 class TestJsonRoundTrip:

@@ -222,15 +222,15 @@ class TestAttributeContract:
 
 
 # xpmcap.__all__ when the package imported every layer eagerly, by module,
-# less regions.intersect, which excess_area absorbed, and
-# NoDominantFaceError, which dominant_face_midpoint's None replaced.
+# less regions.intersect, which excess_area absorbed,
+# NoDominantFaceError, which dominant_face_midpoint's None replaced, and
+# bounds.interference_variance, whose P1 P2^2 kappa sweep computes inline.
 PUBLIC = {
     "bounds": ["BoundSet", "EffectiveCoefficient", "awgn_capacity",
                "evaluate_bounds", "fit_cubic_interference",
                "fit_effective_coefficient", "ian_rate",
-               "interference_variance", "interference_variance_mc",
-               "outer_bound_sum", "outer_bound_u1", "outer_bound_u2",
-               "sweep"],
+               "interference_variance_mc", "outer_bound_sum",
+               "outer_bound_u1", "outer_bound_u2", "sweep"],
     "channel": ["SampleBatch", "full_channel", "real_imag_decompose",
                 "sample_cscg", "simulate_batch", "spawn_seeds"],
     "coefficients": ["CoeffTensor", "coefficient_tensor"],

@@ -289,11 +289,30 @@ class TestMomentIdentity:
         assert report.verdict == "pass"
         assert report.estimate == 0.0
 
-    def test_constant_modulus_fails_at_half(self):
-        report = moment_identity_check(MW, N, seed=10,
-                                       distribution="constant-modulus")
+    def test_constant_modulus_fails_at_half(self, monkeypatch):
+        # The identity is CSCG's: scaled to modulus sqrt(p), every sample
+        # gives E|W|^4 = p^2, half of 2 (E|W|^2)^2.
+        blocks = verify._noisy_blocks
+
+        def constant_modulus(*args):
+            for rows in blocks(*args):
+                rows *= np.sqrt(MW) / np.hypot(*rows)
+                yield rows
+
+        monkeypatch.setattr(verify, "_noisy_blocks", constant_modulus)
+        report = moment_identity_check(MW, N, seed=10)
         assert report.verdict == "fail"
         assert report.estimate == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n, estimate, stderr", [
+        (10 ** 6, "0x1.fe707c7b8698bp-1", "0x1.2409868c03738p-9"),
+        (2 * BLOCK + 123, "0x1.ffd9cf98d0e51p-1", "0x1.9b318003cf1b8p-8")])
+    def test_bits_of_the_per_check_sampler(self, n, estimate, stderr):
+        # Taken when the check had a sampler of its own: drawing through
+        # _noisy_blocks keeps every bit, a partial last block included.
+        report = moment_identity_check(MW, n, seed=8)
+        assert (report.estimate.hex(), report.stderr.hex()) == (estimate,
+                                                                stderr)
 
 
 class TestSuiteRunner:
@@ -447,27 +466,37 @@ class TestNoisyRows:
 class TestWorkingSet:
     """What the streamed checks draw and hold, beyond their rows."""
 
-    def test_zero_power_draws_only_the_noise(self, monkeypatch):
-        class Counting:
-            def __init__(self, gen):
-                self.gen, self.drawn = gen, 0
+    class Counting:
+        def __init__(self, gen):
+            self.gen, self.drawn = gen, 0
 
-            def standard_normal(self, *args, **kwargs):
-                z = self.gen.standard_normal(*args, **kwargs)
-                self.drawn += z.size
-                return z
+        def standard_normal(self, *args, **kwargs):
+            z = self.gen.standard_normal(*args, **kwargs)
+            self.drawn += z.size
+            return z
 
+    def counting_streams(self, monkeypatch) -> list:
+        """The streams the next check spawns, each counting its draws."""
         gens, streams = [], verify._streams
 
         def counting(seed, count):
-            gens.extend(map(Counting, streams(seed, count)))
+            gens.extend(map(self.Counting, streams(seed, count)))
             return gens
 
         monkeypatch.setattr(verify, "_streams", counting)
-        n = 150_000
+        return gens
+
+    def test_zero_power_draws_only_the_noise(self, monkeypatch):
+        gens, n = self.counting_streams(monkeypatch), 150_000
         joint_covariance_check(0.0j, 0.0j, PowerPair(0.0, 0.0), MW, n, seed=3)
         # x's and w's quadratures, then the four rows' noise
         assert [g.drawn for g in gens] == [0] * 4 + [n] * 4
+
+    def test_zero_noise_is_not_drawn(self, monkeypatch):
+        gens, n = self.counting_streams(monkeypatch), 150_000
+        moment_identity_check(MW, n, seed=3)
+        # w's quadratures, then its two rows' noise of variance 0
+        assert [g.drawn for g in gens] == [n, n, 0, 0]
 
     def test_joint_check_holds_little_beyond_its_rows(self):
         args = (30.0 + 40.0j, 30.0 + 40.0j, PowerPair(MW, MW), MW)
