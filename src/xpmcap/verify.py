@@ -13,13 +13,15 @@ stream (none drawn at zero power), so the draws do not depend on the
 block size. Of each block a check keeps only co-moments: a count, a
 mean vector and the centred sums of products, merged pairwise per batch
 and over the whole sample (Chan, Golub & LeVeque, Am. Stat. 37(3),
-1983). Every check owns its generators, so run_suite runs two checks at
-once and still returns a serial run's reports, bit for bit.
+1983). Every check owns its generators, so run_suite runs the checks in
+two processes and still returns a serial run's reports, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, asdict
 from functools import partial, reduce
@@ -31,7 +33,7 @@ from .channel import BLOCK, decompose_quadratures, spawn_seeds
 from .channel import real_imag_decompose, sample_cscg  # noqa: F401
 from .config import PowerPair
 from .errors import ConfigError, SampleBudgetError
-from .workers import cpu_workers
+from .workers import cpu_workers, forked
 
 MIN_SAMPLES = 100_000
 _N_BATCHES = 16
@@ -302,61 +304,95 @@ def random_psd_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def run_suite(suite: str, n: int, master_seed: int,
               diagnostics: dict | None = None) -> list[CheckReport]:
-    """Run one named suite (or 'all') on cpu_workers threads (1: inline),
-    one per check that draws samples, costliest check first by normal
-    variates per sample. Reports, one per check, keep suite order; a
-    check's exception propagates at the end. When diagnostics is a dict,
-    run_suite records in it check_workers, the threads it used, and
-    check_s, each check's wall seconds under the check's name.
+    """Run one named suite (or 'all'). Reports, one per check, keep suite
+    order. When diagnostics is a dict, run_suite records in it
+    check_workers, the processes it used, and check_s, each check's wall
+    seconds under its name, in suite order.
 
-    Costliest first buys memory, not time: measured, suite order has
-    about the same makespan, but it raised the peak RSS of verify --suite
-    all at 1e6 samples from about 46 to 47.5-48.5 MB."""
+    With two workers (cpu_workers of the checks that draw samples, and
+    os.fork) the checks are split once by their suite's normals per
+    sample: costliest first, each to the side of less cost so far, a tie
+    to this process. A forked child (workers.forked) runs one side and
+    sends back its reports, seconds and exception; this process runs the
+    other, and its own exception wins. Else they run here one at a time.
+    Processes, not threads: each side's 65536-sample blocks stay in its
+    own heap, and verify --suite all at 1e6 samples peaks about 3.4 MB
+    lower than on two threads (BENCH_38.json)."""
     suites = {"dettrace": (0, _run_dettrace), "conv4": (4, _run_conv4),
               "conv6": (8, _run_conv6), "moments": (2, _run_moments)}
     if suite != "all" and suite not in suites:
         raise ConfigError(f"unknown suite '{suite}'; expected one of "
                           f"{('all',) + tuple(suites)}")
-    seconds: dict[str, float] = {}
-
-    def timed(check) -> CheckReport:
-        start = time.perf_counter()
-        report = check()
-        seconds[report.name] = time.perf_counter() - start
-        return report
-
     # Suite i of the table draws from master_seed + i, run alone or in all.
-    checks = [(cost, partial(timed, check))
-              for i, (name, (cost, run)) in enumerate(suites.items())
+    checks = [(cost, check)
+              for i, (name, (cost, build)) in enumerate(suites.items())
               if suite in ("all", name)
-              for check in run(n, master_seed + i)]
-    workers = cpu_workers(sum(cost > 0 for cost, _ in checks))
-    if diagnostics is not None:
-        diagnostics.update(check_workers=workers, check_s=seconds)
+              for check in build(n, master_seed + i)]
+    if n < MIN_SAMPLES and any(cost for cost, _ in checks):
+        raise SampleBudgetError(f"need n >= {MIN_SAMPLES}, got {n}")
+    workers = (cpu_workers(sum(cost > 0 for cost, _ in checks))
+               if hasattr(os, "fork") else 1)
+    seconds: dict[int, float] = {}
+
+    def run(side) -> dict:
+        reports = {}
+        for i in side:
+            start = time.perf_counter()
+            reports[i] = checks[i][1]()
+            seconds[i] = time.perf_counter() - start
+        return reports
+
     if workers == 1:
-        return [check() for _, check in checks]
-    from concurrent.futures import ThreadPoolExecutor  # off the CLI import
-    with ThreadPoolExecutor(workers) as pool:
-        futures = {i: pool.submit(checks[i][1]) for i in
-                   sorted(range(len(checks)), key=lambda i: -checks[i][0])}
-        return [futures[i].result() for i in range(len(checks))]
+        reports = run(range(len(checks)))
+    else:
+        sides, loads = ([], []), [0, 0]  # this process's, the child's
+        for i in sorted(range(len(checks)), key=lambda i: -checks[i][0]):
+            side = int(loads[1] < loads[0])
+            sides[side].append(i)
+            loads[side] += checks[i][0]
+
+        def child(fh) -> None:
+            reports, error = {}, None
+            try:
+                reports = run(sides[1])
+            except Exception as exc:  # raised again in this process
+                error = exc
+            pickle.dump((reports, seconds, error), fh)
+
+        names = ", ".join(checks[i][1].keywords["name"] for i in sides[1])
+        with forked(child, partial(run, sides[0]),
+                    f"the process running {names}") as (reports, fh):
+            theirs, their_seconds, error = pickle.load(fh)
+        if error is not None:
+            raise error
+        reports.update(theirs)
+        seconds.update(their_seconds)
+    reports = [reports[i] for i in range(len(checks))]
+    if diagnostics is not None:
+        diagnostics.update(check_workers=workers, check_s={
+            r.name: seconds[i] for i, r in enumerate(reports)})
+    return reports
+
+
+def _random_psd_check(seed: int, count: int, name: str) -> CheckReport:
+    """det_trace_check's least margin over count random PSD matrices of
+    sizes 2-4, checked as one stack per size."""
+    rng = np.random.default_rng(seed)
+    by_size: dict[int, list] = {}
+    for _ in range(count):
+        size = int(rng.integers(2, 5))
+        by_size.setdefault(size, []).append(random_psd_matrix(rng, size))
+    worst = max(r.estimate - r.bound for r in
+                map(det_trace_check, map(np.array, by_size.values())))
+    return _report(name, count, worst, 0.0, 0.0, seed, "exact")
 
 
 def _run_dettrace(n: int, seed: int) -> list:
-    def random_psd(count: int = 1000) -> CheckReport:
-        rng = np.random.default_rng(seed)
-        by_size: dict[int, list] = {}
-        for _ in range(count):
-            size = int(rng.integers(2, 5))
-            by_size.setdefault(size, []).append(random_psd_matrix(rng, size))
-        worst = max(r.estimate - r.bound for r in
-                    map(det_trace_check, map(np.array, by_size.values())))
-        return _report(f"dettrace-random-psd[{count}]", count, worst, 0.0,
-                       0.0, seed, "exact")
     return [partial(det_trace_check, np.eye(2), name="dettrace-identity-2x2"),
             partial(det_trace_check, np.diag([1.0, 3.0]),
                     name="dettrace-diag-1-3"),
-            random_psd]
+            partial(_random_psd_check, seed, 1000,
+                    name="dettrace-random-psd[1000]")]
 
 
 def _run_conv4(n: int, seed: int) -> list:

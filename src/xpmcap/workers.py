@@ -11,8 +11,8 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def cpu_workers(tasks: int) -> int:
-    """Threads or processes for independent tasks, 1 meaning inline: two
-    at most, and no more than the CPUs this process may run on."""
+    """Processes for independent tasks, 1 meaning inline: two at most,
+    and no more than the CPUs this process may run on."""
     return max(1, min(2, tasks, len(os.sched_getaffinity(0))
                       if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1))
@@ -36,8 +36,9 @@ def blas_workers() -> int:
 def forked(child, parent, what: str, dir: str | None = None):
     """Run child(fh) in a forked process that leaves through os._exit,
     fh an unnamed temporary file in dir, and parent() here; reap the child
-    also when parent() raises. Raises OSError naming what if the child
-    failed, else yields (parent()'s result, fh rewound)."""
+    also when parent() raises. Raises OSError naming what and how the
+    child ended (exit code N, or killed by SIGNAME) if it failed, else
+    yields (parent()'s result, fh rewound)."""
     with tempfile.TemporaryFile(dir=dir) as fh:
         if (pid := os.fork()) == 0:
             code = 1
@@ -51,7 +52,11 @@ def forked(child, parent, what: str, dir: str | None = None):
             result = parent()
         finally:
             status = os.waitpid(pid, 0)[1]
-        if status:
-            raise OSError(f"{what} failed ({status=})")
+        if code := os.waitstatus_to_exitcode(status):
+            import signal  # only to name a fatal signal
+            names = {s.value: s.name for s in signal.Signals}
+            how = (f"exit code {code}" if code > 0 else
+                   f"killed by {names.get(-code, f'signal {-code}')}")
+            raise OSError(f"{what} failed ({how})")
         fh.seek(0)
         yield result, fh

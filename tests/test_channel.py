@@ -239,7 +239,13 @@ class TestFullChannel:
         coeffs = random_tensor(M, np.random.default_rng(40 + M))
         rest = coeffs.values.copy()
         rest[M, M, M] = 0
-        for n in (side, _CHUNK, 2 * _CHUNK + 5):
+        # numpy computes the centre tap's w * conj(w) as
+        # np.multiply(conj(w), w) from 16384 elements on (temporary
+        # elision), which differs from np.multiply(w, conj(w)) in the last
+        # bit; the sizes about that threshold pin the whole-array
+        # expression that batch.csv's bytes depend on (the centre-tap
+        # line of CHANGES.md).
+        for n in (side, _CHUNK, 2 * _CHUNK + 5, 16383, 16384, 8 * _CHUNK + 5):
             x = sample_cscg(n, 1e-3, 41 + n)
             w = sample_cscg(n, 2e-3, 43 + n)
             want = (coeffs.values[M, M, M] * (w * np.conj(w))) * x

@@ -103,6 +103,14 @@ class TestImportContract:
         assert _layers(modules) == BASE_LAYERS | {
             "xpmcap.channel", "xpmcap.verify", "xpmcap.workers"}
 
+    def test_verify_all_loads_no_thread_pool(self, tmp_path):
+        # Its checks run in two processes, not on a thread pool.
+        proc, modules = _cli(tmp_path, "--quiet", "verify", "--suite", "all",
+                             "--samples", "100000")
+        assert proc.returncode == 0, proc.stderr
+        assert "xpmcap.verify" in modules
+        assert not {m for m in modules if m.startswith("concurrent")}
+
     def test_tensor_sweep_loads_no_numpy_or_yaml(self, tmp_path):
         tensor = xpmcap.CoeffTensor(memory=1, values=[
             [[0.01j * (9 * l + 3 * m + p) for p in range(3)]

@@ -1,6 +1,7 @@
-import concurrent.futures
 import json
 import math
+import os
+import signal
 import threading
 import tracemalloc
 from functools import reduce
@@ -362,7 +363,10 @@ class TestConcurrentSuite:
         texts = {_report_bytes(serial)}
         for workers in (1, 2, 3):
             monkeypatch.setattr(verify, "cpu_workers", lambda k: workers)
-            texts.add(_report_bytes(run_suite("all", 100_000, seed)))
+            diagnostics = {}
+            reports = run_suite("all", 100_000, seed, diagnostics)
+            texts.add(_report_bytes(reports))
+            assert list(diagnostics["check_s"]) == [r.name for r in reports]
         assert len(texts) == 1
 
     def test_worker_count_is_capped(self):
@@ -370,59 +374,120 @@ class TestConcurrentSuite:
         assert cpu_workers(1) == 1
         assert 1 <= cpu_workers(7) <= 2
 
-    def _record_starts(self, monkeypatch):
-        started = []
+    def _record_pids(self, monkeypatch, tmp_path):
+        """Each check's name and pid, one line per check appended
+        to a file, since a forked child's lists stay in the child."""
+        log = tmp_path / "pids.txt"
         for attr in ("det_trace_check", "single_user_covariance_check",
-                     "joint_covariance_check", "moment_identity_check"):
+                     "joint_covariance_check", "moment_identity_check",
+                     "_random_psd_check"):
             def record(*args, _inner=getattr(verify, attr), **kwargs):
-                on_main = threading.current_thread() is threading.main_thread()
-                started.append((kwargs.get("name", "-").split("-")[0],
-                                on_main))
+                if "name" in kwargs:  # not the random PSD check's stacks
+                    with open(log, "a") as fh:
+                        fh.write(f"{kwargs['name']} {os.getpid()}\n")
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(verify, attr, record)
-        return started
+        return lambda: dict(line.split() for line in
+                            log.read_text().splitlines())
 
-    def test_costliest_checks_start_first(self, monkeypatch):
-        # run_suite sets the order of pool.submit; the order in which two
-        # pool threads then begin is the scheduler's.
-        submitted = []
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(super().submit(fn, *args, **kwargs))
-                return submitted[-1]
+    @staticmethod
+    def _no_fork():
+        raise AssertionError("os.fork called")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            Recording)
-        started = self._record_starts(monkeypatch)
+    def test_checks_split_by_cost_between_two_processes(self, monkeypatch,
+                                                        tmp_path):
+        # conv6 costs 8 normals per sample, conv4 4, moments 2 and dettrace
+        # 0: taken costliest first, each check goes to the side of less
+        # cost so far, a tie to this process.
+        pids = self._record_pids(monkeypatch, tmp_path)
         monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
-        names = [r.name for r in run_suite("all", 100_000, 4)]
-        assert [f.result().name.split("-")[0] for f in submitted] == \
-            ["conv6"] * 3 + ["conv4"] * 3 + ["moments"] + ["dettrace"] * 3
-        assert started and not any(on_main for _, on_main in started)
+        diagnostics = {}
+        reports = run_suite("all", 100_000, 4, diagnostics)
+        here = {"conv6-equality-zero-power", "conv6-symmetric",
+                "conv4-complex-g"}
+        by_pid = pids()
+        assert {name for name, pid in by_pid.items()
+                if pid == str(os.getpid())} == here
+        assert len(set(by_pid.values())) == 2
+        names = [r.name for r in reports]
+        assert set(by_pid) == set(names) and len(names) == 10
         assert [n.split("-")[0] for n in names] == \
             ["dettrace"] * 3 + ["conv4"] * 3 + ["conv6"] * 3 + ["moments"]
+        assert diagnostics["check_workers"] == 2
+        assert list(diagnostics["check_s"]) == names
+        assert all(s > 0 for s in diagnostics["check_s"].values())
+        self._no_child_left()
 
     @pytest.mark.parametrize("suite", ["dettrace", "moments"])
-    def test_single_worker_runs_inline(self, suite, monkeypatch):
-        started = self._record_starts(monkeypatch)
-        run_suite(suite, 100_000, 1)
-        assert started and all(on_main for _, on_main in started)
+    def test_single_worker_runs_inline(self, suite, monkeypatch, tmp_path):
+        pids = self._record_pids(monkeypatch, tmp_path)
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: max(1, min(k, 2)))
+        monkeypatch.setattr(os, "fork", self._no_fork)
+        diagnostics = {}
+        run_suite(suite, 100_000, 1, diagnostics)
+        assert set(pids().values()) == {str(os.getpid())}
+        assert diagnostics["check_workers"] == 1
+
+    def test_no_fork_runs_every_check_inline(self, monkeypatch):
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
+        monkeypatch.delattr(os, "fork")
+        diagnostics = {}
+        assert len(run_suite("all", 100_000, 1, diagnostics)) == 10
+        assert diagnostics["check_workers"] == 1
 
     def test_check_exception_propagates_unchanged(self, monkeypatch):
+        # Both processes raise it; this process's own exception wins.
         error = RuntimeError("check broke")
 
         def broken(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(verify, "joint_covariance_check", broken)
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as excinfo:
             run_suite("all", 100_000, 1)
         assert excinfo.value is error
         assert threading.active_count() == before
+        self._no_child_left()
 
-    def test_sample_budget_error_propagates(self):
+    def test_child_exception_keeps_its_type_and_message(self, monkeypatch):
+        # The moments check runs in the child alone.
+        def broken(*args, **kwargs):
+            raise ConfigError("moments broke in the child")
+
+        monkeypatch.setattr(verify, "moment_identity_check", broken)
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
+        with pytest.raises(ConfigError, match="^moments broke in the child$"):
+            run_suite("all", 100_000, 1)
+        self._no_child_left()
+
+    def test_dead_child_raises_naming_its_checks(self, monkeypatch):
+        here = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != here, "moments ran in this process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(verify, "moment_identity_check", killed)
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
+        with pytest.raises(OSError) as excinfo:
+            run_suite("all", 100_000, 1)
+        assert str(excinfo.value) == (
+            "the process running conv6-g0, conv4-equality-g0, conv4-imag-g, "
+            "moments-cscg-1mW, dettrace-identity-2x2, dettrace-diag-1-3, "
+            "dettrace-random-psd[1000] failed (killed by SIGKILL)")
+        self._no_child_left()
+
+    def test_sample_budget_error_propagates(self, monkeypatch):
+        # Refused before the split: no process is forked.
+        monkeypatch.setattr(verify, "cpu_workers", lambda k: 2)
+        monkeypatch.setattr(os, "fork", self._no_fork)
         before = threading.active_count()
         with pytest.raises(SampleBudgetError):
             run_suite("all", 10, 1)

@@ -1,8 +1,9 @@
 import os
+import signal
 
 import pytest
 
-from xpmcap.workers import blas_threads, blas_workers
+from xpmcap.workers import blas_threads, blas_workers, forked
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
              "MKL_NUM_THREADS")
@@ -59,3 +60,19 @@ class TestBlasWorkers:
         assert blas_workers() == 2
         monkeypatch.delattr(os, "fork")
         assert blas_workers() == 1
+
+
+class TestForked:
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+        (lambda: 1 / 0, "exit code 1"),
+    ], ids=["exit-3", "sigkill", "raised"])
+    def test_failure_says_how_the_child_ended(self, end, how):
+        with pytest.raises(OSError) as excinfo:
+            with forked(lambda fh: end(), lambda: None, "the child"):
+                pass
+        assert str(excinfo.value) == f"the child failed ({how})"
+        assert excinfo.value.errno is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
