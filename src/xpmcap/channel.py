@@ -28,13 +28,14 @@ BATCH_CSV_HEADER = ("k", "x_re", "x_im", "w_re", "w_im", "y_re", "y_im")
 #: Rows formatted at a time by write_batch_csv: their Python floats (six
 #: per row), row strings and encoded text, about 0.5 MB, are the writer's
 #: whole working set, whatever the batch length.
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 1024
 #: Fewest rows write_batch_csv splits over two processes; a fork costs
 #: more than it saves on 4096 rows.
 _CSV_SPLIT_ROWS = 16384
 
-#: Symbols per cyclic chunk of interference_terms.
-_CHUNK = 2048
+#: Symbols per cyclic chunk of interference_terms: its pair-product
+#: buffer is 16 (2M+1)^2 _CHUNK bytes, about 1 MB at memory 5.
+_CHUNK = 512
 #: Samples per block where long arrays are filled in place.
 BLOCK = 1 << 16
 
@@ -83,11 +84,18 @@ def full_channel(x: np.ndarray, w: np.ndarray, coeffs: CoeffTensor,
     Lagged indices wrap around the block, which preserves stationarity of
     the interference for moment estimation. interference_terms adds the
     centre tap first, so a window whose only nonzero entry is c[0,0,0]
-    gives the single-tap y = x + c |w|^2 x bit for bit.
+    gives the single-tap y = x + c |w|^2 x bit for bit. y is the only
+    array of n it allocates: _cscg's noise is added one block of draws
+    at a time, bit for bit its whole array.
     """
-    y = x + interference_terms(x, w, coeffs)
+    y = interference_terms(x, w, coeffs)
+    y += x
     if sigma_sq > 0:
-        y = y + _cscg(np.random.default_rng(seed), y.size, sigma_sq)
+        rng, s = np.random.default_rng(seed), np.sqrt(sigma_sq)
+        for part in (y.real, y.imag):
+            for sl, z in normal_blocks(rng, y.size):
+                z *= s
+                part[sl] += z
     return y
 
 
@@ -118,8 +126,12 @@ def interference_terms(x: np.ndarray, w: np.ndarray,
     if n < side:
         raise ConfigError(f"block of {n} symbols is shorter than the "
                           f"coefficient window ({side})")
-    # batch.csv pins this form; from 2**14 elements numpy runs conj(w) * w.
-    acc = (coeffs.values[M, M, M] * (w * np.conj(w))) * x
+    # (c * (w * conj(w))) * x, which batch.csv pins, in one array: numpy
+    # forms w * conj(w) in its temporary conj(w) from 2**14 elements on
+    # (temporary elision, which swaps the operands), and c stays first.
+    acc = w * np.conj(w)
+    np.multiply(coeffs.values[M, M, M], acc, out=acc)
+    acc *= x
     rest = coeffs.values.copy()
     rest[M, M, M] = 0
     buf = np.empty(side * side * min(_CHUNK, n), complex)
@@ -232,9 +244,9 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
     a field with float() gives back the exact value. When csv_workers(n)
     is 2, a forked child formats rows [n//2, n) into an unnamed file
     beside path (workers.forked) while this process writes the rows
-    before, then appends the child's file in 1 MiB pieces: the same
-    bytes, one half of the rows per process. A failed child raises an
-    OSError naming its rows, not path (the caller names its output).
+    before, then appends the child's file: the same bytes, one half of
+    the rows per process. A failed child raises an OSError naming its
+    rows, not path (the caller names its output).
     """
     n = batch.n
     mid = n // 2 if csv_workers(n) == 2 else n
@@ -247,4 +259,4 @@ def write_batch_csv(batch: SampleBatch, path: str) -> None:
                     lambda: _write_rows(fh, batch, 0, mid),
                     f"the process formatting rows {mid}..{n - 1}",
                     os.path.dirname(os.path.abspath(path))) as (_, tail):
-            shutil.copyfileobj(tail, fh, 1 << 20)
+            shutil.copyfileobj(tail, fh)

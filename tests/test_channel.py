@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from xpmcap import channel as xch
 from xpmcap.channel import (_CHUNK, _CSV_BLOCK_ROWS, _CSV_SPLIT_ROWS,
-                            BATCH_CSV_HEADER, SampleBatch,
+                            BATCH_CSV_HEADER, BLOCK, SampleBatch,
                             decompose_quadratures, full_channel,
                             interference_terms, real_imag_decompose,
                             sample_cscg, simulate_batch, spawn_seeds,
@@ -222,12 +222,8 @@ class TestFullChannel:
         for n in (10 ** 5, 2 * 10 ** 5):
             x = sample_cscg(n, 1e-3, 1)
             w = sample_cscg(n, 1e-3, 2)
-            tracemalloc.start()
-            try:
-                interference_terms(x, w, coeffs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(
+                _traced_peak(lambda: interference_terms(x, w, coeffs)))
         # at most 4 complex128 arrays of length n, not one per lag
         assert peaks[1] - peaks[0] <= 4 * 16 * 10 ** 5
 
@@ -262,19 +258,73 @@ class TestFullChannel:
 
     def test_peak_memory_holds_one_chunk_of_pair_products(self):
         n, M = 10 ** 5, 5
-        side = 2 * M + 1
         coeffs = random_tensor(M, np.random.default_rng(3))
         x = sample_cscg(n, 1e-3, 1)
         w = sample_cscg(n, 1e-3, 2)
-        tracemalloc.start()
-        try:
-            interference_terms(x, w, coeffs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the output, plus one chunk's pair products and a quarter of
-        # that for the chunk's smaller temporaries
-        assert peak <= 16 * n + 1.25 * 16 * side * side * _CHUNK
+        peak = _traced_peak(lambda: interference_terms(x, w, coeffs))
+        assert peak <= 16 * n + _kernel_scratch(M)
+
+    @pytest.mark.parametrize("sigma_sq", [None, 1e-3])
+    def test_peak_memory_is_the_output_and_fixed_buffers(self, sigma_sq):
+        # Large enough that one more array of n (a second centre-tap
+        # array, a whole noise array) stands out of the chunk terms.
+        n, M = 1 << 18, 2
+        coeffs = random_tensor(M, np.random.default_rng(4))
+        x = sample_cscg(n, 1e-3, 1)
+        w = sample_cscg(n, 1e-3, 2)
+        if sigma_sq is None:
+            peak = _traced_peak(lambda: interference_terms(x, w, coeffs))
+            noise_block = 0
+        else:
+            peak = _traced_peak(
+                lambda: full_channel(x, w, coeffs, sigma_sq, seed=5))
+            noise_block = 8 * BLOCK  # normal_blocks' buffer
+        assert peak <= 16 * n + noise_block + _kernel_scratch(M)
+
+    @pytest.mark.parametrize("centre_only", [False, True])
+    @pytest.mark.parametrize("n", [5, 16383, 16384, BLOCK + 5,
+                                   3 * BLOCK + 5])
+    def test_noise_by_blocks_equals_the_whole_noise_array_bitwise(
+            self, n, centre_only):
+        # The oracle is the whole-array form: x plus the interference,
+        # plus _cscg's array. The sizes straddle numpy's temporary-elision
+        # threshold and the edges of normal_blocks' blocks.
+        M = 2
+        coeffs = random_tensor(M, np.random.default_rng(60))
+        if centre_only:
+            values = np.zeros_like(coeffs.values)
+            values[M, M, M] = coeffs.values[M, M, M]
+            coeffs = CoeffTensor(memory=M, values=values)
+        x = sample_cscg(n, 1e-3, 61)
+        w = sample_cscg(n, 2e-3, 62)
+        want = ((x + interference_terms(x, w, coeffs))
+                + xch._cscg(np.random.default_rng(63), n, 1e-3))
+        got = full_channel(x, w, coeffs, 1e-3, seed=63)
+        assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc counts while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _kernel_scratch(memory: int) -> int:
+    """Bytes interference_terms may hold beside its output, term by term."""
+    side, chunk = 2 * memory + 1, _CHUNK
+    pairs = 16 * side * side * chunk  # the pair-product buffer
+    # conj of the w lag stack and numpy's temporary while the pair
+    # products are formed; later the matmul product, one of these
+    lag_rows = 2 * 16 * side * chunk
+    # each lag stack's halo copy of the chunk and its int64 indices
+    halos = 2 * (16 + 16) * (chunk + 2 * memory)
+    tensor = 16 * side ** 3  # the tensor's copy with its centre zeroed
+    small = 256 << 10  # numpy's and the interpreter's small objects
+    return pairs + lag_rows + halos + tensor + small
 
 
 def _pair(v):
@@ -450,7 +500,7 @@ def odd_batch(n, seed=0):
 class TestSplitWriter:
     @pytest.mark.parametrize("n", [1, _CSV_SPLIT_ROWS - 1, _CSV_SPLIT_ROWS,
                                    _CSV_SPLIT_ROWS + 3,
-                                   32 * _CSV_BLOCK_ROWS + 3])
+                                   128 * _CSV_BLOCK_ROWS + 3])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bytes_equal_the_single_process_writer(self, n, cpus, tmp_path,
                                                    monkeypatch):
